@@ -469,7 +469,7 @@ class NoClosureOnDispatchPath(Rule):
         "event; the scheduler already stores trailing arguments on the "
         "event handle, so ``sim.at(t, self._writeback, block)`` carries "
         "the same state with zero extra allocation. The campaign-scale "
-        "cost of the closure idiom is what the ladder-queue rewrite "
+        "cost of the closure idiom is what the event-queue rewrite "
         "removed; this rule keeps it out of repro.sim/cache/dram and "
         "out of any function the call graph proves dispatch-reachable.")
 

@@ -24,8 +24,6 @@ import itertools
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.cache.metrics import CacheMetrics
 from repro.cache.prefetcher import StridePrefetcher
 from repro.cache.request import DemandRequest, Op, Outcome
@@ -34,7 +32,6 @@ from repro.config.system import SystemConfig
 from repro.dram.address import AddressMapper, DramGeometry
 from repro.dram.bus import Direction
 from repro.dram.device import AccessGrant, DramChannel
-from repro.dram.soa import BankStateArrays
 from repro.energy.power_model import EnergyMeter
 from repro.errors import CapacityError
 from repro.memory.backend import MemoryBackend
@@ -85,12 +82,6 @@ class CacheOp:
                 f"bank={self.bank}, seq={self.seq})")
 
 
-#: Queue length at which FR-FCFS selection switches from the per-op
-#: Python loop to one vectorized gather over the SoA ready column
-#: (batched mode only; below this the loop's early exit wins).
-_SOA_SELECT_MIN = 8
-
-
 class ChannelScheduler:
     """Bounded read/write queues + FR-FCFS + write-drain for one channel."""
 
@@ -106,9 +97,6 @@ class ChannelScheduler:
         self.low_watermark = max(0, self.write_capacity // 4)
         self.draining = False
         self._wake_at: Optional[int] = None
-        #: per-channel SoA bank state (batched step mode) or None; the
-        #: scheduler keeps its per-bank queue-depth column current
-        self._soa = controller.channels[index].soa
 
     # ------------------------------------------------------------------
     def read_space(self) -> int:
@@ -119,8 +107,6 @@ class ChannelScheduler:
 
     def push_read(self, op: CacheOp) -> None:
         self.read_q.append(op)
-        if self._soa is not None:
-            self._soa.queue_depth[op.bank] += 1
         self.kick()
 
     def push_write(self, op: CacheOp, forced: bool = False) -> None:
@@ -138,14 +124,10 @@ class ChannelScheduler:
                 raise CapacityError(f"write buffer full on channel {self.index}")
             events.add("write_q_forced_over_capacity")
         self.write_q.append(op)
-        if self._soa is not None:
-            self._soa.queue_depth[op.bank] += 1
         self.kick()
 
     def remove_read(self, op: CacheOp) -> None:
         self.read_q.remove(op)
-        if self._soa is not None:
-            self._soa.queue_depth[op.bank] -= 1
 
     # ------------------------------------------------------------------
     def kick(self) -> None:
@@ -178,14 +160,6 @@ class ChannelScheduler:
 
     def _select(self, queue: List[CacheOp], at: int) -> Optional[CacheOp]:
         """FR-FCFS: oldest op whose bank is ready, else the oldest op."""
-        soa = self._soa
-        if soa is not None and len(queue) >= _SOA_SELECT_MIN:
-            # Batched mode, deep queue: one gather over the SoA ready
-            # column replaces the per-op loop (same first-match pick).
-            bank_ids = np.fromiter((op.bank for op in queue),
-                                   dtype=np.int64, count=len(queue))
-            index = soa.first_ready(bank_ids, at)
-            return queue[index] if index >= 0 else queue[0]
         banks = self.controller.channels[self.index].banks
         for op in queue:
             if banks[op.bank].is_ready(at):
@@ -209,8 +183,6 @@ class ChannelScheduler:
             controller._on_blocked(self.index, now)
             return
         queue.remove(op)
-        if self._soa is not None:
-            self._soa.queue_depth[op.bank] -= 1
         controller._commit_op(self.index, op, now)
         # Immediately look for more work once the CA slot frees.
         if self.read_q or self.write_q:
@@ -238,19 +210,10 @@ class DramCacheController(abc.ABC):
         self.mapper = AddressMapper(geometry)
         self.tags = self._build_tag_store(geometry)
         tag_timing = config.tag_timing if self.has_tag_path else None
-        # Batched stepping keeps each channel's hot bank state in
-        # structure-of-arrays columns (see repro.dram.soa) so group
-        # transitions/queries run as vectorized passes.
-        soa_arrays: List[Optional[BankStateArrays]] = [
-            BankStateArrays(geometry.banks_per_channel)
-            if config.step_mode == "batched" else None
-            for _ in range(geometry.channels)
-        ]
         self.channels = [
             DramChannel(sim, config.cache_timing, geometry.banks_per_channel,
                         f"{self.design_name}{i}", tag_timing=tag_timing,
-                        refresh_policy=config.cache_refresh_policy,
-                        soa=soa_arrays[i])
+                        refresh_policy=config.cache_refresh_policy)
             for i in range(geometry.channels)
         ]
         self.schedulers = [
@@ -545,16 +508,3 @@ class DramCacheController(abc.ABC):
 
     def queue_occupancy(self) -> int:
         return sum(len(s.read_q) for s in self.schedulers)
-
-    def bank_queue_depths(self) -> Optional[List[List[int]]]:
-        """Per-channel, per-bank queued-op depths from the SoA columns.
-
-        ``None`` in the exact event mode (no SoA state is kept there);
-        in batched mode the scheduler maintains the depth column on
-        every push/issue, so this is an O(banks) snapshot for
-        diagnostics and tests.
-        """
-        if self.channels[0].soa is None:
-            return None
-        return [channel.soa.depths() for channel in self.channels
-                if channel.soa is not None]

@@ -2,7 +2,7 @@
 
 This is the tag store exactly as it was before the organization /
 replacement seam landed (same discipline as the event kernel keeping
-``queue="heap"`` next to the ladder queue): a verbatim copy of the old
+``queue="heap"`` next to the calendar queue): a verbatim copy of the old
 control flow with LRU hard-coded as list order and ``block % num_sets``
 indexing inlined. Select it with
 ``SystemConfig(cache_organization="reference")``; the A/B suite in

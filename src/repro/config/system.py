@@ -143,11 +143,6 @@ class SystemConfig:
     max_outstanding_reads_per_core: int = 4
     # -- methodology --
     warmup_fraction: float = 0.2
-    #: kernel/controller stepping: "event" (the exact reference path)
-    #: or "batched" (sparse-calendar bucket drains + structure-of-
-    #: arrays bank state; bit-identical results, several times the
-    #: events/sec — see docs/performance.md)
-    step_mode: str = "event"
     #: SMARTS-style sampled simulation (detailed windows + functional
     #: fast-forward with CI estimates); disabled = exact. Every knob
     #: rides the full-config cache key like any other field.
@@ -167,10 +162,6 @@ class SystemConfig:
             raise ConfigError("cores must be positive")
         if self.cache_ways <= 0:
             raise ConfigError("cache_ways must be positive")
-        if self.step_mode not in ("event", "batched"):
-            raise ConfigError(
-                f"unknown step_mode {self.step_mode!r}; choose from "
-                "('event', 'batched')")
         if self.cache_organization not in ("set_associative", "reference"):
             raise ConfigError(
                 f"unknown cache_organization {self.cache_organization!r}")

@@ -20,7 +20,6 @@ from typing import Callable, List, Optional
 
 from repro.dram.bank import ActivationWindow, Bank
 from repro.dram.bus import Bus, DataBus, Direction
-from repro.dram.soa import BankStateArrays, SoaBank
 from repro.dram.timing import DramTiming, TagTiming
 from repro.errors import ProtocolError
 from repro.sim.kernel import Simulator, ns
@@ -54,7 +53,6 @@ class DramChannel:
         enable_refresh: bool = True,
         page_policy: str = "close",
         refresh_policy: str = "all_bank",
-        soa: Optional[BankStateArrays] = None,
     ) -> None:
         if page_policy not in ("close", "open"):
             raise ProtocolError(f"unknown page policy {page_policy!r}")
@@ -69,14 +67,7 @@ class DramChannel:
         self.name = name
         self.ca = Bus(f"{name}.ca")
         self.dq = DataBus(f"{name}.dq", timing.tRTW, timing.tWTR)
-        #: structure-of-arrays bank state (batched step mode) — None in
-        #: the exact event mode, which keeps plain per-object banks
-        self.soa = soa
-        if soa is None:
-            self.banks: List[Bank] = [Bank(i) for i in range(n_banks)]
-        else:
-            self.banks = [SoaBank(i, soa.ready_at, soa.open_row)
-                          for i in range(n_banks)]
+        self.banks: List[Bank] = [Bank(i) for i in range(n_banks)]
         self.act_window = ActivationWindow(
             timing.tRRD, timing.tXAW, timing.activates_per_window
         )
@@ -85,12 +76,7 @@ class DramChannel:
         self.tag_act_window: Optional[ActivationWindow] = None
         if tag_timing is not None:
             self.hm = Bus(f"{name}.hm")
-            if soa is None:
-                self.tag_banks = [Bank(i) for i in range(n_banks)]
-            else:
-                self.tag_banks = [SoaBank(i, soa.tag_ready_at,
-                                          soa.tag_open_row)
-                                  for i in range(n_banks)]
+            self.tag_banks = [Bank(i) for i in range(n_banks)]
             self.tag_act_window = ActivationWindow(tag_timing.tRRD_TAG, 0, 1)
         # Refresh bookkeeping.
         self.refresh_listeners: List[Callable[[int, int], None]] = []
@@ -125,17 +111,11 @@ class DramChannel:
         start = self.sim.now
         if self.refresh_policy == "all_bank":
             end = start + self.timing.tRFC
-            if self.soa is not None:
-                # Batched mode: the SoA columns are canonical, so the
-                # whole bank group transitions in one vectorized pass
-                # (bit-identical to the scalar loop below).
-                self.soa.block_all_until(end)
-            else:
-                for bank in self.banks:
-                    bank.block_until(end)
-                    bank.close_row()
-                for bank in self.tag_banks:
-                    bank.block_until(end)
+            for bank in self.banks:
+                bank.block_until(end)
+                bank.close_row()
+            for bank in self.tag_banks:
+                bank.block_until(end)
             self._notify("refresh", -1, start)
             for listener in self.refresh_listeners:
                 listener(start, end)

@@ -11,9 +11,6 @@ Installed as ``tdram-repro``::
     tdram-repro campaign --resume    # reuse cache + replay the journal
     tdram-repro campaign --backend pcm_like
                                      # same sweep over a PCM-like store
-    tdram-repro campaign --step-mode batched
-                                     # batched kernel stepping (faster,
-                                     # bit-identical results)
     tdram-repro run tdram ft.D --sampled
                                      # SMARTS-style sampled estimate
                                      # with confidence intervals
@@ -231,12 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="selfcheck: also run one synthetic workload "
                              "twice with the same seed and require "
                              "bit-identical counters/epochs")
-    parser.add_argument("--step-mode", default="event",
-                        choices=("event", "batched"),
-                        help="campaign/run: kernel stepping mode; batched "
-                             "drains same-bucket event groups for "
-                             "throughput, bit-identical to event (default "
-                             "event — see docs/performance.md)")
     parser.add_argument("--sampled", action="store_true",
                         help="campaign/run: SMARTS-style sampled "
                              "simulation — detailed windows + functional "
@@ -258,9 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _speed_config(config: SystemConfig, args) -> SystemConfig:
-    """Apply the --step-mode/--sampled speed knobs to a base config."""
-    if args.step_mode != "event":
-        config = config.with_(step_mode=args.step_mode)
+    """Apply the --sampled speed knob to a base config."""
     if args.sampled:
         config = config.with_(sampling=SamplingConfig(
             enabled=True,

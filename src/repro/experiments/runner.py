@@ -179,7 +179,7 @@ def _run(
         return _run_sampled(design, spec, config, streams, demands_per_core,
                             seed, prewarm_blocks=prewarm_blocks,
                             trace_out=trace_out)
-    sim = Simulator(step_mode=config.step_mode)
+    sim = Simulator()
     mm_meter = EnergyMeter(config.energy_model, config.mm_channels, False)
     main_memory = build_backend(sim, config, meter=mm_meter)
     sink = DESIGNS[design](sim, config, main_memory)
@@ -394,7 +394,7 @@ def _run_sampled(
             f"{len(windows)} windows of a {demands_per_core}-demand "
             f"quantum; lower it or raise demands_per_core")
 
-    sim = Simulator(step_mode=config.step_mode)
+    sim = Simulator()
     mm_meter = EnergyMeter(config.energy_model, config.mm_channels, False)
     main_memory = build_backend(sim, config, meter=mm_meter)
     sink = DESIGNS[design](sim, config, main_memory)

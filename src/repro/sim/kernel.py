@@ -7,25 +7,29 @@ for any realistic simulation length.
 
 Scheduler design
 ----------------
-The pending-event set is an **indexed bucket (calendar/ladder) queue**
-exploiting the integer time base:
+The pending-event set is a **sparse calendar queue** exploiting the
+integer time base:
 
-* events within a ~4.2 µs horizon land in one of :data:`_NBUCKETS` ring
-  buckets of :data:`_BUCKET_PS` picoseconds each (``list.append``, O(1));
-* the bucket currently being drained is a small binary heap (``_cur``),
-  so exact ``(time, seq)`` order is preserved within a bucket and for
-  same/past-bucket arrivals scheduled mid-drain;
-* events beyond the horizon go to an overflow heap and migrate into the
-  ring as the drain cursor advances (the "ladder" step).
+* events land in buckets of ``2**_BUCKET_SHIFT`` ps each; a dict
+  maps each occupied bucket id to its handles (``list.append``, O(1))
+  and a min-heap holds the occupied bucket ids;
+* the drain side pops the next *occupied* bucket id and installs the
+  whole bucket as the current batch (``_cur``) with one sort — a sorted
+  list is a valid binary heap — so empty buckets are never visited and
+  a long idle gap (refresh idles, drain tails) costs O(log occupied);
+* arrivals scheduled into the current (or an earlier) bucket mid-drain
+  heap-push into ``_cur``, so exact ``(time, seq)`` order is preserved.
 
-Bucket width (1024 ps ≈ one command slot) and horizon (4096 buckets
-≈ 4.2 µs, just past ``tREFI`` = 3.9 µs) are chosen so that the dense
-near-future traffic — command retries, data bursts, HM results, bank
-wakes — takes the O(1) append path while refresh reschedules still
-avoid the overflow heap. Dispatch order is **exactly** the ``(time,
-seq)`` order of a plain binary heap (locked by a randomized equivalence
-test); determinism is guaranteed by the monotonically increasing
-sequence number used as a tie-breaker for simultaneous events.
+Buckets are 16.4 ns wide (``_BUCKET_SHIFT = 14``): a bucket gathers a
+burst of near-future traffic — command retries, data bursts, HM
+results, bank wakes — so the per-bucket install (dict pop, id-heap pop,
+sort) is shared by several events instead of paid per event, while
+each sorted batch stays small. End to end, 16 ns buckets measured
+faster than 1 ns ones (see docs/performance.md). Dispatch order is
+**exactly** the ``(time, seq)`` order of a plain binary heap (locked by
+a randomized equivalence test); determinism is guaranteed by the
+monotonically increasing sequence number used as a tie-breaker for
+simultaneous events.
 
 Events are small mutable handles, which buys **O(1) cancellation**
 (:meth:`Simulator.cancel` tombstones the handle in place; the drain
@@ -34,33 +38,15 @@ allocation: ``sim.at(t, self._writeback, block)`` instead of
 ``sim.at(t, lambda: self._writeback(block))``.
 
 For A/B verification the classic heapq scheduler is still available:
-``Simulator(queue="heap")`` routes every event through one binary heap.
-Both modes dispatch bit-identically; the ladder is simply faster.
-
-Batched stepping (``step_mode="batched"``)
-------------------------------------------
-``Simulator(step_mode="batched")`` swaps the fixed ring for a **sparse
-calendar**: a dict of occupied bucket id -> pending handles plus a
-min-heap of occupied bucket ids. Scheduling stays O(1) (append to the
-bucket's list), but the drain side no longer walks empty buckets one
-at a time — it pops the next *occupied* bucket id and installs the
-whole bucket as one batch (one sort; a sorted list already satisfies
-the binary-heap invariant, so the dispatch loop is unchanged). Long
-inter-event gaps — refresh idles, drain tails, multi-µs reschedules —
-cost O(log occupied) instead of O(gap/bucket_width), which is where
-the event mode's ``mixed_horizon`` throughput goes.
-
-Dispatch order is still **exactly** the ``(time, seq)`` heap order:
-same/past-bucket arrivals scheduled mid-drain heap-push into the
-current batch, so batched runs are bit-identical to the event mode
-(locked by the randomized equivalence test and the whole-run A/B
-suite in ``tests/test_sampling.py``). ``step_mode="event"`` (and
-``queue="heap"``) remain byte-for-byte the reference implementation.
+``Simulator(queue="heap")`` routes every event through one binary heap
+(a calendar whose current bucket never ends). Both queues dispatch
+bit-identically (the randomized equivalence test plus the whole-run
+A/B suite in ``tests/test_sampling.py``); the calendar is simply faster.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional
 
@@ -69,11 +55,8 @@ from repro.errors import SimulationError
 #: Picoseconds per nanosecond; all public timing parameters are in ns.
 PS_PER_NS = 1000
 
-#: log2 of the bucket width: 1024 ps buckets (≈ one CA command slot).
-_BUCKET_SHIFT = 10
-#: Ring size (power of two): horizon = 4096 · 1024 ps ≈ 4.2 µs > tREFI.
-_NBUCKETS = 4096
-_BUCKET_MASK = _NBUCKETS - 1
+#: log2 of the calendar bucket width: 16 384 ps ≈ 16.4 ns buckets.
+_BUCKET_SHIFT = 14
 
 #: Sentinel bound larger than any simulated time or event count.
 _UNBOUNDED = float("inf")
@@ -143,47 +126,30 @@ class Simulator:
     #: Queue implementation new simulators default to. The A/B
     #: equivalence tests flip this to ``"heap"`` to run whole
     #: experiments on the reference scheduler.
-    DEFAULT_QUEUE = "ladder"
+    DEFAULT_QUEUE = "calendar"
 
-    def __init__(self, queue: Optional[str] = None,
-                 step_mode: Optional[str] = None) -> None:
+    def __init__(self, queue: Optional[str] = None) -> None:
         queue = queue or self.DEFAULT_QUEUE
-        if queue not in ("ladder", "heap"):
-            raise SimulationError(f"unknown queue implementation {queue!r}")
-        step_mode = step_mode or "event"
-        if step_mode not in ("event", "batched"):
-            raise SimulationError(f"unknown step mode {step_mode!r}")
-        if step_mode == "batched" and queue == "heap":
+        if queue not in ("calendar", "heap"):
             raise SimulationError(
-                "batched step mode replaces the ladder's drain side; "
-                'the reference queue="heap" only pairs with step_mode="event"')
+                f"unknown queue implementation {queue!r}; choose from "
+                "('calendar', 'heap')")
         self._now: int = 0
         self._seq: int = 0
         self._running = False
         self._stop_requested = False
         #: events scheduled but neither dispatched nor cancelled
         self._live = 0
-        #: heap of handles for bucket ids <= the drain cursor (and, in
-        #: "heap" mode, for every pending event)
+        #: heap of handles for bucket ids <= the drain cursor
         self._cur: List[list] = []
-        #: bucket id currently being drained into ``_cur``
-        self._cur_bid = 0
-        #: ring of per-bucket appent-only lists for the near future
-        self._ring: List[List[list]] = [[] for _ in range(_NBUCKETS)]
-        #: total entries (incl. tombstones) currently in the ring
-        self._ring_live = 0
-        #: heap of handles beyond the ring horizon
-        self._overflow: List[list] = []
-        self._heap_mode = queue == "heap"
-        self._batched = step_mode == "batched"
-        #: batched mode's sparse calendar: occupied bucket id -> handles
+        #: bucket id currently being drained into ``_cur``; the "heap"
+        #: oracle is the degenerate calendar whose current bucket never
+        #: ends, so every event heap-pushes into ``_cur``
+        self._cur_bid: float = _UNBOUNDED if queue == "heap" else 0
+        #: sparse calendar: occupied bucket id -> pending handles
         self._cal: Dict[int, List[list]] = {}
-        #: min-heap of occupied calendar bucket ids (batched mode)
+        #: min-heap of occupied calendar bucket ids
         self._occ: List[int] = []
-        #: drain-side implementation chosen once at construction; the
-        #: dispatch loop and :meth:`peek_time` bind through this
-        self._front_impl: Callable[[], Optional[list]] = (
-            self._front_batched if self._batched else self._front)
         #: optional profiler with ``record(callback, wall_ns)``; set by
         #: the observability layer (``SystemConfig.obs.profile``)
         self.profiler = None
@@ -218,33 +184,18 @@ class Simulator:
         handle = [time, self._seq, callback, args]
         self._seq += 1
         self._live += 1
-        if self._heap_mode:
-            heappush(self._cur, handle)
-            return handle
         bid = time >> _BUCKET_SHIFT
-        if self._batched:
-            if bid <= self._cur_bid:
-                # Into (or before) the batch being drained: keep exact
-                # (time, seq) order via the current heap.
-                heappush(self._cur, handle)
-            else:
-                slot = self._cal.get(bid)
-                if slot is None:
-                    self._cal[bid] = [handle]
-                    heappush(self._occ, bid)
-                else:
-                    slot.append(handle)
-            return handle
-        offset = bid - self._cur_bid
-        if offset <= 0:
-            # Into (or before) the bucket being drained: keep exact
+        if bid <= self._cur_bid:
+            # Into (or before) the batch being drained: keep exact
             # (time, seq) order via the current heap.
             heappush(self._cur, handle)
-        elif offset < _NBUCKETS:
-            self._ring[bid & _BUCKET_MASK].append(handle)
-            self._ring_live += 1
         else:
-            heappush(self._overflow, handle)
+            slot = self._cal.get(bid)
+            if slot is None:
+                self._cal[bid] = [handle]
+                heappush(self._occ, bid)
+            else:
+                slot.append(handle)
         return handle
 
     def schedule(self, delay: int, callback: Callable, *args: object) -> list:
@@ -273,91 +224,24 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Time (ps) of the next pending event, or ``None`` if idle.
 
-        O(1) amortised: tombstones and empty buckets the cursor skips
-        here are work the next :meth:`run` no longer has to do.
+        O(1) amortised: tombstones and buckets installed here are work
+        the next :meth:`run` no longer has to do.
         """
-        head = self._front_impl()
+        head = self._front()
         return None if head is None else head[_TIME]
 
     # ------------------------------------------------------------------
-    def _migrate(self) -> None:
-        """Ladder step: pull overflow events now inside the horizon."""
-        overflow = self._overflow
-        horizon = self._cur_bid + _NBUCKETS
-        while overflow and (overflow[0][_TIME] >> _BUCKET_SHIFT) < horizon:
-            handle = heappop(overflow)
-            if handle[_CALLBACK] is None:
-                continue
-            bid = handle[_TIME] >> _BUCKET_SHIFT
-            if bid <= self._cur_bid:
-                heappush(self._cur, handle)
-            else:
-                self._ring[bid & _BUCKET_MASK].append(handle)
-                self._ring_live += 1
-
     def _front(self) -> Optional[list]:
         """The next live handle (left at ``_cur[0]``), or ``None``.
 
-        Advances the drain cursor over empty buckets and discards
-        tombstones. Safe to call outside :meth:`run`: a later ``at()``
-        whose bucket the cursor already passed still lands in ``_cur``
-        (the ``offset <= 0`` branch), so no event can be skipped.
-        """
-        cur = self._cur
-        while True:
-            while cur:
-                head = cur[0]
-                if head[_CALLBACK] is not None:
-                    return head
-                heappop(cur)
-            if self._live == 0:
-                return None
-            if self._ring_live:
-                # Walk to the next occupied bucket with plain locals —
-                # long inter-event gaps (refresh idles, drain tails) can
-                # skip hundreds of empty buckets per dispatch. The
-                # overflow check stays inline so migration still runs
-                # the moment the advancing horizon uncovers an event.
-                ring = self._ring
-                overflow = self._overflow
-                bid = self._cur_bid
-                while True:
-                    bid += 1
-                    if overflow and (
-                            overflow[0][_TIME] >> _BUCKET_SHIFT
-                    ) < bid + _NBUCKETS:
-                        self._cur_bid = bid
-                        self._migrate()
-                    slot = ring[bid & _BUCKET_MASK]
-                    if slot:
-                        break
-                self._cur_bid = bid
-                self._ring_live -= len(slot)
-                cur[:] = slot
-                del slot[:]
-                heapify(cur)
-            elif self._overflow:
-                overflow = self._overflow
-                while overflow and overflow[0][_CALLBACK] is None:
-                    heappop(overflow)
-                if not overflow:
-                    return None
-                self._cur_bid = overflow[0][_TIME] >> _BUCKET_SHIFT
-                self._migrate()
-            else:
-                return None
-
-    def _front_batched(self) -> Optional[list]:
-        """Batched-mode front: install whole calendar buckets at once.
-
-        Pops the next *occupied* bucket id off the min-heap — empty
-        buckets are never visited — and installs the bucket's surviving
-        handles as the current batch with one sort (a sorted list is a
-        valid binary heap, so the shared dispatch loop needs no
-        ``heapify``). Same/past-bucket arrivals scheduled mid-drain
-        heap-push into the batch (see :meth:`at`), so dispatch order is
-        exactly the event mode's ``(time, seq)`` order. Safe to call
-        outside :meth:`run`, like :meth:`_front`.
+        Discards tombstones; once the current batch is empty, pops the
+        next *occupied* bucket id off the min-heap — empty buckets are
+        never visited — and installs the bucket's surviving handles as
+        the current batch with one sort (a sorted list is a valid
+        binary heap, so the dispatch loop needs no ``heapify``). Safe
+        to call outside :meth:`run`: a later ``at()`` into a bucket at
+        or before the installed one still lands in ``_cur``, so no
+        event can be skipped.
         """
         cur = self._cur
         cal = self._cal
@@ -372,7 +256,8 @@ class Simulator:
                 return None
             # live > 0 with an empty batch means some calendar slot
             # holds a live handle, so the occupied-bid heap is non-empty
-            # (every calendar insert pushes its bid exactly once).
+            # (every calendar insert pushes its bid exactly once). The
+            # heap oracle never gets here: all its handles sit in _cur.
             bid = heappop(occ)
             batch = [h for h in cal.pop(bid) if h[_CALLBACK] is not None]
             if not batch:
@@ -420,7 +305,7 @@ class Simulator:
         bound = _UNBOUNDED if until is None else until
         limit = _UNBOUNDED if max_events is None else max_events
         profiler = self.profiler
-        front = self._front_impl
+        front = self._front
         cur = self._cur
         pop = heappop
         try:
@@ -487,21 +372,6 @@ class Simulator:
         ):
             self._now = until
         return dispatched
-
-    def run_batched(self, until: Optional[int] = None,
-                    max_events: Optional[int] = None) -> int:
-        """Dispatch draining whole calendar buckets per scheduler step.
-
-        The explicit entry point for the batched step mode: identical
-        semantics (and return value) to :meth:`run` — the mode is fixed
-        at construction because scheduling itself routes differently —
-        but calling it documents intent and fails loudly when the
-        simulator was built in the exact event mode.
-        """
-        if not self._batched:
-            raise SimulationError(
-                'run_batched() requires Simulator(step_mode="batched")')
-        return self.run(until=until, max_events=max_events)
 
     def stop(self) -> None:
         """Request :meth:`run` to return after the current event.

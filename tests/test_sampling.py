@@ -1,18 +1,19 @@
-"""Batched stepping + SMARTS sampling: equivalence, estimator, caching.
+"""Event-queue A/B + SMARTS sampling: equivalence, estimator, caching.
 
 Three contracts under test:
 
-* **Bit-identity of batched stepping** — a whole-run ``asdict`` A/B of
-  ``step_mode="batched"`` against the reference event stepping for the
-  paper's headline designs. Not a spot check of a few counters: every
+* **Bit-identity of the event queue** — a whole-run ``asdict`` A/B of
+  the production calendar queue against the reference binary heap
+  (``Simulator.DEFAULT_QUEUE = "heap"``) for the paper's headline
+  designs, exact and sampled. Not a spot check of a few counters: every
   RunResult field, recursively.
 * **Estimator correctness** — window planning, the Student-t CI math,
   the functional fast-forward's architectural transitions, and the
   accuracy of sampled estimates against exact same-seed runs on figure
   workloads where sampling is sound (see docs/faq.md).
-* **Cache soundness** — every new step-mode/sampling knob participates
-  in the campaign cache key, so a sampled (or batched) result can never
-  be served for an exact request. SIM014 proves the general rule; these
+* **Cache soundness** — every sampling knob participates in the
+  campaign cache key, so a sampled result can never be served for an
+  exact request. SIM014 proves the general rule; these
   tests pin the specific fields.
 """
 
@@ -25,7 +26,7 @@ import pytest
 
 from repro.cache import DESIGNS
 from repro.config.system import SystemConfig
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.experiments.campaign import ResultCache, cache_key
 from repro.experiments.runner import run_experiment
 from repro.memory.backend import build_backend
@@ -49,51 +50,30 @@ def _sampled_config(**overrides) -> SystemConfig:
 
 
 # ---------------------------------------------------------------------------
-# Whole-run A/B: batched stepping is bit-identical to event stepping
+# Whole-run A/B: the calendar queue is bit-identical to the heap oracle
 # ---------------------------------------------------------------------------
-class TestBatchedBitIdentity:
+def _heap_ab(monkeypatch, *args, **kwargs):
+    """Run one experiment on the default queue, then on the reference
+    heap, and return both results as ``asdict`` trees."""
+    calendar = run_experiment(*args, **kwargs)
+    monkeypatch.setattr(Simulator, "DEFAULT_QUEUE", "heap")
+    heap = run_experiment(*args, **kwargs)
+    return dataclasses.asdict(calendar), dataclasses.asdict(heap)
+
+
+class TestHeapOracleBitIdentity:
     @pytest.mark.parametrize("design", ["tdram", "cascade_lake", "alloy"])
-    def test_whole_run_asdict_identical(self, design):
-        config = SystemConfig.small()
-        event = run_experiment(design, "bfs.22", config=config,
-                               demands_per_core=150, seed=11)
-        batched = run_experiment(design, "bfs.22",
-                                 config=config.with_(step_mode="batched"),
-                                 demands_per_core=150, seed=11)
-        assert dataclasses.asdict(event) == dataclasses.asdict(batched)
+    def test_whole_run_asdict_identical(self, design, monkeypatch):
+        calendar, heap = _heap_ab(monkeypatch, design, "bfs.22",
+                                  config=SystemConfig.small(),
+                                  demands_per_core=150, seed=11)
+        assert calendar == heap
 
-    def test_batched_sampled_matches_event_sampled(self):
-        """The two speed features compose: the same sampled run is
-        bit-identical whichever stepping mode drains the queue."""
-        event = run_experiment("tdram", "bfs.22", config=_sampled_config(),
-                               demands_per_core=600, seed=11)
-        batched = run_experiment(
-            "tdram", "bfs.22",
-            config=_sampled_config().with_(step_mode="batched"),
-            demands_per_core=600, seed=11)
-        assert dataclasses.asdict(event) == dataclasses.asdict(batched)
-
-    def test_soa_bank_state_drives_batched_run(self):
-        """Batched mode publishes the SoA queue-depth column; event mode
-        reports None (scalar banks, no arrays attached)."""
-        sim = Simulator(step_mode="batched")
-        config = SystemConfig.small().with_(step_mode="batched")
-        backend = build_backend(
-            sim, config,
-            meter=EnergyMeter(config.energy_model, config.mm_channels, False))
-        sink = DESIGNS["tdram"](sim, config, backend)
-        depths = sink.bank_queue_depths()
-        assert depths is not None
-        assert all(d == 0 for row in depths for d in row)
-
-        exact = Simulator()
-        exact_cfg = SystemConfig.small()
-        exact_backend = build_backend(
-            exact, exact_cfg,
-            meter=EnergyMeter(exact_cfg.energy_model,
-                              exact_cfg.mm_channels, False))
-        exact_sink = DESIGNS["tdram"](exact, exact_cfg, exact_backend)
-        assert exact_sink.bank_queue_depths() is None
+    def test_sampled_run_asdict_identical(self, monkeypatch):
+        calendar, heap = _heap_ab(monkeypatch, "tdram", "bfs.22",
+                                  config=_sampled_config(),
+                                  demands_per_core=600, seed=11)
+        assert calendar == heap
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +147,6 @@ class TestSamplingConfigValidation:
     def test_rejects_unknown_confidence(self):
         with pytest.raises(ConfigError):
             SamplingConfig(confidence=0.8)
-
-    def test_system_config_rejects_unknown_step_mode(self):
-        with pytest.raises(ConfigError):
-            SystemConfig.small().with_(step_mode="turbo")
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +249,6 @@ class TestCacheKeySoundness:
     def _key(self, config):
         return cache_key("tdram", workload("bfs.22"), config, 600, 7)
 
-    def test_step_mode_changes_key(self):
-        base = SystemConfig.small()
-        assert self._key(base) != self._key(base.with_(step_mode="batched"))
-
     @pytest.mark.parametrize("override", [
         dict(enabled=True),
         dict(enabled=True, detail_demands=50),
@@ -311,11 +283,3 @@ class TestCacheKeySoundness:
         restored = cache.get(sampled_key)
         assert restored is not None
         assert dataclasses.asdict(restored) == dataclasses.asdict(sampled)
-
-
-# ---------------------------------------------------------------------------
-# Kernel guard rails surfaced through the config layer
-# ---------------------------------------------------------------------------
-def test_batched_simulator_rejects_reference_heap():
-    with pytest.raises(SimulationError):
-        Simulator(queue="heap", step_mode="batched")
