@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cache.controller import CacheOp, ChannelScheduler, DramCacheController, OpKind
+from repro.cache.controller import (
+    CacheChannelScheduler,
+    CacheOp,
+    DramCacheController,
+    OpKind,
+)
 from repro.cache.predictor import MapIPredictor
 from repro.cache.request import DemandRequest, Op, Outcome
 from repro.config.system import SystemConfig
@@ -41,7 +46,7 @@ class CascadeLakeCache(DramCacheController):
         )
 
     # ------------------------------------------------------------------
-    def _can_accept_write(self, scheduler: ChannelScheduler) -> bool:
+    def _can_accept_write(self, scheduler: CacheChannelScheduler) -> bool:
         # A write consumes a read-buffer slot (tag read) and later a
         # write-buffer slot (data write).
         return scheduler.read_space() > 0 and scheduler.write_space() > 0

@@ -2,8 +2,10 @@
 
 A controller owns the functional :class:`TagStore`, one
 :class:`DramChannel` per cache channel, per-channel FR-FCFS schedulers
-with bounded read/write buffers and a write-drain watermark policy, an
-MSHR file for main-memory fetches, and the metrics/energy instruments.
+(:class:`CacheChannelScheduler`, on the shared
+:class:`~repro.dram.scheduler.ChannelScheduler` loop) with bounded
+read/write buffers and a write-drain watermark policy, an MSHR file
+for main-memory fetches, and the metrics/energy instruments.
 
 Concrete designs (Cascade Lake, Alloy, BEAR, NDC, TDRAM, Ideal)
 subclass :class:`DramCacheController` and implement:
@@ -32,6 +34,7 @@ from repro.config.system import SystemConfig
 from repro.dram.address import AddressMapper, DramGeometry
 from repro.dram.bus import Direction
 from repro.dram.device import AccessGrant, DramChannel
+from repro.dram.scheduler import ChannelScheduler
 from repro.energy.power_model import EnergyMeter
 from repro.errors import CapacityError
 from repro.memory.backend import MemoryBackend
@@ -82,21 +85,26 @@ class CacheOp:
                 f"bank={self.bank}, seq={self.seq})")
 
 
-class ChannelScheduler:
-    """Bounded read/write queues + FR-FCFS + write-drain for one channel."""
+class CacheChannelScheduler(ChannelScheduler[CacheOp]):
+    """A cache channel's bounded read/write buffers.
+
+    FR-FCFS picks the oldest op whose bank is ready (else the oldest);
+    the write drain starts at 3/4 of the write buffer and ends at 1/4.
+    The DRAM transaction and any blocked-slot work are the design's
+    (:meth:`DramCacheController._earliest_op` / ``_commit_op`` /
+    ``_on_blocked``).
+    """
 
     def __init__(self, controller: "DramCacheController", index: int) -> None:
+        config = controller.config
+        write_capacity = config.write_buffer_entries
+        super().__init__(controller.sim, controller.channels[index],
+                         high_watermark=max(1, (3 * write_capacity) // 4),
+                         low_watermark=max(0, write_capacity // 4))
         self.controller = controller
         self.index = index
-        self.read_q: List[CacheOp] = []
-        self.write_q: List[CacheOp] = []
-        config = controller.config
         self.read_capacity = config.read_buffer_entries
-        self.write_capacity = config.write_buffer_entries
-        self.high_watermark = max(1, (3 * self.write_capacity) // 4)
-        self.low_watermark = max(0, self.write_capacity // 4)
-        self.draining = False
-        self._wake_at: Optional[int] = None
+        self.write_capacity = write_capacity
 
     # ------------------------------------------------------------------
     def read_space(self) -> int:
@@ -104,10 +112,6 @@ class ChannelScheduler:
 
     def write_space(self) -> int:
         return self.write_capacity - len(self.write_q)
-
-    def push_read(self, op: CacheOp) -> None:
-        self.read_q.append(op)
-        self.kick()
 
     def push_write(self, op: CacheOp, forced: bool = False) -> None:
         """Append to the write queue, counting overflow backpressure.
@@ -123,70 +127,34 @@ class ChannelScheduler:
                 events.add("write_q_rejected")
                 raise CapacityError(f"write buffer full on channel {self.index}")
             events.add("write_q_forced_over_capacity")
-        self.write_q.append(op)
-        self.kick()
+        super().push_write(op)
 
     def remove_read(self, op: CacheOp) -> None:
         self.read_q.remove(op)
 
     # ------------------------------------------------------------------
-    def kick(self) -> None:
-        now = self.controller.sim.now
-        if self._wake_at is not None and self._wake_at <= now:
-            self._wake_at = None
-        if self._wake_at is not None:
-            # A MAIN issue is already pending; newly arrived work can
-            # still be probed in the meantime (TDRAM, §III-E).
-            self.controller._on_blocked(self.index, now)
-            return
-        self._try_issue()
-
-    def _schedule_wake(self, at: int) -> None:
-        at = max(at, self.controller.sim.now + 1)
-        if self._wake_at is not None and self._wake_at <= at:
-            return
-        self._wake_at = at
-        self.controller.sim.at(at, self._on_wake)
-
-    def _on_wake(self) -> None:
-        self._wake_at = None
-        self._try_issue()
-
     def _update_drain_mode(self) -> None:
         if len(self.write_q) >= self.high_watermark:
             self.draining = True
         elif len(self.write_q) <= self.low_watermark:
             self.draining = False
 
-    def _select(self, queue: List[CacheOp], at: int) -> Optional[CacheOp]:
+    def _select(self, queue: List[CacheOp], at: int) -> CacheOp:
         """FR-FCFS: oldest op whose bank is ready, else the oldest op."""
-        banks = self.controller.channels[self.index].banks
+        banks = self.channel.banks
         for op in queue:
             if banks[op.bank].is_ready(at):
                 return op
-        return queue[0] if queue else None
+        return queue[0]
 
-    def _try_issue(self) -> None:
-        controller = self.controller
-        now = controller.sim.now
-        self._update_drain_mode()
-        use_writes = bool(self.write_q) and (self.draining or not self.read_q)
-        queue = self.write_q if use_writes else self.read_q
-        if not queue:
-            queue = self.write_q if queue is self.read_q else self.read_q
-        op = self._select(queue, now)
-        if op is None:
-            return
-        earliest = controller._earliest_op(self.index, op, now)
-        if earliest > now:
-            self._schedule_wake(earliest)
-            controller._on_blocked(self.index, now)
-            return
-        queue.remove(op)
-        controller._commit_op(self.index, op, now)
-        # Immediately look for more work once the CA slot frees.
-        if self.read_q or self.write_q:
-            self._schedule_wake(controller.channels[self.index].ca.free_at)
+    def earliest(self, op: CacheOp, now: int) -> int:
+        return self.controller._earliest_op(self.index, op, now)
+
+    def commit(self, op: CacheOp, now: int) -> None:
+        self.controller._commit_op(self.index, op, now)
+
+    def _on_blocked(self, now: int) -> None:
+        self.controller._on_blocked(self.index, now)
 
 
 class DramCacheController(abc.ABC):
@@ -217,7 +185,7 @@ class DramCacheController(abc.ABC):
             for i in range(geometry.channels)
         ]
         self.schedulers = [
-            ChannelScheduler(self, i) for i in range(geometry.channels)
+            CacheChannelScheduler(self, i) for i in range(geometry.channels)
         ]
         self.metrics = CacheMetrics()
         self.meter = EnergyMeter(
@@ -280,7 +248,7 @@ class DramCacheController(abc.ABC):
                     and len(self._mshrs) < self.mshr_limit)
         return self._can_accept_write(scheduler)
 
-    def _can_accept_write(self, scheduler: ChannelScheduler) -> bool:
+    def _can_accept_write(self, scheduler: CacheChannelScheduler) -> bool:
         """Default: a write needs a write-buffer slot."""
         return scheduler.write_space() > 0
 

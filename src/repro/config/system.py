@@ -110,8 +110,7 @@ class SystemConfig:
     mm_capacity_bytes: int = 16 * 64 * MIB   #: 16x the cache, as in the paper
     mm_timing: DramTiming = field(default_factory=ddr5_timing)
     # -- backing-store backend tier (docs/backends.md) --
-    #: "ddr5" (default open-page FR-FCFS model), "ddr5_reference"
-    #: (frozen pre-seam copy for bit-identity A/B runs), "pcm_like"
+    #: "ddr5" (default open-page FR-FCFS model), "pcm_like"
     #: (asymmetric timing, bounded MSHRs, deferred writes, wear), or
     #: "cxl_like" (serialized link latency + bandwidth credits)
     memory_backend: str = "ddr5"

@@ -89,7 +89,7 @@ class RunResult:
     #: RAS campaign counters + degradation state (empty when disabled)
     ras: Dict[str, int] = field(default_factory=dict)
     #: backing-store backend counters (MSHR/coalesce/write-queue/wear;
-    #: empty for the DDR5 backends) — see docs/backends.md
+    #: empty for the DDR5 backend) — see docs/backends.md
     backend: Dict[str, int] = field(default_factory=dict)
     #: columnar epoch time series (empty unless config.obs.epoch_us > 0);
     #: schema in docs/tracing.md — pandas.DataFrame(result.epochs) works

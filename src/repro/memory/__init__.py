@@ -2,7 +2,7 @@
 
 ``MainMemory`` is the default DDR5 model; ``build_backend`` constructs
 whichever backend ``SystemConfig.memory_backend`` selects ("ddr5",
-"ddr5_reference", "pcm_like", "cxl_like"). See ``docs/backends.md``.
+"pcm_like", "cxl_like"). See ``docs/backends.md``.
 """
 
 from repro.memory.backend import (

@@ -7,11 +7,8 @@ the cache controller can ``read``/``write`` 64 B blocks against; the
 contract is :class:`MemoryBackend` and the implementations are:
 
 * ``ddr5`` — the default open-page FR-FCFS DDR5 model
-  (:mod:`repro.memory.main_memory`), bit-identical to the pre-seam
-  code;
-* ``ddr5_reference`` — a frozen copy of the pre-seam DDR5 model
-  (:mod:`repro.memory.reference_backend`) kept only for bit-identity
-  A/B runs, mirroring the ``cache_organization="reference"`` pattern;
+  (:mod:`repro.memory.main_memory`), whose results are pinned by the
+  committed golden digests in ``tests/golden_runs.json``;
 * ``pcm_like`` — asymmetric read/write timing, bounded MSHRs with read
   coalescing, a deferred write queue with tick-driven drain, and
   per-bank endurance/wear counters (:mod:`repro.memory.pcm`);
@@ -40,7 +37,7 @@ if TYPE_CHECKING:
 
 #: Valid ``SystemConfig.memory_backend`` values (checked at config
 #: construction; :func:`build_backend` dispatches on the same names).
-MEMORY_BACKENDS = ("ddr5", "ddr5_reference", "pcm_like", "cxl_like")
+MEMORY_BACKENDS = ("ddr5", "pcm_like", "cxl_like")
 
 #: Every counter/snapshot key a backend may expose through
 #: :meth:`MemoryBackend.snapshot` (-> ``RunResult.backend`` and the
@@ -156,8 +153,8 @@ class MemoryBackend(abc.ABC):
         """Counter dict exported as ``RunResult.backend``.
 
         Combines the measured-region event counters with the lifetime
-        wear summary; empty for the DDR5 backends, which keeps the
-        seam's ``dataclasses.asdict`` bit-identity A/B trivially clean.
+        wear summary; empty for the DDR5 backend, so ``RunResult.backend``
+        adds nothing to its golden digests.
         """
         snap = self.counters.as_dict()
         snap.update(self.wear_summary())
@@ -183,11 +180,6 @@ def build_backend(sim: "Simulator", config: "SystemConfig",
 
         return MainMemory(sim, config.mm_timing, config.mm_geometry(),
                           meter=meter)
-    if name == "ddr5_reference":
-        from repro.memory.reference_backend import ReferenceMainMemory
-
-        return ReferenceMainMemory(sim, config.mm_timing,
-                                   config.mm_geometry(), meter=meter)
     if name == "pcm_like":
         from repro.memory.pcm import PcmBackend
 

@@ -8,7 +8,8 @@ channel runs an independent **open-page** FR-FCFS scheduler (row hits
 first) with a write-drain watermark policy — the page policy gem5
 defaults to for DDR5, which gives streaming writebacks realistic
 row-buffer locality (the DRAM cache itself is close-page, per
-Table III).
+Table III). The issue loop is the shared
+:class:`~repro.dram.scheduler.ChannelScheduler`.
 
 The paper bounds its main-memory buffers at 64 entries; this DDR5
 model keeps its queues unbounded with occupancy tracked instead — the
@@ -21,159 +22,107 @@ hybrid-media backends (:mod:`repro.memory.pcm`,
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, List, Optional
 
 from repro.dram.address import AddressMapper, DramGeometry
 from repro.dram.device import DramChannel
+from repro.dram.scheduler import ChannelScheduler
 from repro.dram.timing import DramTiming
 from repro.energy.power_model import EnergyMeter
 from repro.memory.backend import MemoryBackend
 from repro.sim.kernel import Simulator
 from repro.stats.counters import LatencyStat
 
+#: write-queue depth that starts a drain, and at or below which it may end
+HIGH_WATERMARK = 32
+LOW_WATERMARK = 8
 
-class _PendingRead:
-    __slots__ = ("block", "bank", "row", "arrive", "order", "callback")
 
-    def __init__(self, block: int, bank: int, row: int, arrive: int,
-                 order: int, callback: Optional[Callable[[int], None]]) -> None:
-        self.block = block
+class _Request:
+    """One queued 64 B read or posted write."""
+
+    __slots__ = ("bank", "row", "arrive", "order", "is_write", "callback")
+
+    def __init__(self, bank: int, row: int, arrive: int, order: int,
+                 is_write: bool,
+                 callback: Optional[Callable[[int], None]]) -> None:
         self.bank = bank
         self.row = row
         self.arrive = arrive
-        #: demand age (sequence number): FR-FCFS breaks ties by age so a
-        #: fetch launched early (e.g. by TDRAM's probing) never overtakes
-        #: an older demand's fetch at the backing store
+        #: scheduling age: the demand sequence number for reads (so a
+        #: fetch launched early, e.g. by TDRAM's probing, never overtakes
+        #: an older demand's fetch), the arrival time for writes
         self.order = order
+        self.is_write = is_write
         self.callback = callback
 
 
-class _PendingWrite:
-    __slots__ = ("block", "bank", "row", "arrive")
-
-    def __init__(self, block: int, bank: int, row: int, arrive: int) -> None:
-        self.block = block
-        self.bank = bank
-        self.row = row
-        self.arrive = arrive
+_age = attrgetter("order")
 
 
-class _ChannelScheduler:
-    """FR-FCFS with write-drain hysteresis for one DDR5 channel."""
+class _Ddr5Scheduler(ChannelScheduler[_Request]):
+    """Open-page FR-FCFS with a sticky write drain for one channel."""
 
-    HIGH_WATERMARK = 32
-    LOW_WATERMARK = 8
+    def __init__(self, memory: "MainMemory", channel: DramChannel) -> None:
+        super().__init__(memory.sim, channel, HIGH_WATERMARK, LOW_WATERMARK)
+        self.meter = memory.meter
+        self.read_queue_delay = memory.read_queue_delay
+        self.read_latency = memory.read_latency
 
-    def __init__(self, sim: Simulator, channel: DramChannel,
-                 meter: Optional[EnergyMeter]) -> None:
-        self.sim = sim
-        self.channel = channel
-        self.meter = meter
-        self.reads: List[_PendingRead] = []
-        self.writes: List[_PendingWrite] = []
-        self.draining = False
-        self._wake_at: Optional[int] = None
-        self.read_queue_delay = LatencyStat("mm_read_queue")
-        self.read_latency = LatencyStat("mm_read_latency")
-
-    def add_read(self, request: _PendingRead) -> None:
-        """Enqueue a read and try to issue immediately."""
-        self.reads.append(request)
-        self._kick()
-
-    def add_write(self, request: _PendingWrite) -> None:
-        """Enqueue a posted write (drained by watermark policy)."""
-        self.writes.append(request)
-        self._kick()
-
-    def _select(self, queue, at: int):
-        """FR-FCFS: row hits first, then bank-ready, then the oldest.
-
-        Age is the demand sequence number where provided (reads), so
-        requests issued early out of demand order (probing) do not
-        overtake older demands.
-        """
+    def _select(self, queue: List[_Request], at: int) -> _Request:
+        """FR-FCFS: row hits first, then bank-ready, then the oldest."""
         banks = self.channel.banks
         ready_hit = None
         ready = None
         for request in queue:
             if banks[request.bank].is_ready(at):
-                key = getattr(request, "order", request.arrive)
                 if self.channel.is_row_hit(request.bank, request.row):
-                    if ready_hit is None or key < getattr(
-                            ready_hit, "order", ready_hit.arrive):
+                    if ready_hit is None or request.order < ready_hit.order:
                         ready_hit = request
-                elif ready is None or key < getattr(ready, "order",
-                                                    ready.arrive):
+                elif ready is None or request.order < ready.order:
                     ready = request
         if ready_hit is not None:
             return ready_hit
         if ready is not None:
             return ready
-        if not queue:
-            return None
-        return min(queue, key=lambda r: getattr(r, "order", r.arrive))
+        return min(queue, key=_age)
 
     def _update_drain_mode(self) -> None:
-        if len(self.writes) >= self.HIGH_WATERMARK:
+        """A drain ends at the low watermark only once a read waits (or
+        the write queue is empty): with no read to serve, writes keep
+        the channel."""
+        writes = len(self.write_q)
+        if writes >= self.high_watermark:
             self.draining = True
-        elif len(self.writes) <= self.LOW_WATERMARK or not self.writes:
-            if self.draining and (self.reads or not self.writes):
-                self.draining = False
+        elif writes <= self.low_watermark and (self.read_q or not writes):
+            self.draining = False
 
-    def _kick(self) -> None:
-        now = self.sim.now
-        if self._wake_at is not None and self._wake_at <= now:
-            self._wake_at = None
-        if self._wake_at is not None:
-            return
-        self._try_issue()
+    def earliest(self, op: _Request, now: int) -> int:
+        """Earliest open-page issue instant for ``op``."""
+        return self.channel.earliest_issue_open(op.bank, now, op.row,
+                                                op.is_write)
 
-    def _schedule_wake(self, at: int) -> None:
-        at = max(at, self.sim.now + 1)
-        self._wake_at = at
-        self.sim.at(at, self._on_wake)
-
-    def _on_wake(self) -> None:
-        self._wake_at = None
-        self._try_issue()
-
-    def _try_issue(self) -> None:
-        now = self.sim.now
-        self._update_drain_mode()
-        do_write = self.writes and (self.draining or not self.reads)
-        queue = self.writes if do_write else self.reads
-        request = self._select(queue, now)
-        if request is None:
-            return
-        is_write = do_write
-        earliest = self.channel.earliest_issue_open(
-            request.bank, now, request.row, is_write)
-        if earliest > now:
-            self._schedule_wake(earliest)
-            return
-        queue.remove(request)
-        row_hit = self.channel.is_row_hit(request.bank, request.row)
-        grant = self.channel.issue_access_open(
-            request.bank, now, request.row, is_write)
-        if self.meter is not None:
-            self.meter.record("cmd")
+    def commit(self, op: _Request, now: int) -> None:
+        """Issue ``op``; record energy and, for a read, its latencies."""
+        channel = self.channel
+        row_hit = channel.is_row_hit(op.bank, op.row)
+        grant = channel.issue_access_open(op.bank, now, op.row, op.is_write)
+        meter = self.meter
+        if meter is not None:
+            meter.record("cmd")
             if not row_hit:
-                self.meter.record("act_data")
-            self.meter.record("col_op")
-            self.meter.add_dq_bytes(64)
-        if not is_write:
-            read = request  # type: _PendingRead
-            self.read_queue_delay.record(now - read.arrive)
-            assert grant.data_end is not None
-            self.read_latency.record(grant.data_end - read.arrive)
-            if read.callback is not None:
-                finish = grant.data_end
-                callback = read.callback
-                self.sim.at(finish, callback, finish)
-        # More work may be issuable immediately after this command slot.
-        if self.reads or self.writes:
-            self._schedule_wake(self.channel.ca.free_at)
+                meter.record("act_data")
+            meter.record("col_op")
+            meter.add_dq_bytes(64)
+        if op.is_write:
+            return
+        finish = grant.data_end
+        assert finish is not None
+        self.read_queue_delay.record(now - op.arrive)
+        self.read_latency.record(finish - op.arrive)
+        if op.callback is not None:
+            self.sim.at(finish, op.callback, finish)
 
 
 class MainMemory(MemoryBackend):
@@ -196,8 +145,11 @@ class MainMemory(MemoryBackend):
                         page_policy="open")
             for i in range(geometry.channels)
         ]
+        #: read latency statistics, shared by all channels
+        self.read_queue_delay = LatencyStat("mm_read_queue")
+        self.read_latency = LatencyStat("mm_read_latency")
         self._schedulers = [
-            _ChannelScheduler(sim, channel, meter) for channel in self.channels
+            _Ddr5Scheduler(self, channel) for channel in self.channels
         ]
 
     def read(self, block_addr: int,
@@ -209,52 +161,42 @@ class MainMemory(MemoryBackend):
         scheduling; it defaults to the arrival time.
         """
         decoded = self.mapper.decode(block_addr)
-        scheduler = self._schedulers[decoded.channel]
-        scheduler.add_read(
-            _PendingRead(block_addr, decoded.bank, decoded.row,
-                         self.sim.now,
-                         self.sim.now if order is None else order,
-                         callback)
-        )
+        now = self.sim.now
+        self._schedulers[decoded.channel].push_read(
+            _Request(decoded.bank, decoded.row, now,
+                     now if order is None else order, False, callback))
         self.reads_issued += 1
         self._sample_occupancy()
 
     def write(self, block_addr: int) -> None:
         """Posted 64 B write (cache writeback or write-through demand)."""
         decoded = self.mapper.decode(block_addr)
-        scheduler = self._schedulers[decoded.channel]
-        scheduler.add_write(
-            _PendingWrite(block_addr, decoded.bank, decoded.row, self.sim.now))
+        now = self.sim.now
+        self._schedulers[decoded.channel].push_write(
+            _Request(decoded.bank, decoded.row, now, now, True, None))
         self.writes_issued += 1
         self._sample_occupancy()
 
     @property
     def mean_read_latency_ns(self) -> float:
         """Mean read latency (arrival to data) across channels, ns."""
-        stats = [s.read_latency for s in self._schedulers if s.read_latency.count]
-        total = sum(s.total_ps for s in stats)
-        count = sum(s.count for s in stats)
-        return total / count / 1000.0 if count else 0.0
+        return self.read_latency.mean_ns
 
     @property
     def read_queue_delay_ns(self) -> float:
         """Mean read queueing delay (arrival to issue) across channels, ns."""
-        stats = [s.read_queue_delay for s in self._schedulers]
-        total = sum(s.total_ps for s in stats)
-        count = sum(s.count for s in stats)
-        return total / count / 1000.0 if count else 0.0
+        return self.read_queue_delay.mean_ns
 
     def pending(self) -> int:
         """Requests waiting in any channel's read or write queue."""
-        return sum(len(s.reads) + len(s.writes) for s in self._schedulers)
+        return sum(len(s.read_q) + len(s.write_q) for s in self._schedulers)
 
     def pending_writes(self) -> int:
         """Writes waiting in any channel's write queue (back-pressure)."""
-        return sum(len(s.writes) for s in self._schedulers)
+        return sum(len(s.write_q) for s in self._schedulers)
 
     def reset_measurement(self) -> None:
         """Drop warm-up latency statistics at the measurement boundary."""
         super().reset_measurement()
-        for scheduler in self._schedulers:
-            scheduler.read_queue_delay.reset()
-            scheduler.read_latency.reset()
+        self.read_queue_delay.reset()
+        self.read_latency.reset()

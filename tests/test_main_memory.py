@@ -1,9 +1,12 @@
 """Unit tests for the DDR5 backing store model."""
 
+import itertools
+
 import pytest
 
 from repro.config.system import MIB, SystemConfig
-from repro.memory.main_memory import MainMemory
+from repro.dram.address import DecodedAddress
+from repro.memory.main_memory import HIGH_WATERMARK, LOW_WATERMARK, MainMemory
 from repro.sim.kernel import Simulator, ns
 
 
@@ -14,6 +17,12 @@ def make_mm(channels=2):
                           mm_channels=channels)
     mm = MainMemory(sim, config.mm_timing, config.mm_geometry())
     return sim, mm
+
+
+def block_at(mm, bank, row, channel=0):
+    """The block address of column 0 of ``row`` in ``bank``."""
+    return mm.mapper.encode(
+        DecodedAddress(channel=channel, bank=bank, row=row, column=0))
 
 
 class TestReads:
@@ -50,6 +59,21 @@ class TestReads:
         sim.run(until=ns(500))
         assert mm.reads_issued == 1
 
+    def test_demand_age_orders_queued_reads(self):
+        """Reads waiting on one bank issue by demand age (``order``),
+        not arrival: an early-launched fetch never overtakes an older
+        demand's fetch."""
+        sim, mm = make_mm()
+        issued = []
+        mm.read(block_at(mm, bank=0, row=0), None)   # occupies bank 0
+        mm.read(block_at(mm, bank=0, row=1),
+                lambda _t: issued.append("younger"), order=20)
+        sim.run(until=ns(1))
+        mm.read(block_at(mm, bank=0, row=2),
+                lambda _t: issued.append("older"), order=10)
+        sim.run(until=ns(2000))
+        assert issued == ["older", "younger"]
+
     def test_channel_interleaving(self):
         _sim, mm = make_mm(channels=2)
         # RoRaBaChCo: a row's worth of blocks per channel, then switch.
@@ -79,13 +103,34 @@ class TestWrites:
         assert finishes[0] < ns(300)
 
     def test_write_drain_watermark_engages(self):
+        """The drain is sticky: at the low watermark it ends only once a
+        read waits, so writes posted meanwhile keep draining ahead of a
+        read that arrives later."""
         sim, mm = make_mm(channels=2)
         scheduler = mm._schedulers[0]
-        for i in range(scheduler.HIGH_WATERMARK + 4):
-            # All to channel 0: RoRaBaChCo keeps a row per channel.
-            mm.write(i * mm.mapper.geometry.columns_per_row * 2)
-        sim.run(until=ns(200))
-        assert scheduler.draining or len(scheduler.writes) < scheduler.HIGH_WATERMARK
+        banks = mm.mapper.geometry.banks_per_channel
+        posted = itertools.count()
+
+        def post_writes(count):
+            for _ in range(count):
+                n = next(posted)
+                mm.write(block_at(mm, bank=n % banks, row=n // banks))
+
+        post_writes(HIGH_WATERMARK + 4)
+        sim.run(max_events=1)
+        assert scheduler.draining
+        # Issue a few writes below the low watermark, no read waiting.
+        while len(scheduler.write_q) > LOW_WATERMARK // 2:
+            sim.run(max_events=1)
+        assert scheduler.draining   # no read waits: the drain holds
+        post_writes(2 * LOW_WATERMARK)
+        assert LOW_WATERMARK < len(scheduler.write_q) < HIGH_WATERMARK
+        writes_left = []
+        mm.read(block_at(mm, bank=0, row=1000),
+                lambda _t: writes_left.append(len(scheduler.write_q)))
+        sim.run(until=sim.now + ns(5000))
+        # The read waited for the drain to reach the low watermark.
+        assert writes_left and writes_left[0] <= LOW_WATERMARK
 
 
 class TestStats:

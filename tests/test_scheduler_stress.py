@@ -41,6 +41,14 @@ class TestChannelSchedulerMechanics:
         scheduler.write_q[:] = scheduler.write_q[:1]
         scheduler._update_drain_mode()
         assert not scheduler.draining
+        # Refill between the watermarks, then a read arrives: the drain
+        # has ended, so the read is served ahead of the writes.
+        scheduler.write_q.append(CacheOp(OpKind.DATA_WRITE, 8, 1, 0))
+        read = CacheOp(OpKind.DATA_READ, 16, 2, 0, victim_block=16)
+        scheduler.read_q.append(read)
+        scheduler._try_issue()
+        assert scheduler.read_q == []
+        assert len(scheduler.write_q) == 2
 
     def test_fr_fcfs_prefers_ready_bank(self, make_system):
         system = make_system(IdealCache)

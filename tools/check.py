@@ -21,9 +21,9 @@ Checks:
 * **links** — relative-link check over the markdown docs
   (:mod:`check_links`);
 * **docstrings** — 100% public docstring coverage on ``repro.obs``,
-  ``repro.ras``, and ``repro.memory`` (:mod:`check_docstrings`; SIM009
-  enforces the same invariant inside the lint engine — this keeps the
-  standalone gate CI has always run);
+  ``repro.ras``, ``repro.memory`` and ``repro.dram.scheduler``
+  (:mod:`check_docstrings`; SIM009 enforces the same invariant inside
+  the lint engine — this keeps the standalone gate CI has always run);
 * **metrics** — every counter name declared in
   ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
   ``docs/metrics.md``, so new backend counters cannot ship
@@ -59,7 +59,8 @@ TYPED_PACKAGES = ("src/repro/sim", "src/repro/dram", "src/repro/cache",
 #: Markdown roots for the link check.
 LINK_PATHS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 #: Packages gated at 100% public docstring coverage.
-DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory")
+DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
+                   "src/repro/dram/scheduler.py")
 
 
 def run_lint() -> Tuple[bool, str]:
