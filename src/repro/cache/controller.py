@@ -129,9 +129,6 @@ class CacheChannelScheduler(ChannelScheduler[CacheOp]):
             events.add("write_q_forced_over_capacity")
         super().push_write(op)
 
-    def remove_read(self, op: CacheOp) -> None:
-        self.read_q.remove(op)
-
     # ------------------------------------------------------------------
     def _update_drain_mode(self) -> None:
         if len(self.write_q) >= self.high_watermark:

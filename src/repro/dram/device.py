@@ -86,6 +86,10 @@ class DramChannel:
         # Traffic counters (bytes over the DQ bus, by purpose).
         self.bytes_read = 0
         self.bytes_written = 0
+        #: bumped by each method that changes bank, bus or activation-
+        #: window state: a scheduler's blocked decision made at the same
+        #: instant and version still holds
+        self.version = 0
         if enable_refresh and timing.tREFI > 0:
             first = timing.tREFI
             if refresh_policy == "per_bank":
@@ -109,6 +113,7 @@ class DramChannel:
           channel-wide DQ-idle window exists for opportunistic unloads.
         """
         start = self.sim.now
+        self.version += 1
         if self.refresh_policy == "all_bank":
             end = start + self.timing.tRFC
             for bank in self.banks:
@@ -234,6 +239,7 @@ class DramChannel:
             freeing the slot for a flush-buffer unload.
         """
         timing = self.timing
+        self.version += 1
         self.ca.reserve(at, timing.tCMD)
         busy = timing.write_bank_busy if is_write else timing.read_bank_busy
         self.banks[bank].reserve(at, busy)
@@ -316,6 +322,7 @@ class DramChannel:
         b = self.banks[bank]
         hit = b.open_row == row
         offset = self._open_data_offset(bank, row, is_write)
+        self.version += 1
         self.ca.reserve(at, timing.tCMD)
         if not hit:
             act_at = at if b.open_row < 0 else at + timing.tRP
@@ -366,6 +373,7 @@ class DramChannel:
         if self.tag_timing is None:
             raise ProtocolError(f"{self.name}: probes need a tag path")
         assert self.tag_act_window is not None and self.hm is not None
+        self.version += 1
         self.ca.reserve(at, self.timing.tCMD)
         self.tag_banks[bank].reserve(at, self.tag_timing.tRC_TAG)
         self.tag_act_window.record(at)
@@ -382,6 +390,7 @@ class DramChannel:
     # ------------------------------------------------------------------
     def transfer_raw(self, at: int, data_bytes: int, direction: Direction) -> int:
         """Move ``data_bytes`` on DQ without touching banks; returns end."""
+        self.version += 1
         start = self.dq.earliest_dir(at, direction)
         burst = max(1, int(round(self.timing.tBURST * data_bytes / 64)))
         end = self.dq.reserve_dir(start, burst, direction)

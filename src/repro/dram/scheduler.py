@@ -19,12 +19,40 @@ wake-up is already pending, it serves the write queue while draining
 op and either commits it now or sleeps until the op's earliest issue
 time. After a commit it wakes again when the channel's command slot
 frees, as long as work remains.
+
+Orphaned wakes. A kick that lands on the very instant of a pending
+wake clears ``_wake_at`` but leaves that wake's event queued. When the
+orphan fires, it clears ``_wake_at`` again and arms a wake of its own,
+so from then on two chains poll at every decision instant until the
+queues empty; each further orphaning kick adds another. On no_cache/
+lu.C (``SystemConfig.small()``, 600 demands per core, seed 7) 233 of
+the 4,800 kicks land this way, and 220,422 of the run's 225,356 wakes
+fire after their own ``_wake_at`` record was cleared or overwritten.
+The golden digests (``tests/golden_runs.json``,
+``benchmarks/e2e/golden.json``) pin these events through
+``sim_events``; cancelling the orphans changes results, not just speed.
+
+Blocked-decision reuse. Most of those polls repeat a decision already
+made: same instant, same queues, same channel state. The loop keeps
+its last blocked decision as ``(now, channel.version, wake time)``.
+:class:`~repro.dram.device.DramChannel` bumps ``version`` in each of
+its five state mutators, and :meth:`~ChannelScheduler.push_read`,
+:meth:`~ChannelScheduler.push_write` and
+:meth:`~ChannelScheduler.remove_read` — the only queue mutators — forget
+the decision. A poll that finds it still current re-arms its wake and
+runs :meth:`~ChannelScheduler._on_blocked`, skipping the drain update,
+the pick and ``earliest``. This is exact under the owner contract:
+``_select``, ``_update_drain_mode`` and ``earliest`` read only ``now``,
+the queues, :attr:`~ChannelScheduler.draining` and channel state that
+changes only through the five mutators, and any side effect of
+``earliest`` is idempotent (TDRAM counts each probe-hold conflict
+once).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Generic, List, Optional, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.dram.device import DramChannel
 from repro.sim.kernel import Simulator
@@ -33,7 +61,14 @@ OpT = TypeVar("OpT")
 
 
 class ChannelScheduler(abc.ABC, Generic[OpT]):
-    """Read/write queues + write drain + wake loop for one channel."""
+    """Read/write queues + write drain + wake loop for one channel.
+
+    Owners mutate the queues only through :meth:`push_read`,
+    :meth:`push_write` and :meth:`remove_read`, and keep the owner
+    contract in the module docstring: a blocked decision is reused on
+    a same-instant poll whenever the queues and ``channel.version`` are
+    unchanged.
+    """
 
     def __init__(self, sim: Simulator, channel: DramChannel,
                  high_watermark: int, low_watermark: int) -> None:
@@ -47,6 +82,8 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
         #: serve writes ahead of waiting reads
         self.draining = False
         self._wake_at: Optional[int] = None
+        #: last blocked decision as ``(now, channel.version, wake time)``
+        self._blocked: Optional[Tuple[int, int, int]] = None
 
     # ------------------------------------------------------------------
     # Owner hooks
@@ -76,12 +113,19 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
     def push_read(self, op: OpT) -> None:
         """Enqueue a read and try to issue."""
         self.read_q.append(op)
+        self._blocked = None
         self.kick()
 
     def push_write(self, op: OpT) -> None:
         """Enqueue a write and try to issue."""
         self.write_q.append(op)
+        self._blocked = None
         self.kick()
+
+    def remove_read(self, op: OpT) -> None:
+        """Drop a queued read that no longer needs its DRAM access."""
+        self.read_q.remove(op)
+        self._blocked = None
 
     def kick(self) -> None:
         """New work arrived: issue now unless a wake-up is still ahead."""
@@ -108,6 +152,13 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
 
     def _try_issue(self) -> None:
         now = self.sim.now
+        blocked = self._blocked
+        if (blocked is not None and blocked[0] == now
+                and blocked[1] == self.channel.version):
+            # Same instant, same queues, same channel: same decision.
+            self._schedule_wake(blocked[2])
+            self._on_blocked(now)
+            return
         self._update_drain_mode()
         read_q = self.read_q
         write_q = self.write_q
@@ -117,6 +168,7 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
         op = self._select(queue, now)
         earliest = self.earliest(op, now)
         if earliest > now:
+            self._blocked = (now, self.channel.version, earliest)
             self._schedule_wake(earliest)
             self._on_blocked(now)
             return

@@ -1,4 +1,8 @@
-"""Scheduler corner cases and randomised protocol stress tests."""
+"""Scheduler corner cases, randomised protocol stress tests, and the
+checks that keep blocked-decision reuse exact."""
+
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +14,18 @@ from repro.cache.ideal import IdealCache
 from repro.cache.ndc import NdcCache
 from repro.cache.tdram import TdramCache
 from repro.config.system import MIB, SystemConfig
+from repro.dram.bus import Direction
+from repro.dram.device import DramChannel
 from repro.dram.monitor import ProtocolChecker
+from repro.dram.scheduler import ChannelScheduler
+from repro.dram.timing import hbm3_cache_timing, rldram_like_tag_timing
 from repro.errors import CapacityError
+from repro.memory.main_memory import MainMemory, _Request
+from repro.sim.kernel import Simulator, ns
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import golden_runs  # noqa: E402
 
 
 class TestChannelSchedulerMechanics:
@@ -116,3 +130,133 @@ def test_property_random_traffic_is_protocol_clean(seed, design_name):
     # All reads eventually completed despite the random interleaving.
     reads = system.cache.metrics.outcomes["reads"]
     assert len(system.completed) == reads
+
+
+# ----------------------------------------------------------------------
+# Blocked-decision reuse
+# ----------------------------------------------------------------------
+#: every DramChannel method that changes state an issue decision reads
+CHANNEL_MUTATORS = {
+    "issue_access": lambda ch: ch.issue_access(0, 0, is_write=False),
+    "issue_access_open": lambda ch: ch.issue_access_open(0, 0, 3, False),
+    "issue_probe": lambda ch: ch.issue_probe(0, 0),
+    "transfer_raw": lambda ch: ch.transfer_raw(0, 64, Direction.READ),
+    "_do_refresh": lambda ch: ch._do_refresh(),
+}
+
+
+@pytest.mark.parametrize("mutator", sorted(CHANNEL_MUTATORS))
+def test_channel_mutator_bumps_version(mutator):
+    channel = DramChannel(Simulator(), hbm3_cache_timing(), 16, "t0",
+                          tag_timing=rldram_like_tag_timing(),
+                          enable_refresh=False)
+    before = channel.version
+    CHANNEL_MUTATORS[mutator](channel)
+    assert channel.version > before
+
+
+def ddr5_request(bank, order, is_write=False):
+    """A queued DDR5 access to row 5 of ``bank``, arriving at t=0."""
+    return _Request(bank, 5, 0, order, is_write, None)
+
+
+def blocked_ddr5_scheduler():
+    """A DDR5 channel scheduler blocked at t=0 on a read to busy bank 0."""
+    sim = Simulator()
+    config = SystemConfig(cache_capacity_bytes=1 * MIB,
+                          mm_capacity_bytes=16 * MIB)
+    memory = MainMemory(sim, config.mm_timing, config.mm_geometry())
+    scheduler = memory._schedulers[0]
+    scheduler.channel.banks[0].block_until(ns(100))
+    waiting = ddr5_request(0, 0)
+    scheduler.push_read(waiting)
+    assert scheduler._blocked == (0, scheduler.channel.version, ns(100))
+    return scheduler, waiting
+
+
+QUEUE_MUTATORS = {
+    "push_read": lambda s, _waiting: s.push_read(ddr5_request(1, 1)),
+    "push_write": lambda s, _waiting: s.push_write(
+        ddr5_request(1, 1, is_write=True)),
+    "remove_read": lambda s, waiting: s.remove_read(waiting),
+}
+
+
+@pytest.mark.parametrize("mutator", sorted(QUEUE_MUTATORS))
+def test_queue_mutator_forgets_blocked_decision(mutator):
+    scheduler, waiting = blocked_ddr5_scheduler()
+    QUEUE_MUTATORS[mutator](scheduler, waiting)
+    assert scheduler._blocked is None
+
+
+def test_ready_read_arriving_at_blocked_instant_issues_then():
+    """A read for a ready bank, queued at the instant the channel was
+    found blocked, issues on that instant's next poll (the same-instant
+    re-poll a still-queued wake event makes)."""
+    scheduler, waiting = blocked_ddr5_scheduler()
+    ready = ddr5_request(1, 1)
+    scheduler.push_read(ready)
+    assert scheduler.read_q == [waiting, ready]  # a wake is still pending
+    scheduler._on_wake()
+    assert scheduler.read_q == [waiting]
+    assert scheduler.channel.banks[1].open_row == 5
+
+
+def full_decision(scheduler, now):
+    """The blocked-or-issue decision ``_try_issue`` makes without reuse:
+    ``(queue, op, earliest issue time)``, or None on empty queues."""
+    scheduler._update_drain_mode()
+    read_q, write_q = scheduler.read_q, scheduler.write_q
+    queue = write_q if write_q and (scheduler.draining or not read_q) else read_q
+    if not queue:
+        return None
+    op = scheduler._select(queue, now)
+    name = "write" if queue is write_q else "read"
+    return name, op, scheduler.earliest(op, now)
+
+
+#: (design, workload, memory backend)
+SHADOW_CELLS = [(design, workload, "ddr5")
+                for workload in ("write_storm", "lu.C")
+                for design in ("no_cache", "cascade_lake", "tdram", "ndc",
+                               "ideal")]
+SHADOW_CELLS.append(("tdram", "write_storm", "cxl_like"))
+#: the polling worst cases: at least a third of their polls reuse
+REUSE_FLOOR_CELLS = {("no_cache", "lu.C", "ddr5"),
+                     ("cascade_lake", "write_storm", "ddr5")}
+
+
+@pytest.mark.parametrize("cell", SHADOW_CELLS, ids="/".join)
+def test_reused_decisions_match_full_decision(cell, monkeypatch):
+    """Every reused blocked decision equals the full decision recomputed
+    on the spot, and the run stays bit-identical to its golden digest."""
+    original = ChannelScheduler._try_issue
+    decided = {}
+    counts = {"polls": 0, "reused": 0}
+
+    def shadowed(scheduler):
+        now = scheduler.sim.now
+        version = scheduler.channel.version
+        memo = scheduler._blocked
+        counts["polls"] += 1
+        if memo is not None and memo[:2] == (now, version):
+            counts["reused"] += 1
+            assert full_decision(scheduler, now) == decided[scheduler]
+            original(scheduler)
+            return
+        decision = full_decision(scheduler, now)
+        original(scheduler)
+        if scheduler._blocked is not memo:
+            assert decision is not None and decision[2] > now
+            assert scheduler._blocked == (now, version, decision[2])
+            decided[scheduler] = decision
+
+    monkeypatch.setattr(ChannelScheduler, "_try_issue", shadowed)
+    design, workload, backend = cell
+    golden_cell = (design, workload, backend, "write_allocate")
+    row = golden_runs.run_cell(golden_cell)
+    expected = golden_runs.load()["cells"].get(golden_runs.cell_key(golden_cell))
+    if expected is not None:
+        assert row == expected
+    if cell in REUSE_FLOOR_CELLS:
+        assert counts["reused"] * 3 >= counts["polls"], counts
