@@ -1,51 +1,34 @@
 """Simulator-aware static analysis for the TDRAM reproduction.
 
 The simulator's headline guarantees — bit-identical parallel campaigns,
-per-seed reproducible fault injection, zero-perturbation tracing — rest
-on coding invariants that ordinary linters do not know about: no
+per-seed reproducible fault injection, honest campaign cache keys —
+rest on coding invariants that ordinary linters do not know about: no
 wall-clock reads or unseeded randomness inside simulated components, no
-float equality on timestamps, every counter read somewhere registered,
-no ordering-sensitive iteration feeding result serialization. This
-package is a multi-pass semantic analysis engine: one AST pass per file
-extracts JSON-serializable facts (:mod:`repro.analysis.dataflow`), a
-call-graph builder infers sim-reachable functions from the kernel
-dispatch entry points (:mod:`repro.analysis.callgraph`), and a registry
-of rules (``SIM001``–``SIM018``) consumes the facts — including the
-cache-key soundness prover (SIM014), the time-unit dimension checker
-(SIM015), orphan-counter detection (SIM016), and plugin contract
-conformance (SIM017/SIM018). Inline ``# tdram: noqa[RULE] -- reason``
-suppressions, a committed baseline file for grandfathered findings
-(with stale-entry detection), a content-hash-keyed analysis cache for
-fast warm runs, and a SARIF 2.1.0 emitter round out the engine.
+float equality on timestamps, no mixed time units, every counter read
+somewhere declared, every config knob consumed, no ordering-sensitive
+iteration over sets. This package parses each file once and runs nine
+rules over the trees (:mod:`repro.analysis.rules`,
+:mod:`repro.analysis.units`); inline ``# tdram: noqa[RULE] -- reason``
+comments suppress a finding on one line.
 
 Run it as ``python -m repro.analysis src/repro`` or
-``tdram-repro lint``; ``--explain SIM014`` prints one rule's catalogue
-entry, and the full catalogue lives in ``docs/static-analysis.md``.
+``tdram-repro lint``; the catalogue lives in ``docs/static-analysis.md``.
 """
 
 from repro.analysis.engine import (
-    AnalysisCache,
     Analyzer,
-    Baseline,
     Finding,
-    ProjectContext,
     Report,
     Rule,
     SourceFile,
     all_rules,
 )
-from repro.analysis.rules import BASELINE_RULES, SIM_RULES
 
 __all__ = [
-    "AnalysisCache",
     "Analyzer",
-    "Baseline",
     "Finding",
-    "ProjectContext",
     "Report",
     "Rule",
     "SourceFile",
     "all_rules",
-    "BASELINE_RULES",
-    "SIM_RULES",
 ]

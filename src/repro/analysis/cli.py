@@ -5,151 +5,45 @@ Installed two ways::
     python -m repro.analysis src/repro          # module form
     tdram-repro lint src/repro --json           # CLI subcommand
 
-Output formats: ``text`` (default, one editor-clickable line per
-finding), ``json`` (the report document), and ``sarif`` (SARIF 2.1.0
-for GitHub code-scanning annotations). ``--explain SIM014`` prints
-one rule's catalogue entry; ``--cache-dir`` attaches the
-content-hash-keyed analysis cache so warm repo-wide runs skip
-parsing.
-
-Exit codes: 0 clean, 1 findings, 2 usage or configuration error.
+Output is one editor-clickable line per finding, or the JSON report
+with ``--json``. Exit codes: 0 clean, 1 findings, 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
-import json
 import sys
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.analysis.engine import (
-    AnalysisCache,
-    Analyzer,
-    Baseline,
-    Report,
-    all_rules,
-)
-from repro.analysis.rules import BASELINE_RULES
+from repro.analysis.engine import Analyzer, all_rules
 from repro.errors import ConfigError
-
-#: Default baseline location, repo-relative (missing file = empty).
-DEFAULT_BASELINE = "tools/lint_baseline.json"
-
-#: SARIF 2.1.0 boilerplate (the schema GitHub code scanning ingests).
-SARIF_SCHEMA_URI = ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
-_DOCS_URI = ("https://github.com/tdram-repro/tdram-repro/blob/main/"
-             "docs/static-analysis.md")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdram-repro lint",
-        description="Simulator-aware static analysis (rules SIM001-SIM018; "
-                    "catalogue in docs/static-analysis.md).",
+        description="Simulator-aware static analysis (catalogue in "
+                    "docs/static-analysis.md).",
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories (default src/repro)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids to run (default all)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"baseline JSON path (default {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline path "
-                             "(justifications start as FIXME) and exit")
-    parser.add_argument("--format", dest="format", default=None,
-                        choices=("text", "json", "sarif"),
-                        help="output format (default text)")
     parser.add_argument("--json", action="store_true",
-                        help="machine-readable output (same as "
-                             "--format json)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="attach the content-hash analysis cache at "
-                             "this directory (warm runs skip parsing)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache-dir and run cold")
+                        help="machine-readable output")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--explain", metavar="RULE", default=None,
-                        help="print one rule's catalogue entry "
-                             "(docstring + rationale) and exit")
     return parser
 
 
 def _render_rules() -> str:
     lines = []
     for rule in all_rules():
-        if rule.id.startswith("LNT"):
-            continue
         kind = "cross-file" if rule.cross_file else "per-file"
         lines.append(f"{rule.id}  {rule.title}  [{kind}]")
         lines.append(f"    {rule.rationale}")
     return "\n".join(lines)
-
-
-def _explain(rule_id: str) -> Optional[str]:
-    """One rule's self-explanation, assembled from its docstring."""
-    for rule in all_rules():
-        if rule.id != rule_id:
-            continue
-        kind = "cross-file" if rule.cross_file else "per-file"
-        doc = inspect.getdoc(type(rule)) or ""
-        lines = [f"{rule.id} — {rule.title} [{kind}]", ""]
-        if doc:
-            lines.extend([doc, ""])
-        lines.append(rule.rationale)
-        lines.append("")
-        lines.append(f"Suppress inline with: # tdram: noqa[{rule.id}] "
-                     "-- reason")
-        lines.append("Worked examples: docs/static-analysis.md")
-        return "\n".join(lines)
-    return None
-
-
-def to_sarif(report: Report) -> Dict[str, object]:
-    """Render a report as a SARIF 2.1.0 document (code scanning)."""
-    rules = []
-    for rule in all_rules():
-        rules.append({
-            "id": rule.id,
-            "name": type(rule).__name__,
-            "shortDescription": {"text": rule.title or rule.id},
-            "fullDescription": {"text": rule.rationale or rule.title
-                                or rule.id},
-            "helpUri": f"{_DOCS_URI}#{rule.id.lower()}",
-            "defaultConfiguration": {"level": "error"},
-        })
-    results = []
-    for finding in report.findings:
-        results.append({
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path,
-                                         "uriBaseId": "%SRCROOT%"},
-                    "region": {"startLine": max(1, finding.line),
-                               "startColumn": finding.col + 1},
-                },
-            }],
-        })
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "tdram-repro-lint",
-                "informationUri": _DOCS_URI,
-                "rules": rules,
-            }},
-            "results": results,
-        }],
-    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -158,50 +52,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         print(_render_rules())
         return 0
-    if args.explain:
-        text = _explain(args.explain.strip())
-        if text is None:
-            known = ", ".join(r.id for r in all_rules())
-            print(f"lint: unknown rule {args.explain!r} (known: {known})",
-                  file=sys.stderr)
-            return 2
-        print(text)
-        return 0
-    output = args.format or ("json" if args.json else "text")
     select = args.select.split(",") if args.select else None
-    baseline_path = Path(args.baseline)
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = AnalysisCache(Path(args.cache_dir))
     try:
-        baseline = Baseline() if (args.no_baseline or args.write_baseline) \
-            else Baseline.load(baseline_path, allowed_rules=set(BASELINE_RULES))
-        analyzer = Analyzer(select=select, baseline=baseline, cache=cache)
-        report = analyzer.run(args.paths)
+        report = Analyzer(select=select).run(args.paths)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        not_allowed = [f for f in report.findings
-                       if f.rule not in BASELINE_RULES]
-        if not_allowed:
-            for finding in not_allowed:
-                print(finding.render(), file=sys.stderr)
-            print(f"lint: {len(not_allowed)} findings are for rules that "
-                  f"cannot be baselined ({sorted(BASELINE_RULES)} only); "
-                  "fix or suppress them inline first", file=sys.stderr)
-            return 2
-        baseline_path.write_text(Baseline.render(report.findings),
-                                 encoding="utf-8")
-        print(f"wrote {len(report.findings)} entries to {baseline_path} "
-              "(edit every FIXME justification)")
-        return 0
-    if output == "sarif":
-        print(json.dumps(to_sarif(report), indent=1, sort_keys=True))
-    elif output == "json":
-        print(report.to_json())
-    else:
-        print(report.render())
+    print(report.to_json() if args.json else report.render())
     return 0 if report.ok else 1
 
 

@@ -1,51 +1,31 @@
-"""Lint engine: rule registry, passes, caching, suppressions, baseline.
+"""Lint engine: rule registry, one parse pass, inline suppressions.
 
 The engine is deliberately simulator-agnostic — it knows how to parse
-sources, run per-file and cross-file rules, honour inline
-``# tdram: noqa[RULE] -- reason`` suppressions, and subtract a
-committed baseline. Everything TDRAM-specific lives in
-:mod:`repro.analysis.rules` and its sibling rule modules.
+sources, run per-file and cross-file rules, and honour inline
+``# tdram: noqa[RULE] -- reason`` suppressions. Everything
+TDRAM-specific lives in :mod:`repro.analysis.rules` and
+:mod:`repro.analysis.units`.
 
-The run pipeline has three passes:
-
-1. **per-file** — parse, extract :class:`~repro.analysis.dataflow.FileFacts`
-   (the dataflow pass), run the per-file rules. The whole per-file
-   result is memoised in a content-hash-keyed :class:`AnalysisCache`
-   when one is attached, so warm repo-wide runs skip parsing entirely;
-2. **project** — build the sim-reachability call graph
-   (:mod:`repro.analysis.callgraph`) over the collected facts and run
-   the cross-file rules against the resulting :class:`ProjectContext`;
-3. **fold** — apply inline suppressions, subtract the committed
-   baseline, and flag baseline entries that no longer fire (LNT002)
-   so the baseline can only shrink.
+A run parses every file once. Per-file rules then see one
+:class:`SourceFile` at a time; cross-file rules see the list of every
+parsed file in the same run. Suppressions are folded in last.
 
 Suppression grammar (one per physical line, applies to findings on
 that line)::
 
     x = host_clock()  # tdram: noqa[SIM001] -- host-side ETA, not sim state
-    y = f(a, b)       # tdram: noqa[SIM004,SIM010] -- reason text
+    y = f(a, b)       # tdram: noqa[SIM004,SIM008] -- reason text
 
 A suppression must name explicit rules *and* carry a reason; a bare
 ``# tdram: noqa`` (or one without ``-- reason``) is itself reported as
-``LNT000`` so blanket switch-offs cannot accumulate silently.
-
-Baseline format (JSON, committed at ``tools/lint_baseline.json``)::
-
-    {"version": 1,
-     "entries": [{"rule": "SIM007", "path": "src/.../system.py",
-                  "message": "...", "justification": "why it stays"}]}
-
-Only cross-file rules listed in :data:`repro.analysis.rules.BASELINE_RULES`
-may be baselined — per-file invariants must be fixed or suppressed
-inline where the exemption is visible in review. A baseline entry
-whose finding no longer fires is itself a finding (``LNT002``), so
-fixed debt cannot linger as a latent mute.
+``LNT000`` so blanket switch-offs cannot accumulate silently. A file
+that does not parse is reported as ``LNT001``.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
+import functools
 import io
 import json
 import os
@@ -53,10 +33,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import FACTS_VERSION, FileFacts, extract
 from repro.errors import ConfigError
 
 #: ``# tdram: noqa[SIM001,SIM002] -- reason`` (rules and reason optional
@@ -70,7 +48,6 @@ _NOQA = re.compile(
 #: Meta-rule ids emitted by the engine itself (not suppressible).
 META_BAD_NOQA = "LNT000"
 META_SYNTAX = "LNT001"
-META_STALE_BASELINE = "LNT002"
 
 
 @dataclass(frozen=True)
@@ -83,11 +60,6 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
-
     def render(self) -> str:
         """One ``path:line:col: RULE message`` line (editor-clickable)."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -98,43 +70,31 @@ class Finding:
                 "col": self.col, "message": self.message}
 
 
-@dataclass(frozen=True)
-class Suppression:
-    """A parsed ``# tdram: noqa`` comment on one line."""
-
-    line: int
-    rules: Tuple[str, ...]
-    reason: str
-
-
 class SourceFile:
     """A parsed source file plus the metadata rules need to scope on."""
 
-    def __init__(self, path: Path, display: str, text: str) -> None:
-        self.path = path
-        #: repo-relative posix path used in findings and baselines
+    def __init__(self, display: str, text: str) -> None:
+        #: repo-relative posix path used in findings
         self.display = display
-        self.text = text
-        self.lines = text.splitlines()
-        self.tree: Optional[ast.Module] = None
+        self.tree: ast.Module = ast.Module(body=[], type_ignores=[])
         self.syntax_error: Optional[str] = None
         try:
             self.tree = ast.parse(text, filename=display)
         except SyntaxError as exc:
             self.syntax_error = f"{exc.msg} (line {exc.lineno})"
-        self.suppressions: List[Suppression] = []
+        #: line -> rule ids suppressed on it by a well-formed noqa
+        self.suppressions: Dict[int, Tuple[str, ...]] = {}
+        #: lines carrying a noqa without rules or reason (LNT000)
         self.bad_noqa: List[int] = []
-        self._parse_noqa()
+        self._parse_noqa(text)
         self.module = self._module_name()
         self.basename = Path(display).stem
 
-    # ------------------------------------------------------------------
-    def _parse_noqa(self) -> None:
+    def _parse_noqa(self, text: str) -> None:
         # Tokenize so the pattern is only recognised in real comments —
         # docstrings *describing* the grammar must not parse as noqa.
         try:
-            tokens = list(tokenize.generate_tokens(
-                io.StringIO(self.text).readline))
+            tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
         except (tokenize.TokenError, IndentationError, SyntaxError):
             return
         for token in tokens:
@@ -145,13 +105,11 @@ class SourceFile:
                 continue
             lineno = token.start[0]
             rules = match.group("rules")
-            reason = match.group("reason")
-            if not rules or not reason:
+            if not rules or not match.group("reason"):
                 self.bad_noqa.append(lineno)
                 continue
-            names = tuple(r.strip() for r in rules.split(",") if r.strip())
-            self.suppressions.append(
-                Suppression(line=lineno, rules=names, reason=reason.strip()))
+            self.suppressions[lineno] = tuple(
+                r.strip() for r in rules.split(",") if r.strip())
 
     def _module_name(self) -> Optional[str]:
         """Dotted module path anchored at the ``repro`` package, if any."""
@@ -163,16 +121,15 @@ class SourceFile:
             dotted = dotted[:-1]
         return ".".join(dotted)
 
-    @property
-    def modkey(self) -> str:
-        """Module identity used by facts and the call graph."""
-        return self.module or self.basename
+    @functools.cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once and
+        shared by the rules."""
+        return list(ast.walk(self.tree))
 
-    # ------------------------------------------------------------------
     def suppressed(self, finding: Finding) -> bool:
         """Whether an inline noqa on the finding's line covers its rule."""
-        return any(s.line == finding.line and finding.rule in s.rules
-                   for s in self.suppressions)
+        return finding.rule in self.suppressions.get(finding.line, ())
 
     def in_module(self, *prefixes: str) -> bool:
         """Whether this file's module matches any dotted prefix."""
@@ -182,44 +139,16 @@ class SourceFile:
                    for p in prefixes)
 
 
-class ProjectContext:
-    """What cross-file rules see: facts per file, lazily a call graph.
-
-    ``facts`` maps display path -> :class:`FileFacts`; ``root`` is the
-    repository root when the analyzed tree contains ``src/repro`` (used
-    by rules that consult committed docs, e.g. SIM016's metrics-doc
-    escape hatch); ``graph`` builds the sim-reachability call graph on
-    first access so per-file-only runs never pay for it.
-    """
-
-    def __init__(self, facts: Dict[str, FileFacts],
-                 root: Optional[Path] = None) -> None:
-        self.facts = facts
-        self.root = root
-        self._graph: Optional[object] = None
-
-    @property
-    def graph(self) -> "CallGraph":  # noqa: F821 - forward ref for mypy
-        from repro.analysis.callgraph import CallGraph, build_graph
-
-        if self._graph is None:
-            self._graph = build_graph(self.facts)
-        assert isinstance(self._graph, CallGraph)
-        return self._graph
-
-
 class Rule:
     """Base class for lint rules; subclasses register via :func:`register`.
 
     Per-file rules override :meth:`check`; cross-file rules set
-    ``cross_file = True`` and override :meth:`check_project` (they see
-    the whole-project :class:`ProjectContext` of extracted facts).
-    ``exempt`` carves out module subtrees or basenames a per-file
-    invariant does not apply to — exemptions that are *policy* (CLI
-    modules may print) belong there, exemptions that are *judgement
-    calls* belong in inline noqa comments at the use site. Cross-file
-    rules scope themselves inside :meth:`check_project` using the
-    facts' module keys.
+    ``cross_file = True`` and override :meth:`check_project`, which
+    sees every file parsed in the run. ``exempt`` carves out module
+    subtrees or basenames a per-file invariant does not apply to —
+    exemptions that are *policy* (CLI modules may read the host clock)
+    belong there, exemptions that are *judgement calls* belong in
+    inline noqa comments at the use site.
     """
 
     id: str = ""
@@ -235,21 +164,15 @@ class Rule:
         """Yield findings for one file (per-file rules)."""
         return iter(())
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        """Yield findings needing whole-project context (cross-file rules)."""
+    def check_project(self, sources: Sequence[SourceFile]) -> Iterator[Finding]:
+        """Yield findings needing every file at once (cross-file rules)."""
         return iter(())
 
-    # ------------------------------------------------------------------
     def finding(self, source: SourceFile, node: ast.AST, message: str) -> Finding:
         """Construct a finding anchored at an AST node."""
         return Finding(rule=self.id, path=source.display,
                        line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0), message=message)
-
-    def at(self, path: str, line: object, col: object, message: str) -> Finding:
-        """Construct a finding from fact-recorded coordinates."""
-        return Finding(rule=self.id, path=path, line=int(line),  # type: ignore[call-overload]
-                       col=int(col), message=message)  # type: ignore[call-overload]
 
 
 _REGISTRY: Dict[str, type] = {}
@@ -268,69 +191,10 @@ def register(cls: type) -> type:
 def all_rules() -> List[Rule]:
     """Instantiate every registered rule, ordered by id."""
     # Importing the rule modules populates the registry.
-    import repro.analysis.cachekey  # noqa: F401
-    import repro.analysis.contracts  # noqa: F401
     import repro.analysis.rules  # noqa: F401
     import repro.analysis.units  # noqa: F401
 
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
-
-
-class Baseline:
-    """Committed grandfathered findings, loaded from JSON.
-
-    Every entry names a rule in ``allowed_rules``, a file, the exact
-    finding message, and a human justification; anything else is a
-    configuration error so the baseline cannot quietly grow into a
-    mute button for new rule classes.
-    """
-
-    def __init__(self, entries: Iterable[Dict[str, str]] = (),
-                 allowed_rules: Optional[Set[str]] = None) -> None:
-        self.entries: List[Dict[str, str]] = []
-        self._index: Set[Tuple[str, str, str]] = set()
-        for entry in entries:
-            rule = entry.get("rule", "")
-            path = entry.get("path", "")
-            message = entry.get("message", "")
-            justification = entry.get("justification", "").strip()
-            if allowed_rules is not None and rule not in allowed_rules:
-                raise ConfigError(
-                    f"baseline entry for {rule} not allowed: only "
-                    f"{sorted(allowed_rules)} may be baselined")
-            if not (rule and path and message and justification):
-                raise ConfigError(
-                    "baseline entries need rule, path, message and a "
-                    f"non-empty justification: {entry!r}")
-            if justification.startswith("FIXME"):
-                raise ConfigError(
-                    "baseline justification still reads FIXME — replace "
-                    f"the --write-baseline placeholder: {entry!r}")
-            self.entries.append(dict(entry))
-            self._index.add((rule, path, message))
-
-    @classmethod
-    def load(cls, path: Path,
-             allowed_rules: Optional[Set[str]] = None) -> "Baseline":
-        """Load a baseline file; a missing file is an empty baseline."""
-        if not path.exists():
-            return cls((), allowed_rules)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return cls(payload.get("entries", ()), allowed_rules)
-
-    def covers(self, finding: Finding) -> bool:
-        """Whether a finding is grandfathered by this baseline."""
-        return finding.fingerprint in self._index
-
-    @staticmethod
-    def render(findings: Sequence[Finding]) -> str:
-        """Serialise findings as a fresh baseline document (to be
-        hand-edited: every justification starts as ``FIXME``)."""
-        entries = [{"rule": f.rule, "path": f.path, "message": f.message,
-                    "justification": "FIXME: justify or fix"}
-                   for f in sorted(findings, key=lambda f: f.fingerprint)]
-        return json.dumps({"version": 1, "entries": entries}, indent=1,
-                          sort_keys=True) + "\n"
 
 
 @dataclass
@@ -339,33 +203,17 @@ class Report:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
-    def rule_counts(self) -> Dict[str, int]:
-        """Finding counts per rule id (incl. suppressed/baselined)."""
-        counts: Dict[str, int] = {}
-        for finding in self.findings + self.suppressed + self.baselined:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
-
     def render(self) -> str:
         """Human output: one line per finding plus a summary."""
         lines = [f.render() for f in self.findings]
-        extras = []
-        if self.suppressed:
-            extras.append(f"{len(self.suppressed)} suppressed")
-        if self.baselined:
-            extras.append(f"{len(self.baselined)} baselined")
-        if self.cache_hits:
-            extras.append(f"{self.cache_hits} cached")
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        suffix = f" ({len(self.suppressed)} suppressed)" \
+            if self.suppressed else ""
         verdict = "OK" if self.ok else f"{len(self.findings)} findings"
         lines.append(f"checked {self.files} files: {verdict}{suffix}")
         return "\n".join(lines)
@@ -376,106 +224,7 @@ class Report:
             "files": self.files,
             "findings": [f.to_json() for f in self.findings],
             "suppressed": [f.to_json() for f in self.suppressed],
-            "baselined": [f.to_json() for f in self.baselined],
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
         }, indent=1, sort_keys=True)
-
-
-class AnalysisCache:
-    """Content-hash-keyed per-file analysis results on disk.
-
-    The key is a SHA-256 over the engine/fact schema versions, the
-    display path, and the file *content* — any edit, rename, or schema
-    bump misses. A hit replays the stored per-file findings,
-    suppressions, noqa diagnostics, and extracted facts without
-    parsing the file, which is what makes warm repo-wide runs fast:
-    cross-file rules run from facts alone.
-    """
-
-    #: Bump when per-file rule behaviour changes without a fact-schema
-    #: change (message wording, new per-file rule).
-    VERSION = 1
-
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _entry_path(self, display: str, text: str) -> Path:
-        digest = hashlib.sha256(
-            f"{self.VERSION}:{FACTS_VERSION}:{display}\0{text}"
-            .encode("utf-8")).hexdigest()
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def get(self, display: str, text: str) -> Optional[Dict[str, object]]:
-        """Stored payload for this exact content, or None."""
-        path = self._entry_path(display, text)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def put(self, display: str, text: str,
-            payload: Dict[str, object]) -> None:
-        """Atomically persist a per-file analysis payload."""
-        path = self._entry_path(display, text)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
-
-
-@dataclass
-class _FileEntry:
-    """Per-file analysis outcome — fresh or replayed from the cache."""
-
-    display: str
-    path: Path
-    suppressions: List[Suppression] = field(default_factory=list)
-    bad_noqa: List[int] = field(default_factory=list)
-    syntax_error: Optional[str] = None
-    findings: List[Finding] = field(default_factory=list)
-    facts: Optional[FileFacts] = None
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "syntax_error": self.syntax_error,
-            "bad_noqa": list(self.bad_noqa),
-            "suppressions": [[s.line, list(s.rules), s.reason]
-                             for s in self.suppressions],
-            "findings": [[f.rule, f.line, f.col, f.message]
-                         for f in self.findings],
-            "facts": self.facts.to_json() if self.facts is not None else None,
-        }
-
-    @classmethod
-    def from_payload(cls, display: str, path: Path,
-                     payload: Dict[str, object]) -> "_FileEntry":
-        suppressions = [
-            Suppression(line=int(line), rules=tuple(rules), reason=reason)
-            for line, rules, reason in payload.get("suppressions", [])]  # type: ignore[union-attr]
-        findings = [
-            Finding(rule=rule, path=display, line=int(line), col=int(col),
-                    message=message)
-            for rule, line, col, message in payload.get("findings", [])]  # type: ignore[union-attr]
-        facts_data = payload.get("facts")
-        facts = FileFacts.from_json(facts_data) \
-            if isinstance(facts_data, dict) else None
-        error = payload.get("syntax_error")
-        return cls(display=display, path=path, suppressions=suppressions,
-                   bad_noqa=[int(n) for n in payload.get("bad_noqa", [])],  # type: ignore[union-attr]
-                   syntax_error=str(error) if error is not None else None,
-                   findings=findings, facts=facts)
 
 
 def _iter_sources(paths: Iterable[str]) -> Iterator[Path]:
@@ -489,137 +238,58 @@ def _iter_sources(paths: Iterable[str]) -> Iterator[Path]:
 
 def _display_path(path: Path) -> str:
     """Stable repo-relative path when possible, else as given."""
-    try:
-        rel = os.path.relpath(path)
-    except ValueError:  # different drive (never on posix)
-        rel = str(path)
-    chosen = rel if not rel.startswith("..") else str(path)
-    return Path(chosen).as_posix()
+    rel = os.path.relpath(path)
+    return Path(rel if not rel.startswith("..") else path).as_posix()
 
 
-def _detect_root(entries: Sequence[_FileEntry]) -> Optional[Path]:
-    """Repository root, when the analyzed tree includes ``src/repro``."""
-    for entry in entries:
-        parts = entry.path.resolve().parts
-        for i in range(len(parts) - 1):
-            if parts[i] == "src" and parts[i + 1] == "repro":
-                return Path(*parts[:i]) if i else Path(parts[0])
-    return None
+def _sort_key(finding: Finding) -> Tuple[str, int, str]:
+    return (finding.path, finding.line, finding.rule)
 
 
 class Analyzer:
-    """Runs a rule set over a file tree and folds in the baseline."""
+    """Runs a rule set over a file tree and folds in suppressions."""
 
-    def __init__(self, rules: Optional[Sequence[Rule]] = None,
-                 baseline: Optional[Baseline] = None,
-                 select: Optional[Iterable[str]] = None,
-                 cache: Optional[AnalysisCache] = None) -> None:
-        # The cache may only be *written* by a run of the complete
-        # registered rule set — a filtered run would persist partial
-        # per-file results that a later full run would replay as truth.
-        self._cache_complete = rules is None and select is None
-        self.rules = list(rules) if rules is not None else all_rules()
+    def __init__(self, select: Optional[Iterable[str]] = None) -> None:
+        self.rules = all_rules()
         if select is not None:
             wanted = set(select)
             unknown = wanted - {rule.id for rule in self.rules}
             if unknown:
                 raise ConfigError(f"unknown rule ids: {sorted(unknown)}")
             self.rules = [r for r in self.rules if r.id in wanted]
-        self.baseline = baseline or Baseline()
-        self.cache = cache
-
-    # ------------------------------------------------------------------
-    def load(self, paths: Iterable[str]) -> List[SourceFile]:
-        """Parse every ``.py`` file under the given files/directories."""
-        sources = []
-        for path in _iter_sources(paths):
-            text = path.read_text(encoding="utf-8")
-            sources.append(SourceFile(path, _display_path(path), text))
-        return sources
-
-    # ------------------------------------------------------------------
-    def _analyze_file(self, path: Path, display: str,
-                      text: str) -> _FileEntry:
-        """Per-file pass: cache replay, or parse + facts + rules."""
-        if self.cache is not None:
-            payload = self.cache.get(display, text)
-            if payload is not None:
-                return _FileEntry.from_payload(display, path, payload)
-        src = SourceFile(path, display, text)
-        entry = _FileEntry(display=display, path=path,
-                           suppressions=src.suppressions,
-                           bad_noqa=src.bad_noqa,
-                           syntax_error=src.syntax_error)
-        if src.tree is not None:
-            entry.facts = extract(src.tree, src.modkey)
-            for rule in self.rules:
-                if rule.cross_file or rule.exempt(src):
-                    continue
-                entry.findings.extend(rule.check(src))
-        if self.cache is not None and self._cache_complete:
-            self.cache.put(display, text, entry.to_payload())
-        return entry
 
     def run(self, paths: Iterable[str]) -> Report:
         """Analyze a tree: per-file rules, cross-file rules, meta checks."""
-        start_hits = self.cache.hits if self.cache is not None else 0
-        start_misses = self.cache.misses if self.cache is not None else 0
-        entries = [self._analyze_file(path, _display_path(path),
-                                      path.read_text(encoding="utf-8"))
+        sources = [SourceFile(_display_path(path),
+                              path.read_text(encoding="utf-8"))
                    for path in _iter_sources(paths)]
-        report = Report(files=len(entries))
-        if self.cache is not None:
-            # Deltas: the same cache object may serve many runs.
-            report.cache_hits = self.cache.hits - start_hits
-            report.cache_misses = self.cache.misses - start_misses
-        selected = {rule.id for rule in self.rules}
+        report = Report(files=len(sources))
+        parsed = []
         raw: List[Finding] = []
-        for entry in entries:
-            if entry.syntax_error is not None:
+        for src in sources:
+            if src.syntax_error is not None:
                 report.findings.append(Finding(
-                    rule=META_SYNTAX, path=entry.display, line=1, col=0,
-                    message=f"file does not parse: {entry.syntax_error}"))
+                    rule=META_SYNTAX, path=src.display, line=1, col=0,
+                    message=f"file does not parse: {src.syntax_error}"))
                 continue
-            for lineno in entry.bad_noqa:
+            for lineno in src.bad_noqa:
                 report.findings.append(Finding(
-                    rule=META_BAD_NOQA, path=entry.display, line=lineno,
-                    col=0,
+                    rule=META_BAD_NOQA, path=src.display, line=lineno, col=0,
                     message="tdram noqa must name rules and a reason: "
                             "# tdram: noqa[SIM001] -- why"))
-            raw.extend(f for f in entry.findings if f.rule in selected)
-        facts_map = {e.display: e.facts for e in entries
-                     if e.facts is not None}
-        project = ProjectContext(facts_map, root=_detect_root(entries))
+            parsed.append(src)
+            for rule in self.rules:
+                if not rule.cross_file and not rule.exempt(src):
+                    raw.extend(rule.check(src))
         for rule in self.rules:
             if rule.cross_file:
-                raw.extend(rule.check_project(project))
-        by_display = {e.display: e for e in entries}
-        matched: Set[Tuple[str, str, str]] = set()
-        for finding in sorted(raw, key=lambda f: (f.path, f.line, f.rule)):
-            entry = by_display.get(finding.path)
-            if entry is not None and any(
-                    s.line == finding.line and finding.rule in s.rules
-                    for s in entry.suppressions):
+                raw.extend(rule.check_project(parsed))
+        by_display = {src.display: src for src in parsed}
+        for finding in sorted(raw, key=_sort_key):
+            src = by_display.get(finding.path)
+            if src is not None and src.suppressed(finding):
                 report.suppressed.append(finding)
-            elif self.baseline.covers(finding):
-                matched.add(finding.fingerprint)
-                report.baselined.append(finding)
             else:
                 report.findings.append(finding)
-        # A baseline entry that no longer fires is itself a finding:
-        # the debt it grandfathered is gone, so the entry must go too.
-        analyzed = set(by_display)
-        for entry_dict in self.baseline.entries:
-            fingerprint = (entry_dict["rule"], entry_dict["path"],
-                           entry_dict["message"])
-            if fingerprint[0] not in selected or \
-                    fingerprint[1] not in analyzed or \
-                    fingerprint in matched:
-                continue
-            report.findings.append(Finding(
-                rule=META_STALE_BASELINE, path=fingerprint[1], line=1, col=0,
-                message=f"stale baseline entry: {fingerprint[0]} "
-                        f"'{fingerprint[2]}' no longer fires — delete it "
-                        "from the baseline"))
-        report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
+        report.findings.sort(key=_sort_key)
         return report

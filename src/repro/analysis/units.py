@@ -2,8 +2,8 @@
 
 The kernel clock is integer picoseconds; timing tables carry
 nanosecond floats (``t_rcd_ns``), bus rates carry ``_gbps``/``_ghz``,
-and the only sanctioned bridges are the conversion helpers declared in
-:data:`repro.config.system.TIME_UNIT_HELPERS` (``ns()`` going ns→ps,
+and the only sanctioned bridges are the kernel's conversion helpers
+listed in :data:`DEFAULT_TIME_UNIT_HELPERS` (``ns()`` going ns→ps,
 ``to_ns()`` going ps→ns). A unit slip — adding ``sim.now`` to a
 ``*_ns`` value, comparing a picosecond deadline against a nanosecond
 latency — produces plausible-looking numbers that corrupt every
@@ -20,15 +20,6 @@ derived figure, which is why the checker treats units as dimensions:
   conversion helper with the wrong input unit or binding a
   unit-suffixed name to a value of another unit. Multiplicative
   arithmetic is exempt — it legitimately changes dimension.
-
-A module may extend the helper table with its own module-level
-``TIME_UNIT_HELPERS = {"to_us": ("ps", "us")}`` literal; the analysis
-reads the declaration from the tree it is checking, so fixtures and
-the real repo are handled identically.
-
-The pass runs at fact-extraction time (:func:`unit_diagnostics`) and
-stores its verdicts in the per-file facts, so warm cached runs replay
-them without re-parsing.
 """
 
 from __future__ import annotations
@@ -36,7 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.engine import Finding, ProjectContext, Rule, register
+from repro.analysis.engine import Finding, Rule, SourceFile, register
+from repro.analysis.rules import terminal
 
 #: Identifier suffix -> unit dimension.
 UNIT_SUFFIXES: Dict[str, str] = {
@@ -44,9 +36,7 @@ UNIT_SUFFIXES: Dict[str, str] = {
     "_gbps": "gbps", "_ghz": "ghz",
 }
 
-#: Built-in conversion helpers: callee name -> (input unit, output
-#: unit). Mirrors :data:`repro.config.system.TIME_UNIT_HELPERS` (the
-#: repo's declared table; a test asserts the two stay identical).
+#: The conversion helpers: callee name -> (input unit, output unit).
 DEFAULT_TIME_UNIT_HELPERS: Dict[str, Tuple[str, str]] = {
     "ns": ("ns", "ps"),
     "to_ns": ("ps", "ns"),
@@ -66,65 +56,24 @@ def _suffix_unit(name: Optional[str]) -> Optional[str]:
     return None
 
 
-def _terminal(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _declared_helpers(tree: ast.Module) -> Dict[str, Tuple[str, str]]:
-    """Merge module-level ``TIME_UNIT_HELPERS`` literals over defaults."""
-    helpers = dict(DEFAULT_TIME_UNIT_HELPERS)
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == "TIME_UNIT_HELPERS"
-                   for t in targets):
-            continue
-        if not isinstance(value, ast.Dict):
-            continue
-        for key, val in zip(value.keys, value.values):
-            if not (isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)):
-                continue
-            if isinstance(val, (ast.Tuple, ast.List)) and \
-                    len(val.elts) == 2 and \
-                    all(isinstance(e, ast.Constant)
-                        and isinstance(e.value, str) for e in val.elts):
-                elems = [e.value for e in val.elts
-                         if isinstance(e, ast.Constant)]
-                helpers[key.value] = (str(elems[0]), str(elems[1]))
-    return helpers
+#: One unit diagnostic: (line, col, message).
+Diagnostic = Tuple[int, int, str]
 
 
 class _FunctionUnits:
     """Statement-ordered unit inference over one function body."""
 
-    def __init__(self, helpers: Dict[str, Tuple[str, str]],
-                 diagnostics: List[Dict[str, object]]) -> None:
-        self.helpers = helpers
-        self.diagnostics = diagnostics
+    def __init__(self, found: Dict[Diagnostic, None]) -> None:
+        #: diagnostics in discovery order (a dict as an ordered set: the
+        #: statement walker and binding inference evaluate the same
+        #: expression, and one diagnostic per site is enough)
+        self.found = found
         self.env: Dict[str, str] = {}
-        self._seen: set = set()
 
     # ------------------------------------------------------------------
-    def _diag(self, node: ast.AST, kind: str, message: str) -> None:
-        # The same expression is evaluated both by the statement walker
-        # and by binding inference; one diagnostic per site is enough.
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        marker = (line, col, kind, message)
-        if marker in self._seen:
-            return
-        self._seen.add(marker)
-        self.diagnostics.append({
-            "kind": kind, "message": message, "line": line, "col": col})
+    def _diag(self, node: ast.AST, message: str) -> None:
+        self.found[(getattr(node, "lineno", 1),
+                    getattr(node, "col_offset", 0), message)] = None
 
     def unit_of(self, node: ast.AST) -> Optional[str]:
         """Infer the dimension of an expression, or None if unknown."""
@@ -133,7 +82,7 @@ class _FunctionUnits:
         if isinstance(node, ast.Name):
             return self.env.get(node.id) or _suffix_unit(node.id)
         if isinstance(node, ast.Attribute):
-            if node.attr == "now" and _terminal(node.value) == "sim":
+            if node.attr == "now" and terminal(node.value) == "sim":
                 return "ps"  # kernel contract: sim.now is integer ps
             return _suffix_unit(node.attr)
         if isinstance(node, ast.UnaryOp):
@@ -152,7 +101,7 @@ class _FunctionUnits:
         if isinstance(node.op, (ast.Add, ast.Sub)):
             if left is not None and right is not None and left != right:
                 self._diag(
-                    node, "mixed-arith",
+                    node,
                     f"mixed-unit arithmetic: {left} "
                     f"{'+' if isinstance(node.op, ast.Add) else '-'} "
                     f"{right} (convert through the declared helpers "
@@ -163,14 +112,14 @@ class _FunctionUnits:
         return None
 
     def _call_unit(self, node: ast.Call) -> Optional[str]:
-        callee = _terminal(node.func)
-        if callee in self.helpers:
-            expected, produced = self.helpers[callee]
+        callee = terminal(node.func)
+        if callee in DEFAULT_TIME_UNIT_HELPERS:
+            expected, produced = DEFAULT_TIME_UNIT_HELPERS[callee]
             if node.args:
                 actual = self.unit_of(node.args[0])
                 if actual is not None and actual != expected:
                     self._diag(
-                        node, "helper-arg",
+                        node,
                         f"conversion helper {callee}() expects {expected} "
                         f"but is given a {actual} value")
             return produced
@@ -181,7 +130,7 @@ class _FunctionUnits:
                      if u is not None}
             if len(units) > 1:
                 self._diag(
-                    node, "mixed-compare",
+                    node,
                     f"{callee}() over mixed units "
                     f"({', '.join(sorted(units))}) compares "
                     "incommensurable quantities")
@@ -197,7 +146,7 @@ class _FunctionUnits:
                                        units, units[1:]):
             if lu is not None and ru is not None and lu != ru:
                 self._diag(
-                    node, "mixed-compare",
+                    node,
                     f"comparison between {lu} and {ru} values; convert "
                     "to a common unit first")
 
@@ -206,7 +155,7 @@ class _FunctionUnits:
         declared = _suffix_unit(name)
         if declared is not None and unit is not None and declared != unit:
             self._diag(
-                node, "suffix-assign",
+                node,
                 f"'{name}' declares {declared} by suffix but is assigned "
                 f"a {unit} value")
         if unit is not None:
@@ -221,9 +170,9 @@ class _FunctionUnits:
             unit = _suffix_unit(arg.arg)
             if unit is not None:
                 self.env[arg.arg] = unit
-        self._walk(fn.body)
+        self.walk(fn.body)
 
-    def _walk(self, body: List[ast.stmt]) -> None:
+    def walk(self, body: List[ast.stmt]) -> None:
         for stmt in body:
             self._statement(stmt)
 
@@ -249,7 +198,7 @@ class _FunctionUnits:
                 right = self.unit_of(stmt.value)
                 if left is not None and right is not None and left != right:
                     self._diag(
-                        stmt, "mixed-arith",
+                        stmt,
                         f"mixed-unit arithmetic: {left} "
                         f"{'+' if isinstance(stmt.op, ast.Add) else '-'}= "
                         f"{right}")
@@ -270,20 +219,18 @@ class _FunctionUnits:
                 self._call_unit(sub)  # runs the helper-arg check
 
 
-def unit_diagnostics(tree: ast.Module) -> List[Dict[str, object]]:
+def unit_diagnostics(source: SourceFile) -> List[Diagnostic]:
     """Run the unit checker over every function in a parsed module."""
-    helpers = _declared_helpers(tree)
-    diagnostics: List[Dict[str, object]] = []
-    for node in ast.walk(tree):
+    found: Dict[Diagnostic, None] = {}
+    for node in source.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _FunctionUnits(helpers, diagnostics).run(node)
+            _FunctionUnits(found).run(node)
     # Module-level statements run through a walker of their own.
-    module_walker = _FunctionUnits(helpers, diagnostics)
-    module_walker._walk([s for s in tree.body
-                         if not isinstance(s, (ast.FunctionDef,
-                                               ast.AsyncFunctionDef,
-                                               ast.ClassDef))])
-    return diagnostics
+    _FunctionUnits(found).walk([s for s in source.tree.body
+                                if not isinstance(s, (ast.FunctionDef,
+                                                      ast.AsyncFunctionDef,
+                                                      ast.ClassDef))])
+    return list(found)
 
 
 @register
@@ -292,24 +239,18 @@ class TimeUnitSoundness(Rule):
 
     id = "SIM015"
     title = "time-unit dimension checking"
-    cross_file = True
     rationale = (
         "The kernel clock is integer picoseconds; timing tables are "
         "nanosecond floats; bus rates are _gbps/_ghz. Units are "
-        "inferred from name suffixes, sim.now, and the conversion "
-        "helpers declared in repro.config.system.TIME_UNIT_HELPERS "
-        "(ns() goes ns->ps, to_ns() goes ps->ns) and propagated "
-        "through local assignments. Adding or comparing two values of "
-        "different known units — or feeding a helper the wrong input "
-        "unit — silently corrupts every latency and bandwidth figure "
-        "derived from the run, so it is a finding, not a warning.")
+        "inferred from name suffixes, sim.now, and the kernel's "
+        "conversion helpers (ns() goes ns->ps, to_ns() goes ps->ns) and "
+        "propagated through local assignments. Adding or comparing two "
+        "values of different known units — or feeding a helper the "
+        "wrong input unit — silently corrupts every latency and "
+        "bandwidth figure derived from the run, so it is a finding, not "
+        "a warning.")
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for display, facts in sorted(project.facts.items()):
-            diagnostics = facts.get("unit_diagnostics", [])
-            assert isinstance(diagnostics, list)
-            for diag in diagnostics:
-                yield Finding(
-                    rule=self.id, path=display,
-                    line=int(diag["line"]), col=int(diag["col"]),
-                    message=str(diag["message"]))
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        for line, col, message in unit_diagnostics(source):
+            yield Finding(rule=self.id, path=source.display, line=line,
+                          col=col, message=message)

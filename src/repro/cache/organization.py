@@ -24,6 +24,7 @@ design. New designs plug in here: Gemini's hybrid mapping is an
 
 from __future__ import annotations
 
+import abc
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -36,7 +37,7 @@ if TYPE_CHECKING:  # runtime import would be circular (tagstore imports us)
 # ---------------------------------------------------------------------------
 # Organization seam
 # ---------------------------------------------------------------------------
-class Organization:
+class Organization(abc.ABC):
     """Where a block may live: set indexing / way mapping / probe cost."""
 
     #: modulo indexing with one way count everywhere — lets the store
@@ -44,14 +45,14 @@ class Organization:
     uniform: bool = False
     num_sets: int = 0
 
+    @abc.abstractmethod
     def set_index(self, block: int) -> int:
         """Set that ``block`` maps to (may depend on mutable state such
         as Gemini's hotness table — resolved at call time)."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def ways_of(self, set_idx: int) -> int:
         """Way count of one set (non-uniform organizations vary it)."""
-        raise NotImplementedError
 
     def probe_cost_ps(self, set_idx: int) -> int:
         """Extra latency (ps) a controller pays to search this set's
@@ -142,7 +143,7 @@ class HybridMappingOrganization(Organization):
 # ---------------------------------------------------------------------------
 # Replacement seam
 # ---------------------------------------------------------------------------
-class ReplacementPolicy:
+class ReplacementPolicy(abc.ABC):
     """Victim choice + residency bookkeeping hooks for one tag store.
 
     The hooks are called by :class:`~repro.cache.tagstore.TagStore` at
@@ -157,17 +158,17 @@ class ReplacementPolicy:
     #: range-prewarm fast path (which materialises lines without hooks)
     tracks_residency: bool = False
 
+    @abc.abstractmethod
     def victim(self, lines: List["_Line"]) -> "_Line":
         """The line to evict from a full set."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def on_hit(self, lines: List["_Line"], line: "_Line") -> None:
         """A resident line was touched (probe hit or rewrite)."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def on_install(self, lines: List["_Line"], line: "_Line") -> None:
         """A new line entered the set (must add it to ``lines``)."""
-        raise NotImplementedError
 
     def on_evict(self, line: "_Line") -> None:
         """A line left the store (eviction, invalidate, RAS drop)."""

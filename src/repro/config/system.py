@@ -13,7 +13,7 @@ restores the full-size geometry for users with patience.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.dram.address import DramGeometry
 from repro.dram.timing import (
@@ -39,22 +39,13 @@ PAPER_CACHE_BYTES = 8 * GIB
 #: Observability-only fields: knobs a simulation may *read* without the
 #: campaign cache key covering them, because they cannot change any
 #: result — only where side artifacts land. Every entry carries the
-#: reason; the SIM014 cache-key soundness prover validates this table
-#: (unknown fields and empty reasons are findings) and treats anything
-#: not listed here as result-affecting.
+#: reason. ``tests/test_campaign.py`` perturbs every ``SystemConfig``
+#: and ``CampaignTask`` field and requires the task key to change for
+#: each one except exactly these (unknown fields and empty reasons fail
+#: it too).
 OBS_ONLY: Dict[str, str] = {
     "trace_dir": "per-host scratch path for trace artifacts; results "
                  "are byte-identical wherever traces are written",
-}
-
-#: Declared time-unit conversion helpers for the SIM015 dimension
-#: checker: ``{callable_name: (argument_unit, result_unit)}``. The
-#: kernel's ``ns()`` converts wall-number nanoseconds to integer
-#: picoseconds and ``to_ns()`` inverts it; SIM015 flags arithmetic that
-#: mixes units without passing through one of these.
-TIME_UNIT_HELPERS: Dict[str, Tuple[str, str]] = {
-    "ns": ("ns", "ps"),
-    "to_ns": ("ps", "ns"),
 }
 
 

@@ -14,6 +14,7 @@ DramChannel` sees every committed command. Two implementations ship:
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -38,11 +39,12 @@ class CommandRecord:
         return to_ns(self.time_ps)
 
 
-class ChannelObserver:
+class ChannelObserver(abc.ABC):
     """Interface: override :meth:`on_command`."""
 
+    @abc.abstractmethod
     def on_command(self, record: CommandRecord) -> None:
-        raise NotImplementedError
+        """Observe one committed channel command."""
 
 
 class CommandLog(ChannelObserver):

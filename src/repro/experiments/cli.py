@@ -107,9 +107,9 @@ _CONTEXT_FIGURES: Dict[str, Callable] = {
 }
 
 #: One-line summary per registered design, shown by ``tdram-repro list``.
-#: Lint rule SIM013 (dead-design guard) fails the build if this table
-#: and ``repro.cache.DESIGNS`` ever disagree — every design a campaign
-#: can run must be discoverable from the CLI, and vice versa.
+#: ``tests/test_cli.py`` fails if this table and ``repro.cache.DESIGNS``
+#: ever disagree — every design a campaign can run must be
+#: discoverable from the CLI, and vice versa.
 _DESIGN_SUMMARIES: Dict[str, str] = {
     "cascade_lake": "tags in ECC bits, direct-mapped (paper baseline)",
     "alloy": "tag+data TAD in one 80 B burst",

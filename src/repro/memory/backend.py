@@ -42,9 +42,10 @@ MEMORY_BACKENDS = ("ddr5", "pcm_like", "cxl_like")
 #: Every counter/snapshot key a backend may expose through
 #: :meth:`MemoryBackend.snapshot` (-> ``RunResult.backend`` and the
 #: ``mm.backend.*`` rows of ``dump_stats``). The ``_COUNTERS`` suffix
-#: makes this the SIM006 declaration registry for these names, and
-#: ``tools/check.py --only metrics`` requires a ``docs/metrics.md`` row
-#: for each one.
+#: makes this the SIM006 declaration registry for these names,
+#: ``tests/test_backends.py`` requires backend snapshots to emit exactly
+#: these names, and ``tools/check.py --only metrics`` requires a
+#: ``docs/metrics.md`` row for each one.
 BACKEND_COUNTERS = (
     "mshr_inserts",      # pcm: new MSHR allocated for a read
     "mshr_coalesced",    # pcm: read merged into an in-flight MSHR

@@ -25,6 +25,7 @@ must honour:
 
 from __future__ import annotations
 
+import abc
 import os
 from pathlib import Path
 from typing import Optional
@@ -46,7 +47,7 @@ def quarantine_entry(path: Path) -> Optional[Path]:
     return target
 
 
-class ResultStore:
+class ResultStore(abc.ABC):
     """Abstract content-addressed store of run results.
 
     Keys are SHA-256 hexdigests (see
@@ -63,14 +64,15 @@ class ResultStore:
     #: entries found corrupt and quarantined (counted, never silent)
     corrupt: int = 0
 
+    @abc.abstractmethod
     def get(self, key: str):
         """Return the stored result for ``key`` or ``None``.
 
         Implementations must quarantine-and-count undecodable entries
         rather than raising or silently missing.
         """
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def put(self, key: str, result, task=None):
         """Atomically store ``result`` under ``key``.
 
@@ -78,7 +80,7 @@ class ResultStore:
         beside the result. May raise ``OSError`` on storage failure —
         callers are expected to degrade gracefully.
         """
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def __contains__(self, key: str) -> bool:
-        raise NotImplementedError
+        """Whether an entry is stored under ``key`` (``get`` decodes it)."""

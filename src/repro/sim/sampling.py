@@ -13,10 +13,10 @@ reports not just an estimate but how much to trust it.
 This module holds the pieces that are independent of the experiment
 runner: the :class:`SamplingConfig` knob set (a ``SystemConfig`` field,
 so every knob participates in the campaign cache key automatically —
-the SIM014 prover checks that), the window :func:`plan`, the
-:func:`functional_fastforward` architectural replay, and the
-:func:`estimate` confidence-interval calculator (stdlib-only Student-t,
-no scipy). Orchestration lives in
+``tests/test_campaign.py`` checks every leaf field), the window
+:func:`plan`, the :func:`functional_fastforward` architectural replay,
+and the :func:`estimate` confidence-interval calculator (stdlib-only
+Student-t, no scipy). Orchestration lives in
 :func:`repro.experiments.runner.run_experiment`, which switches to the
 sampled path when ``config.sampling.enabled`` is set; results land on
 ``RunResult.sampling`` (mean, half-width, coverage, window count per

@@ -152,12 +152,13 @@ def run_determinism_check(demands_per_core: int = 150,
                           seed: int = 11) -> List[CheckResult]:
     """Dynamic determinism gate: the same seed must reproduce bit-identically.
 
-    The static rules SIM001/SIM002 (no wall-clock, no unseeded
-    randomness; see docs/static-analysis.md) make this property likely;
-    this check *measures* it: one short synthetic workload is simulated
-    twice with identical inputs and every deterministic output surface —
-    counters, dispatched-event count, runtime, and the epoch time
-    series — must match exactly. Exposed as ``tdram-repro selfcheck
+    The static rules SIM001/SIM002/SIM008 (no wall-clock, no unseeded
+    randomness, no set-order iteration; see docs/static-analysis.md)
+    make this property likely; this check *measures* it: one short
+    synthetic workload is simulated twice with identical inputs and
+    every deterministic output surface — counters, dispatched-event
+    count, runtime, and the epoch time series — must match exactly.
+    Exposed as ``tdram-repro selfcheck
     --determinism`` and relied on by the campaign result cache (a cache
     hit asserts a re-run would have produced the same bytes).
     """

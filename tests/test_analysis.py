@@ -1,9 +1,8 @@
 """Tests for the static-analysis engine (repro.analysis).
 
 Each rule gets positive (flagged) and negative (clean) fixture
-snippets; the engine-level features — noqa suppressions, the committed
-baseline, cross-file passes, CLI exit codes — are exercised end to end
-on temporary trees.
+snippets; the engine-level features — noqa suppressions, cross-file
+passes, CLI exit codes — are exercised end to end on temporary trees.
 """
 
 from __future__ import annotations
@@ -13,19 +12,17 @@ from textwrap import dedent
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, BASELINE_RULES
+from repro.analysis import Analyzer
 from repro.analysis.cli import main as lint_main
-from repro.errors import ConfigError
 
 
-def lint(tmp_path, files, select=None, baseline=None):
+def lint(tmp_path, files, select=None):
     """Write fixture files under tmp_path and run the analyzer."""
     for rel, text in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(dedent(text), encoding="utf-8")
-    analyzer = Analyzer(select=select, baseline=baseline)
-    return analyzer.run([str(tmp_path)])
+    return Analyzer(select=select).run([str(tmp_path)])
 
 
 def rules_of(report):
@@ -194,39 +191,6 @@ class TestMutableDefaults:
 
 
 # ----------------------------------------------------------------------
-# SIM005 - config mutation
-# ----------------------------------------------------------------------
-class TestConfigMutation:
-    def test_flags_attribute_assignment(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def handler(self):
-                self.config.cores = 4
-            """}, select=["SIM005"])
-        assert rules_of(report) == ["SIM005"]
-
-    def test_flags_object_setattr(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def handler(config):
-                object.__setattr__(config, "cores", 4)
-            """}, select=["SIM005"])
-        assert rules_of(report) == ["SIM005"]
-
-    def test_with_underscore_update_clean(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def derive(config):
-                return config.with_(cores=4)
-            """}, select=["SIM005"])
-        assert report.ok
-
-    def test_config_package_exempt(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/config/system.py": """\
-            def thaw(config):
-                object.__setattr__(config, "cores", 4)
-            """}, select=["SIM005"])
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
 # SIM006 - counter reads declared (cross-file)
 # ----------------------------------------------------------------------
 class TestCountersDeclared:
@@ -378,307 +342,109 @@ class TestSetIteration:
 
 
 # ----------------------------------------------------------------------
-# SIM009 - obs/ras docstrings
-# ----------------------------------------------------------------------
-class TestPublicDocstrings:
-    def test_flags_missing_docstring_in_obs(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/obs/widget.py": '''\
-            """Module docstring."""
-            def public_api():
-                return 1
-            '''}, select=["SIM009"])
-        assert rules_of(report) == ["SIM009"]
-        assert "public_api" in report.findings[0].message
-
-    def test_private_and_documented_clean(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/ras/widget.py": '''\
-            """Module docstring."""
-            def public_api():
-                """Documented."""
-            def _private():
-                return 1
-            '''}, select=["SIM009"])
-        assert report.ok
-
-    def test_other_packages_out_of_scope(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/cache/widget.py": """\
-            def public_api():
-                return 1
-            """}, select=["SIM009"])
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
-# SIM010 - print in library code
-# ----------------------------------------------------------------------
-class TestNoPrint:
-    def test_flags_print(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def debug(x):
-                print(x)
-            """}, select=["SIM010"])
-        assert rules_of(report) == ["SIM010"]
-
-    def test_cli_module_exempt(self, tmp_path):
-        report = lint(tmp_path, {"cli.py": """\
-            def main():
-                print("hello")
-            """}, select=["SIM010"])
-        assert report.ok
-
-    def test_docstring_example_not_flagged(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": '''\
-            def render(bar):
-                """Render.
-
-                >>> print(render(None))  # doctest example, not a call
-                """
-                return str(bar)
-            '''}, select=["SIM010"])
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
-# SIM011 - closure allocation on dispatch paths
-# ----------------------------------------------------------------------
-class TestNoClosureOnDispatchPath:
-    def test_flags_lambda_in_sim_at(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/cache/ctl.py": """\
-            def issue(sim, block):
-                sim.at(100, lambda: writeback(block))
-            """}, select=["SIM011"])
-        assert rules_of(report) == ["SIM011"]
-        assert "lambda" in report.findings[0].message
-
-    def test_flags_lambda_in_schedule(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/dram/dev.py": """\
-            def retry(self, delay):
-                self.sim.schedule(delay, lambda: self.kick())
-            """}, select=["SIM011"])
-        assert rules_of(report) == ["SIM011"]
-
-    def test_flags_partial_in_schedule(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/sim/aux.py": """\
-            from functools import partial
-            def retry(sim, delay, block):
-                sim.schedule(delay, partial(kick, block))
-            """}, select=["SIM011"])
-        assert rules_of(report) == ["SIM011"]
-        assert "partial" in report.findings[0].message
-
-    def test_handle_args_form_is_clean(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/cache/ctl.py": """\
-            def issue(self, end, block):
-                self.sim.at(end, self._writeback, block)
-            """}, select=["SIM011"])
-        assert report.ok
-
-    def test_other_packages_exempt(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/experiments/sweep.py": """\
-            def plan(sim):
-                sim.at(0, lambda: None)
-            """}, select=["SIM011"])
-        assert report.ok
-
-    def test_bare_name_call_not_a_scheduler(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/cache/util.py": """\
-            def at(t, fn):
-                return (t, fn)
-            def use():
-                return at(0, lambda: None)
-            """}, select=["SIM011"])
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
 # Engine: suppressions
 # ----------------------------------------------------------------------
 class TestSuppressions:
+    DRAW = """\
+        import random
+        def jitter():
+            return random.random()  {comment}
+        """
+
+    def lint_draw(self, tmp_path, comment):
+        return lint(tmp_path, {"mod.py": self.DRAW.format(comment=comment)},
+                    select=["SIM002"])
+
     def test_noqa_with_rule_and_reason_suppresses(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def debug(x):
-                print(x)  # tdram: noqa[SIM010] -- debugging aid kept on purpose
-            """}, select=["SIM010"])
+        report = self.lint_draw(
+            tmp_path, "# tdram: noqa[SIM002] -- fixture draw kept on purpose")
         assert report.ok
         assert len(report.suppressed) == 1
 
     def test_noqa_for_other_rule_does_not_suppress(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def debug(x):
-                print(x)  # tdram: noqa[SIM001] -- wrong rule listed
-            """}, select=["SIM010"])
-        assert rules_of(report) == ["SIM010"]
+        report = self.lint_draw(
+            tmp_path, "# tdram: noqa[SIM001] -- wrong rule listed")
+        assert rules_of(report) == ["SIM002"]
 
     def test_bare_noqa_is_its_own_finding(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def debug(x):
-                print(x)  # tdram: noqa
-            """}, select=["SIM010"])
-        assert sorted(rules_of(report)) == ["LNT000", "SIM010"]
+        report = self.lint_draw(tmp_path, "# tdram: noqa")
+        assert sorted(rules_of(report)) == ["LNT000", "SIM002"]
 
     def test_noqa_without_reason_is_its_own_finding(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def debug(x):
-                print(x)  # tdram: noqa[SIM010]
-            """}, select=["SIM010"])
+        report = self.lint_draw(tmp_path, "# tdram: noqa[SIM002]")
         assert "LNT000" in rules_of(report)
 
     def test_pattern_inside_docstring_ignored(self, tmp_path):
         report = lint(tmp_path, {"mod.py": '''\
             """Explains the grammar: # tdram: noqa means nothing here."""
-            '''}, select=["SIM010"])
+            '''}, select=["SIM002"])
         assert report.ok
 
     def test_syntax_error_reported_not_crashed(self, tmp_path):
         report = lint(tmp_path, {"mod.py": "def broken(:\n"},
-                      select=["SIM010"])
+                      select=["SIM002"])
         assert rules_of(report) == ["LNT001"]
-
-
-# ----------------------------------------------------------------------
-# Engine: baseline semantics
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def _dead_knob_files(self):
-        return {
-            "conf.py": """\
-                from dataclasses import dataclass
-                @dataclass
-                class FooConfig:
-                    unused_knob: int = 64
-                """,
-        }
-
-    def test_baselined_finding_does_not_fail(self, tmp_path):
-        first = lint(tmp_path, self._dead_knob_files(), select=["SIM007"])
-        assert len(first.findings) == 1
-        entry = first.findings[0]
-        baseline = Baseline([{
-            "rule": entry.rule, "path": entry.path,
-            "message": entry.message, "justification": "kept for fidelity",
-        }], allowed_rules=set(BASELINE_RULES))
-        second = Analyzer(select=["SIM007"], baseline=baseline) \
-            .run([str(tmp_path)])
-        assert second.ok
-        assert len(second.baselined) == 1
-
-    def test_baseline_rejects_per_file_rules(self):
-        with pytest.raises(ConfigError):
-            Baseline([{"rule": "SIM010", "path": "x.py", "message": "m",
-                       "justification": "j"}],
-                     allowed_rules=set(BASELINE_RULES))
-
-    def test_baseline_requires_justification(self):
-        with pytest.raises(ConfigError):
-            Baseline([{"rule": "SIM007", "path": "x.py", "message": "m",
-                       "justification": "  "}],
-                     allowed_rules=set(BASELINE_RULES))
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert baseline.entries == []
 
 
 # ----------------------------------------------------------------------
 # CLI: exit codes and output modes
 # ----------------------------------------------------------------------
+UNSEEDED = "import random\ndef f():\n    return random.random()\n"
+
+
 class TestCli:
     def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("def f(x):\n    return x\n")
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 0
+        assert lint_main([str(tmp_path)]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("def f(x):\n    print(x)\n")
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 1
-        assert "SIM010" in capsys.readouterr().out
+        (tmp_path / "bad.py").write_text(UNSEEDED)
+        assert lint_main([str(tmp_path)]) == 1
+        assert "SIM002" in capsys.readouterr().out
 
     def test_exit_two_on_unknown_rule(self, tmp_path, capsys):
         assert lint_main([str(tmp_path), "--select", "SIM999"]) == 2
 
-    def test_exit_two_on_bad_baseline(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"entries": [
-            {"rule": "SIM010", "path": "x", "message": "m",
-             "justification": "j"}]}))
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert lint_main([str(tmp_path), "--baseline", str(bad)]) == 2
-
     def test_json_output_schema(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("def f(x):\n    print(x)\n")
-        assert lint_main([str(tmp_path), "--no-baseline", "--json"]) == 1
+        (tmp_path / "bad.py").write_text(UNSEEDED)
+        assert lint_main([str(tmp_path), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["files"] == 1
-        assert payload["findings"][0]["rule"] == "SIM010"
+        assert payload["findings"][0]["rule"] == "SIM002"
         assert {"path", "line", "col", "message"} <= \
             set(payload["findings"][0])
 
     def test_list_rules_catalogue(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for n in range(1, 11):
-            assert f"SIM{n:03d}" in out
-
-    def test_write_baseline_refuses_per_file_rules(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("def f(x):\n    print(x)\n")
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(tmp_path), "--baseline", str(baseline),
-                          "--write-baseline"]) == 2
-        assert not baseline.exists()
-
-    def test_write_baseline_roundtrip(self, tmp_path, capsys):
-        (tmp_path / "conf.py").write_text(dedent("""\
-            from dataclasses import dataclass
-            @dataclass
-            class FooConfig:
-                unused_knob: int = 64
-            """))
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(tmp_path), "--baseline", str(baseline),
-                          "--write-baseline"]) == 0
-        assert baseline.exists()
-        # FIXME justifications must be edited before the file loads.
-        with pytest.raises(ConfigError):
-            Baseline.load(baseline, allowed_rules=set(BASELINE_RULES))
-        payload = json.loads(baseline.read_text())
-        payload["entries"][0]["justification"] = "documented fidelity knob"
-        baseline.write_text(json.dumps(payload))
-        assert lint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("SIM")]
+        assert listed == ["SIM001", "SIM002", "SIM003", "SIM004", "SIM006",
+                          "SIM007", "SIM008", "SIM012", "SIM015"]
 
     def test_tdram_repro_lint_subcommand(self, tmp_path, capsys):
         from repro.experiments.cli import main as cli_main
 
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert cli_main(["lint", str(tmp_path), "--no-baseline"]) == 0
+        assert cli_main(["lint", str(tmp_path)]) == 0
 
 
 # ----------------------------------------------------------------------
 # The repository itself stays clean
 # ----------------------------------------------------------------------
 class TestRepositoryClean:
-    def test_src_repro_lints_clean_against_committed_baseline(self):
+    def test_src_repro_lints_clean(self):
         import repro
 
         from pathlib import Path
 
         src = Path(repro.__file__).resolve().parent
-        root = src.parent.parent
-        baseline = Baseline.load(root / "tools" / "lint_baseline.json",
-                                 allowed_rules=set(BASELINE_RULES))
-        report = Analyzer(baseline=baseline).run([str(src)])
+        report = Analyzer().run([str(src)])
         assert report.ok, "\n" + report.render()
-
-    def test_committed_baseline_only_cross_file_rules(self):
-        import repro
-
-        from pathlib import Path
-
-        root = Path(repro.__file__).resolve().parent.parent.parent
-        baseline = Baseline.load(root / "tools" / "lint_baseline.json",
-                                 allowed_rules=set(BASELINE_RULES))
-        for entry in baseline.entries:
-            assert entry["rule"] in BASELINE_RULES
-            assert entry["justification"].strip()
+        # The only exemptions: the kernel profiler's two host-clock reads.
+        assert [(f.rule, f.path.rsplit("repro/", 1)[-1])
+                for f in report.suppressed] == [("SIM001", "sim/kernel.py")] * 2
 
 
 # ----------------------------------------------------------------------
@@ -746,46 +512,4 @@ class TestSilentExceptionSwallow:
                 except Exception:  # tdram: noqa[SIM012] -- probe only
                     pass
             """}, select=["SIM012"])
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
-# SIM013 - design registry vs CLI design table (cross-file)
-# ----------------------------------------------------------------------
-class TestDesignsRegisteredInCli:
-    @staticmethod
-    def _tree(registry_keys, table_keys):
-        registry = ", ".join(f'"{k}": object' for k in registry_keys)
-        table = ", ".join(f'"{k}": "summary"' for k in table_keys)
-        return {
-            "src/repro/cache/__init__.py":
-                f"DESIGNS = {{{registry}}}\n",
-            "src/repro/experiments/cli.py":
-                f"_DESIGN_SUMMARIES = {{{table}}}\n",
-        }
-
-    def test_matching_tables_are_clean(self, tmp_path):
-        report = lint(tmp_path, self._tree(["tdram", "alloy"],
-                                           ["tdram", "alloy"]),
-                      select=["SIM013"])
-        assert report.ok
-
-    def test_registered_design_missing_from_cli(self, tmp_path):
-        report = lint(tmp_path, self._tree(["tdram", "alloy"], ["tdram"]),
-                      select=["SIM013"])
-        assert rules_of(report) == ["SIM013"]
-        assert "'alloy'" in report.findings[0].message
-        assert "undiscoverable" in report.findings[0].message
-
-    def test_cli_entry_missing_from_registry(self, tmp_path):
-        report = lint(tmp_path, self._tree(["tdram"], ["tdram", "ghost"]),
-                      select=["SIM013"])
-        assert rules_of(report) == ["SIM013"]
-        assert "'ghost'" in report.findings[0].message
-        assert "reject" in report.findings[0].message
-
-    def test_inert_when_one_side_missing(self, tmp_path):
-        report = lint(tmp_path, {
-            "src/repro/cache/__init__.py": 'DESIGNS = {"tdram": object}\n',
-        }, select=["SIM013"])
         assert report.ok

@@ -4,12 +4,13 @@ The organization/replacement refactor must be invisible to every
 pre-existing design: ``TestBitIdentity`` runs each one through
 ``run_experiment`` twice — seamed :class:`TagStore` vs the frozen
 :class:`ReferenceTagStore` — and requires ``dataclasses.asdict``
-equality of the *full* :class:`RunResult`. The remaining classes pin
-the seam pieces in isolation (LRU order, hybrid set math, SRAM tag
-cache, dirty-region list, TicToc mirrors) and the hot-path/accounting
-fixes that rode along: ``fill``'s single-walk stale-drop semantics,
-ECC decode counts balancing across the probe→install pair, and the
-zero-demand breakdown convention.
+equality of the *full* :class:`RunResult`. ``TestHookContracts``
+checks that the plugin bases refuse a half-implemented subclass at
+construction. The remaining classes pin the seam pieces in isolation
+(LRU order, hybrid set math, SRAM tag cache, dirty-region list, TicToc
+mirrors) and the hot-path/accounting fixes that rode along: ``fill``'s
+single-walk stale-drop semantics, ECC decode counts balancing across
+the probe→install pair, and the zero-demand breakdown convention.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from repro.cache.organization import (
     DirtyRegionList,
     HybridMappingOrganization,
     LruPolicy,
+    Organization,
+    ReplacementPolicy,
     SetAssociativeOrganization,
     SramTagCache,
     TictocPolicy,
@@ -31,8 +34,10 @@ from repro.cache.reference_tagstore import ReferenceTagStore
 from repro.cache.request import Outcome
 from repro.cache.tagstore import TagStore
 from repro.config.system import SystemConfig
+from repro.dram.monitor import ChannelObserver
 from repro.errors import ConfigError
 from repro.experiments.runner import run_experiment
+from repro.resilience.store import ResultStore
 from repro.stats.counters import RasCounters
 
 #: every design that existed before the seam — each must be bit-
@@ -89,6 +94,24 @@ class TestNewDesigns:
                        + result.events.get("tictoc_bypass_reads", 0)
                        + result.events.get("tictoc_direct_writes", 0))
         assert tag_traffic > 0
+
+
+# ---------------------------------------------------------------------------
+# Plugin seams refuse half-implemented subclasses at construction
+# ---------------------------------------------------------------------------
+class TestHookContracts:
+    HOOKS = {
+        Organization: {"set_index", "ways_of"},
+        ReplacementPolicy: {"victim", "on_hit", "on_install"},
+        ChannelObserver: {"on_command"},
+        ResultStore: {"get", "put", "__contains__"},
+    }
+
+    @pytest.mark.parametrize("base", list(HOOKS), ids=lambda b: b.__name__)
+    def test_missing_hook_fails_at_construction(self, base):
+        assert base.__abstractmethods__ == self.HOOKS[base]
+        with pytest.raises(TypeError, match="abstract"):
+            type("HalfImplemented", (base,), {})()
 
 
 # ---------------------------------------------------------------------------

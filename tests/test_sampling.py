@@ -13,8 +13,8 @@ Three contracts under test:
   workloads where sampling is sound (see docs/faq.md).
 * **Cache soundness** — every sampling knob participates in the
   campaign cache key, so a sampled result can never be served for an
-  exact request. SIM014 proves the general rule; these
-  tests pin the specific fields.
+  exact request. ``tests/test_campaign.py`` checks the general rule
+  over every config field; these tests pin the specific fields.
 """
 
 from __future__ import annotations

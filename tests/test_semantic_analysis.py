@@ -1,260 +1,28 @@
-"""Tests for the semantic analysis passes (SIM014–SIM018 + engine).
+"""Tests for the time-unit checker (SIM015) and noqa edge cases.
 
-The dataflow/call-graph layers and the five newest rules get synthetic
-fixture trees (planted unkeyed knobs, mixed-unit arithmetic, rogue
-backend counters, half-implemented plugins); the engine features — the
-content-hash analysis cache, stale-baseline detection, SARIF output,
-``--explain`` — are exercised end to end.
+The unit checker gets synthetic fixtures (mixed-unit arithmetic and
+comparisons, helpers fed the wrong unit, suffix mismatches); the noqa
+cases cover multi-rule suppressions and suppressing a cross-file
+finding.
 """
 
 from __future__ import annotations
 
-import ast
-import json
 from textwrap import dedent
 
-import pytest
-
-from repro.analysis import AnalysisCache, Analyzer, Baseline
-from repro.analysis.callgraph import build_graph
-from repro.analysis.cli import main as lint_main
-from repro.analysis.dataflow import extract
-from repro.analysis.units import DEFAULT_TIME_UNIT_HELPERS
+from repro.analysis import Analyzer
 
 
-def write_tree(tmp_path, files):
+def lint(tmp_path, files, select=None):
     for rel, text in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(dedent(text), encoding="utf-8")
-
-
-def lint(tmp_path, files, select=None, baseline=None, cache=None):
-    write_tree(tmp_path, files)
-    analyzer = Analyzer(select=select, baseline=baseline, cache=cache)
-    return analyzer.run([str(tmp_path)])
+    return Analyzer(select=select).run([str(tmp_path)])
 
 
 def rules_of(report):
     return [f.rule for f in report.findings]
-
-
-# A minimal tree the cache-key prover engages with: a SystemConfig
-# dataclass, a cache_key() whose payload keys an explicit field subset,
-# and an OBS_ONLY declaration.
-def prover_tree(payload_line, obs_only='{"trace_dir": "scratch path"}',
-                extra=""):
-    return {
-        "src/repro/config/system.py": dedent(f"""\
-            from dataclasses import dataclass
-
-            OBS_ONLY = {obs_only}
-
-            @dataclass(frozen=True)
-            class SystemConfig:
-                cache_ways: int = 1
-                secret_knob: int = 3
-                trace_dir: str = ""
-            """),
-        "src/repro/experiments/campaign.py": dedent(f"""\
-            def cache_key(design, config, seed):
-                payload = {{"design": design,
-                           {payload_line}
-                           "seed": seed}}
-                return str(payload)
-            """) + dedent(extra),
-    }
-
-
-# ----------------------------------------------------------------------
-# Call graph
-# ----------------------------------------------------------------------
-class TestCallGraph:
-    def graph(self, tmp_path, files):
-        write_tree(tmp_path, files)
-        facts = {}
-        for path in sorted(tmp_path.rglob("*.py")):
-            modkey = path.stem
-            facts[str(path)] = extract(
-                ast.parse(path.read_text(encoding="utf-8")), modkey)
-        return build_graph(facts)
-
-    def test_inactive_without_dispatch_roots(self, tmp_path):
-        graph = self.graph(tmp_path, {"mod.py": """\
-            def helper():
-                return 1
-            """})
-        assert not graph.active
-
-    def test_simulator_run_seeds_reachability(self, tmp_path):
-        graph = self.graph(tmp_path, {"kernel.py": """\
-            class Device:
-                def step(self):
-                    self.tick()
-                def tick(self):
-                    return 1
-
-            class Simulator:
-                def __init__(self, config):
-                    self.device = Device()
-                def run(self):
-                    self.device.step()
-
-            def orchestrate():
-                return "host side"
-            """})
-        assert graph.active
-        assert graph.is_reachable("kernel", "Simulator.run")
-        assert graph.is_reachable("kernel", "Device.step")
-        assert graph.is_reachable("kernel", "Device.tick")
-        assert not graph.is_reachable("kernel", "orchestrate")
-
-    def test_scheduled_callback_is_a_root(self, tmp_path):
-        graph = self.graph(tmp_path, {"kernel.py": """\
-            class Simulator:
-                def run(self):
-                    pass
-
-            def on_fire():
-                deep()
-
-            def deep():
-                return 2
-
-            def host(sim):
-                sim.at(10, on_fire)
-            """})
-        assert graph.is_reachable("kernel", "on_fire")
-        assert graph.is_reachable("kernel", "deep")
-        assert not graph.is_reachable("kernel", "host")
-
-    def test_dispatch_table_instantiation(self, tmp_path):
-        graph = self.graph(tmp_path, {"kernel.py": """\
-            class TdramCache:
-                def __init__(self):
-                    self.prime()
-                def prime(self):
-                    return 1
-
-            DESIGNS = {"tdram": TdramCache}
-
-            class Simulator:
-                def run(self):
-                    cache = DESIGNS["tdram"]()
-            """})
-        assert graph.is_reachable("kernel", "TdramCache.__init__")
-        assert graph.is_reachable("kernel", "TdramCache.prime")
-
-
-# ----------------------------------------------------------------------
-# SIM014 - cache-key soundness
-# ----------------------------------------------------------------------
-class TestCacheKeySoundness:
-    def test_planted_unkeyed_knob_is_caught(self, tmp_path):
-        files = prover_tree(
-            '"config": {"cache_ways": config.cache_ways},',
-            extra="""\
-            def consume(config):
-                return config.secret_knob * 2
-            """)
-        report = lint(tmp_path, files, select=["SIM014"])
-        assert rules_of(report) == ["SIM014"]
-        assert "SystemConfig.secret_knob" in report.findings[0].message
-
-    def test_full_canonical_payload_keys_every_field(self, tmp_path):
-        files = prover_tree(
-            '"config": _canonical(config),',
-            extra="""\
-            def _canonical(value):
-                return value
-
-            def consume(config):
-                return config.secret_knob * 2
-            """)
-        report = lint(tmp_path, files, select=["SIM014"])
-        assert report.ok
-
-    def test_obs_only_excuses_a_read(self, tmp_path):
-        files = prover_tree(
-            '"config": {"cache_ways": config.cache_ways},',
-            obs_only='{"trace_dir": "scratch path",'
-                     ' "secret_knob": "display only"}',
-            extra="""\
-            def consume(config):
-                return config.secret_knob * 2
-            """)
-        report = lint(tmp_path, files, select=["SIM014"])
-        assert report.ok
-
-    def test_stale_and_reasonless_obs_only_entries(self, tmp_path):
-        files = prover_tree(
-            '"config": {"cache_ways": config.cache_ways},',
-            obs_only='{"ghost": "gone", "trace_dir": ""}')
-        report = lint(tmp_path, files, select=["SIM014"])
-        messages = " | ".join(f.message for f in report.findings)
-        assert "'ghost'" in messages and "neither" in messages
-        assert "'trace_dir' has no reason" in messages
-
-    def test_host_side_read_not_flagged_when_graph_active(self, tmp_path):
-        files = prover_tree(
-            '"config": {"cache_ways": config.cache_ways},',
-            extra="""\
-            class Simulator:
-                def run(self):
-                    pass
-
-            def host_report(config):
-                return config.secret_knob
-            """)
-        report = lint(tmp_path, files, select=["SIM014"])
-        assert report.ok
-
-    def test_sim_reachable_read_flagged_when_graph_active(self, tmp_path):
-        files = prover_tree(
-            '"config": {"cache_ways": config.cache_ways},',
-            extra="""\
-            class Device:
-                def __init__(self, config):
-                    self.config = config
-                def step(self):
-                    return self.config.secret_knob
-
-            class Simulator:
-                def __init__(self, config):
-                    self.device = Device(config)
-                def run(self):
-                    self.device.step()
-            """)
-        report = lint(tmp_path, files, select=["SIM014"])
-        assert rules_of(report) == ["SIM014"]
-        assert "secret_knob" in report.findings[0].message
-
-    def test_task_field_missing_from_key_call(self, tmp_path):
-        files = prover_tree('"config": _canonical(config),', extra="""\
-            from dataclasses import dataclass
-
-            def _canonical(value):
-                return value
-
-            @dataclass(frozen=True)
-            class CampaignTask:
-                design: str
-                seed: int
-                extra_tag: str
-
-                def key(self):
-                    return cache_key(self.design, self.config, self.seed)
-            """)
-        report = lint(tmp_path, files, select=["SIM014"])
-        assert rules_of(report) == ["SIM014"]
-        assert "CampaignTask.extra_tag" in report.findings[0].message
-
-    def test_inert_without_the_invariant(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def read(config):
-                return config.depth
-            """}, select=["SIM014"])
-        assert report.ok
 
 
 # ----------------------------------------------------------------------
@@ -323,253 +91,33 @@ class TestTimeUnits:
             """}, select=["SIM015"])
         assert report.ok
 
-    def test_module_extends_helper_table(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            TIME_UNIT_HELPERS = {"to_us": ("ps", "us")}
-
-            def convert(start_ns):
-                return to_us(start_ns)
-            """}, select=["SIM015"])
-        assert rules_of(report) == ["SIM015"]
-        assert "expects ps" in report.findings[0].message
-
-    def test_default_table_mirrors_declared_table(self):
-        from repro.config.system import TIME_UNIT_HELPERS
-
-        assert DEFAULT_TIME_UNIT_HELPERS == TIME_UNIT_HELPERS
-
 
 # ----------------------------------------------------------------------
-# SIM016 - orphan counters
-# ----------------------------------------------------------------------
-class TestOrphanCounters:
-    def test_flags_write_only_counter(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def record(events):
-                events.add("ghost_metric")
-            """}, select=["SIM016"])
-        assert rules_of(report) == ["SIM016"]
-        assert "ghost_metric" in report.findings[0].message
-
-    def test_literal_read_surfaces(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            def record(events):
-                events.add("busy")
-                return events["busy"]
-            """}, select=["SIM016"])
-        assert report.ok
-
-    def test_declaring_constant_surfaces(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            FLUSH_COUNTERS = ("busy", "idle")
-
-            def record(events):
-                events.add("busy")
-            """}, select=["SIM016"])
-        assert report.ok
-
-    def test_metrics_doc_row_surfaces(self, tmp_path):
-        report = lint(tmp_path, {
-            "src/repro/core/mod.py": """\
-                def record(events):
-                    events.add("documented_metric")
-                """,
-            "docs/metrics.md": "* **`documented_metric`** - a row\n",
-        }, select=["SIM016"])
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
-# SIM017 - backend counter registry
-# ----------------------------------------------------------------------
-class TestBackendCounters:
-    BACKEND_BASE = """\
-        BACKEND_COUNTERS = ("mshr_inserts", "wq_drains")
-
-        class MemoryBackend:
-            def access(self, op):
-                raise NotImplementedError
-        """
-
-    def test_unregistered_counter_is_caught(self, tmp_path):
-        report = lint(tmp_path, {
-            "backend.py": self.BACKEND_BASE,
-            "exotic.py": """\
-                from backend import MemoryBackend
-
-                class ExoticBackend(MemoryBackend):
-                    def access(self, op):
-                        self.counters.add("rogue_counter")
-
-                    def snapshot(self):
-                        return {"mshr_inserts": 1}
-                """,
-        }, select=["SIM017"])
-        assert rules_of(report) == ["SIM017"]
-        assert "rogue_counter" in report.findings[0].message
-        assert "ExoticBackend" in report.findings[0].message
-
-    def test_registered_counters_and_snapshot_keys_clean(self, tmp_path):
-        report = lint(tmp_path, {
-            "backend.py": self.BACKEND_BASE,
-            "good.py": """\
-                from backend import MemoryBackend
-
-                class GoodBackend(MemoryBackend):
-                    def access(self, op):
-                        self.counters.add("mshr_inserts")
-
-                    def snapshot(self):
-                        return {"wq_drains": 2}
-                """,
-        }, select=["SIM017"])
-        assert report.ok
-
-    def test_unregistered_snapshot_key_is_caught(self, tmp_path):
-        report = lint(tmp_path, {
-            "backend.py": self.BACKEND_BASE,
-            "leaky.py": """\
-                from backend import MemoryBackend
-
-                class LeakyBackend(MemoryBackend):
-                    def access(self, op):
-                        pass
-
-                    def snapshot(self):
-                        return {"undeclared_key": 3}
-                """,
-        }, select=["SIM017"])
-        assert rules_of(report) == ["SIM017"]
-        assert "undeclared_key" in report.findings[0].message
-
-    def test_inert_without_registry(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            class Whatever:
-                def access(self):
-                    self.counters.add("anything")
-            """}, select=["SIM017"])
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
-# SIM018 - hook contract conformance
-# ----------------------------------------------------------------------
-class TestHookContracts:
-    def test_missing_hook_is_caught(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            class Organization:
-                def lookup(self, addr):
-                    raise NotImplementedError
-                def install(self, addr):
-                    raise NotImplementedError
-
-            class HalfOrg(Organization):
-                def lookup(self, addr):
-                    return None
-            """}, select=["SIM018"])
-        assert rules_of(report) == ["SIM018"]
-        assert "HalfOrg does not implement Organization.install()" in \
-            report.findings[0].message
-
-    def test_full_implementation_clean(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            class Organization:
-                def lookup(self, addr):
-                    raise NotImplementedError
-
-            class FullOrg(Organization):
-                def lookup(self, addr):
-                    return None
-            """}, select=["SIM018"])
-        assert report.ok
-
-    def test_inherited_implementation_clean(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            class Organization:
-                def lookup(self, addr):
-                    raise NotImplementedError
-
-            class BaseOrg(Organization):
-                def lookup(self, addr):
-                    return None
-
-            class DerivedOrg(BaseOrg):
-                pass
-            """}, select=["SIM018"])
-        assert report.ok
-
-    def test_redeclared_abstract_intermediate_skipped(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            class Organization:
-                def lookup(self, addr):
-                    raise NotImplementedError
-
-            class StillAbstract(Organization):
-                def lookup(self, addr):
-                    raise NotImplementedError
-            """}, select=["SIM018"])
-        assert report.ok
-
-    def test_abstractmethod_decorator_counts(self, tmp_path):
-        report = lint(tmp_path, {"mod.py": """\
-            import abc
-
-            class Policy(abc.ABC):
-                @abc.abstractmethod
-                def victim(self, frames):
-                    ...
-
-            class Careless(Policy):
-                def __init__(self):
-                    pass
-            """}, select=["SIM018"])
-        assert rules_of(report) == ["SIM018"]
-        assert "Careless does not implement Policy.victim()" in \
-            report.findings[0].message
-
-    def test_cross_file_hierarchy(self, tmp_path):
-        report = lint(tmp_path, {
-            "base.py": """\
-                class ReplacementPolicy:
-                    def victim(self, frames):
-                        raise NotImplementedError
-                """,
-            "impl.py": """\
-                from base import ReplacementPolicy
-
-                class BrokenPolicy(ReplacementPolicy):
-                    def touch(self, frame):
-                        pass
-                """,
-        }, select=["SIM018"])
-        assert rules_of(report) == ["SIM018"]
-
-
-# ----------------------------------------------------------------------
-# noqa edge cases on the new rules
+# noqa edge cases
 # ----------------------------------------------------------------------
 class TestNoqaEdgeCases:
     def test_multi_rule_noqa_suppresses_both(self, tmp_path):
         report = lint(tmp_path, {"mod.py": """\
-            def f(opts={}): print(opts)  # tdram: noqa[SIM004,SIM010] -- fixture needs both
-            """, }, select=["SIM004", "SIM010"])
+            import random
+            def f(opts={}): return random.random()  # tdram: noqa[SIM002,SIM004] -- fixture needs both
+            """, }, select=["SIM002", "SIM004"])
         assert report.ok
         assert sorted(f.rule for f in report.suppressed) == \
-            ["SIM004", "SIM010"]
+            ["SIM002", "SIM004"]
 
     def test_noqa_suppresses_cross_file_finding(self, tmp_path):
         report = lint(tmp_path, {"mod.py": """\
-            def record(events):
-                events.add("ghost_metric")  # tdram: noqa[SIM016] -- debug-only tally
-            """}, select=["SIM016"])
+            def report(metrics):
+                return metrics.events["ghost_metric"]  # tdram: noqa[SIM006] -- debug-only tally
+            """}, select=["SIM006"])
         assert report.ok
         assert report.suppressed
 
     def test_missing_reason_on_new_rule_is_lnt000(self, tmp_path):
         report = lint(tmp_path, {"mod.py": """\
-            def record(events):
-                events.add("ghost_metric")  # tdram: noqa[SIM016]
-            """}, select=["SIM016"])
+            def report(metrics):
+                return metrics.events["ghost_metric"]  # tdram: noqa[SIM006]
+            """}, select=["SIM006"])
         assert "LNT000" in rules_of(report)
 
     def test_unit_finding_suppressible(self, tmp_path):
@@ -578,277 +126,3 @@ class TestNoqaEdgeCases:
                 return delay_ns + deadline_ps  # tdram: noqa[SIM015] -- vendor formula
             """}, select=["SIM015"])
         assert report.ok
-
-
-# ----------------------------------------------------------------------
-# Analysis cache
-# ----------------------------------------------------------------------
-class TestAnalysisCache:
-    FILES = {
-        "mod.py": """\
-            def record(events):
-                events.add("ghost_metric")
-            """,
-        "other.py": """\
-            def helper():
-                return 1
-            """,
-    }
-
-    def test_warm_run_replays_identical_findings(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "cache")
-        cold = lint(tmp_path / "tree", self.FILES, cache=cache)
-        warm = Analyzer(cache=cache).run([str(tmp_path / "tree")])
-        assert cold.cache_misses == 2 and cold.cache_hits == 0
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert [f.render() for f in warm.findings] == \
-            [f.render() for f in cold.findings]
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "cache")
-        lint(tmp_path / "tree", self.FILES, cache=cache)
-        target = tmp_path / "tree" / "mod.py"
-        target.write_text(
-            "def record(events):\n"
-            "    events.add(\"ghost_metric\")\n"
-            "    return events[\"ghost_metric\"]\n", encoding="utf-8")
-        warm = Analyzer(cache=cache).run([str(tmp_path / "tree")])
-        assert warm.cache_hits == 1 and warm.cache_misses == 1
-        assert warm.ok  # the edit surfaced the counter
-
-    def test_selected_runs_do_not_write_the_cache(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "cache")
-        lint(tmp_path / "tree", self.FILES, select=["SIM016"], cache=cache)
-        followup = Analyzer(cache=cache).run([str(tmp_path / "tree")])
-        assert followup.cache_hits == 0  # partial runs must not seed it
-
-    def test_suppressions_survive_the_cache(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "cache")
-        files = {"mod.py": """\
-            def record(events):
-                events.add("ghost_metric")  # tdram: noqa[SIM016] -- debug tally
-            """}
-        cold = lint(tmp_path / "tree", files, cache=cache)
-        warm = Analyzer(cache=cache).run([str(tmp_path / "tree")])
-        assert warm.cache_hits == 1
-        assert cold.ok and warm.ok
-        assert warm.suppressed
-
-
-# ----------------------------------------------------------------------
-# Stale-baseline detection (LNT002)
-# ----------------------------------------------------------------------
-class TestStaleBaseline:
-    def test_stale_entry_is_a_hard_failure(self, tmp_path):
-        baseline = Baseline([{
-            "rule": "SIM016",
-            "path": str(tmp_path / "mod.py"),
-            "message": "counter 'long_gone' is incremented but never "
-                       "surfaced",
-            "justification": "was real once",
-        }])
-        report = lint(tmp_path, {"mod.py": """\
-            def helper():
-                return 1
-            """}, baseline=baseline)
-        assert "LNT002" in rules_of(report)
-        assert not report.ok
-        assert "long_gone" in report.findings[0].message
-
-    def test_live_entry_is_not_stale(self, tmp_path):
-        path = tmp_path / "mod.py"
-        message = ("counter 'ghost_metric' is incremented but never "
-                   "surfaced — no literal read, no declaring constant, no "
-                   "docs/metrics.md row (write-only bookkeeping)")
-        baseline = Baseline([{"rule": "SIM016", "path": str(path),
-                              "message": message,
-                              "justification": "tracked in the counters "
-                                               "issue"}])
-        report = lint(tmp_path, {"mod.py": """\
-            def record(events):
-                events.add("ghost_metric")
-            """}, baseline=baseline)
-        assert report.ok
-        assert report.baselined
-
-
-# ----------------------------------------------------------------------
-# CLI: --explain and SARIF
-# ----------------------------------------------------------------------
-
-# Trimmed from the OASIS SARIF 2.1.0 schema: the envelope, tool.driver,
-# and result/location shapes GitHub code scanning actually validates.
-# (The CI container has no network, so the full schema is not fetched.)
-SARIF_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "version": {"enum": ["2.1.0"]},
-        "$schema": {"type": "string", "format": "uri"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name"],
-                                "properties": {
-                                    "name": {"type": "string"},
-                                    "informationUri": {"type": "string",
-                                                       "format": "uri"},
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                            "properties": {
-                                                "id": {"type": "string"},
-                                                "shortDescription": {
-                                                    "type": "object",
-                                                    "required": ["text"],
-                                                },
-                                                "fullDescription": {
-                                                    "type": "object",
-                                                    "required": ["text"],
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["ruleId", "message"],
-                            "properties": {
-                                "ruleId": {"type": "string"},
-                                "level": {"enum": ["none", "note",
-                                                   "warning", "error"]},
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                    "properties": {
-                                        "text": {"type": "string"},
-                                    },
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "properties": {
-                                                    "artifactLocation": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "uri": {"type":
-                                                                    "string"},
-                                                        },
-                                                    },
-                                                    "region": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type":
-                                                                "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                            "startColumn": {
-                                                                "type":
-                                                                "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                        },
-                                                    },
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-class TestCli:
-    def test_explain_prints_rule_entry(self, tmp_path, capsys):
-        assert lint_main(["--explain", "SIM014"]) == 0
-        out = capsys.readouterr().out
-        assert "SIM014" in out
-        assert "cache-key soundness" in out
-        assert "noqa[SIM014]" in out
-
-    def test_explain_every_sim_rule(self, capsys):
-        from repro.analysis import SIM_RULES
-
-        for rule_id in SIM_RULES:
-            assert lint_main(["--explain", rule_id]) == 0
-        assert "SIM018" in capsys.readouterr().out
-
-    def test_explain_unknown_rule_exits_2(self, capsys):
-        assert lint_main(["--explain", "SIM999"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_sarif_output_validates_against_schema(self, tmp_path, capsys):
-        import jsonschema
-
-        write_tree(tmp_path, {"mod.py": """\
-            def total(delay_ns, deadline_ps):
-                return delay_ns + deadline_ps
-            """})
-        code = lint_main([str(tmp_path), "--no-baseline",
-                          "--format", "sarif"])
-        assert code == 1
-        document = json.loads(capsys.readouterr().out)
-        jsonschema.validate(document, SARIF_SCHEMA)
-        results = document["runs"][0]["results"]
-        assert any(r["ruleId"] == "SIM015" for r in results)
-        region = results[0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-        rule_ids = {r["id"] for r in
-                    document["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"SIM014", "SIM015", "SIM016", "SIM017",
-                "SIM018"} <= rule_ids
-
-    def test_sarif_clean_tree_has_empty_results(self, tmp_path, capsys):
-        write_tree(tmp_path, {"mod.py": """\
-            def helper():
-                return 1
-            """})
-        code = lint_main([str(tmp_path), "--no-baseline",
-                          "--format", "sarif"])
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["runs"][0]["results"] == []
-
-    def test_cache_dir_round_trip(self, tmp_path, capsys):
-        write_tree(tmp_path / "tree", {"mod.py": """\
-            def helper():
-                return 1
-            """})
-        cache_dir = tmp_path / "cache"
-        assert lint_main([str(tmp_path / "tree"), "--no-baseline",
-                          "--json", "--cache-dir", str(cache_dir)]) == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert lint_main([str(tmp_path / "tree"), "--no-baseline",
-                          "--json", "--cache-dir", str(cache_dir)]) == 0
-        warm = json.loads(capsys.readouterr().out)
-        assert cold["cache"] == {"hits": 0, "misses": 1}
-        assert warm["cache"] == {"hits": 1, "misses": 0}

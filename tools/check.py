@@ -9,11 +9,10 @@ One entry point for everything CI gates beyond the test suite::
 
 Checks:
 
-* **lint** — ``repro.analysis`` (rules SIM001–SIM018: per-file
-  invariants plus the call-graph-driven semantic passes — cache-key
-  soundness, time units, orphan counters, plugin contracts) over
-  ``src/repro`` against the committed baseline
-  ``tools/lint_baseline.json``;
+* **lint** — ``repro.analysis`` over ``src/repro``: the nine rules
+  that guard results and cache keys (wall clock, seeding, timestamp
+  equality, mutable defaults, counter names, dead config knobs, set
+  order, swallowed harness exceptions, time units);
 * **typing** — the pinned strict mypy gate (``mypy.ini``) over the four
   core packages; when mypy is not installed (the dev container ships
   without it) a stdlib AST fallback enforces the annotation-completeness
@@ -22,8 +21,7 @@ Checks:
   (:mod:`check_links`);
 * **docstrings** — 100% public docstring coverage on ``repro.obs``,
   ``repro.ras``, ``repro.memory`` and ``repro.dram.scheduler``
-  (:mod:`check_docstrings`; SIM009 enforces the same invariant inside
-  the lint engine — this keeps the standalone gate CI has always run);
+  (:mod:`check_docstrings`);
 * **metrics** — every counter name declared in
   ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
   ``docs/metrics.md``, so new backend counters cannot ship
@@ -64,12 +62,10 @@ DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
 
 
 def run_lint() -> Tuple[bool, str]:
-    """Static analysis over src/repro with the committed baseline."""
+    """Static analysis over src/repro."""
     from repro.analysis.cli import main as lint_main
 
-    code = lint_main(["src/repro", "--baseline",
-                      str(TOOLS / "lint_baseline.json")])
-    return code == 0, "repro.analysis over src/repro"
+    return lint_main(["src/repro"]) == 0, "repro.analysis over src/repro"
 
 
 def _annotation_gaps(package: Path) -> List[str]:
@@ -137,8 +133,8 @@ def run_docstrings() -> Tuple[bool, str]:
 def run_metrics() -> Tuple[bool, str]:
     """Every declared backend counter has a ``docs/metrics.md`` row.
 
-    The declaration registry is ``BACKEND_COUNTERS`` (the same
-    ALL-CAPS ``_COUNTERS`` constant SIM006 accepts as a counter-name
+    The declaration registry is ``BACKEND_COUNTERS`` (an ALL-CAPS
+    ``_COUNTERS`` constant, which SIM006 accepts as a counter-name
     declaration), so adding a counter without documenting it fails CI.
     """
     from repro.memory.backend import BACKEND_COUNTERS
@@ -178,7 +174,7 @@ def main(argv: List[str] | None = None) -> int:
         checks = [(name, fn) for name, fn in checks if name in wanted]
 
     failures = 0
-    os.chdir(ROOT)  # lint/baseline paths are repo-relative
+    os.chdir(ROOT)  # lint paths are repo-relative
     for name, fn in checks:
         print(f"== {name} ==")
         ok, detail = fn()
