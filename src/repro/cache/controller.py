@@ -188,6 +188,7 @@ class DramCacheController(abc.ABC):
         self.meter = EnergyMeter(
             config.energy_model, geometry.channels, self.has_tag_path
         )
+        self.meter.attach(self.channels)
         #: block -> demands waiting on an in-flight main-memory fetch
         self._mshrs: Dict[int, List[DemandRequest]] = {}
         #: outstanding-miss bound: early probing may free read-buffer
@@ -218,15 +219,10 @@ class DramCacheController(abc.ABC):
         """Construct the design's tag store (the organization seam).
 
         The default is set-associative LRU, matching the pre-seam
-        behaviour bit for bit. ``cache_organization="reference"``
-        selects the frozen pre-seam store for A/B runs; designs with a
-        custom layout (Gemini, TicToc) override this hook.
+        behaviour bit for bit (the A/B suite swaps in the frozen
+        ``ReferenceTagStore`` through this hook); designs with a custom
+        layout (Gemini, TicToc) override it.
         """
-        if self.config.cache_organization == "reference":
-            from repro.cache.reference_tagstore import ReferenceTagStore
-
-            return ReferenceTagStore(geometry.total_blocks,
-                                     self.config.cache_ways)
         return TagStore(geometry.total_blocks, self.config.cache_ways)
 
     # ------------------------------------------------------------------
@@ -394,7 +390,6 @@ class DramCacheController(abc.ABC):
         """
         channel, _bank = self.route(victim_block)
         self.channels[channel].transfer_raw(time, 64, Direction.READ)
-        self.meter.add_dq_bytes(64)
         self.metrics.ledger.move("victim_readout", 64, useful=False)
         self._writeback(victim_block)
 
@@ -405,7 +400,7 @@ class DramCacheController(abc.ABC):
         self.metrics.ledger.move("mm_writeback", 64, useful=False)
 
     # ------------------------------------------------------------------
-    # DRAM access helper (energy-instrumented)
+    # DRAM access helper
     # ------------------------------------------------------------------
     def _access(
         self,
@@ -420,25 +415,15 @@ class DramCacheController(abc.ABC):
         column_op: bool = True,
         transfer: bool = True,
     ) -> AccessGrant:
-        """Issue one access on a cache channel, recording energy."""
-        channel = self.channels[channel_idx]
+        """Issue one access on a cache channel (which counts its energy)."""
         n_bytes = self.burst_bytes if data_bytes is None else data_bytes
-        grant = channel.issue_access(
+        grant = self.channels[channel_idx].issue_access(
             bank, at, is_write, with_data=with_data, with_tag=with_tag,
             data_bytes=n_bytes, hm_result_delay=hm_result_delay,
-            transfer=transfer,
+            column_op=column_op, transfer=transfer,
         )
-        self.meter.record("cmd")
-        self.meter.record("act_data")
-        if with_tag:
-            self.meter.record("act_tag")
-            self.meter.record("hm_packet")
-            if self.obs is not None and grant.hm_at is not None:
-                self.obs.on_hm_result(channel_idx, grant.hm_at)
-        if column_op:
-            self.meter.record("col_op")
-        if with_data and transfer:
-            self.meter.add_dq_bytes(n_bytes)
+        if with_tag and self.obs is not None and grant.hm_at is not None:
+            self.obs.on_hm_result(channel_idx, grant.hm_at)
         return grant
 
     # ------------------------------------------------------------------
@@ -470,6 +455,3 @@ class DramCacheController(abc.ABC):
         return sum(len(s.read_q) + len(s.write_q) for s in self.schedulers) + len(
             self._mshrs
         )
-
-    def queue_occupancy(self) -> int:
-        return sum(len(s.read_q) for s in self.schedulers)

@@ -12,7 +12,7 @@ from typing import Dict
 
 from repro.cache.request import Op, Outcome
 from repro.stats.bandwidth import BandwidthLedger
-from repro.stats.counters import CounterSet, LatencyStat, OccupancyStat
+from repro.stats.counters import CounterSet, LatencyStat
 
 #: Fig. 1 category labels, derived from (op, outcome).
 BREAKDOWN_CATEGORIES = (
@@ -23,6 +23,16 @@ BREAKDOWN_CATEGORIES = (
     "write_miss_clean",
     "write_miss_dirty",
 )
+
+#: Demand totals, summed from the Fig. 1 categories when read.
+OUTCOME_TOTALS = {
+    "demands": BREAKDOWN_CATEGORIES,
+    "hits": ("read_hit", "write_hit"),
+    "misses": ("read_miss_clean", "read_miss_dirty",
+               "write_miss_clean", "write_miss_dirty"),
+    "reads": ("read_hit", "read_miss_clean", "read_miss_dirty"),
+    "writes": ("write_hit", "write_miss_clean", "write_miss_dirty"),
+}
 
 
 def breakdown_category(op: Op, outcome: Outcome) -> str:
@@ -49,35 +59,36 @@ class CacheMetrics:
         self.tag_check = LatencyStat("tag_check")
         self.read_queue_delay = LatencyStat("read_queue_delay")
         self.read_latency = LatencyStat("read_latency")
-        self.flush_occupancy = OccupancyStat("flush_buffer")
 
     # ------------------------------------------------------------------
     def record_outcome(self, op: Op, outcome: Outcome) -> None:
         self.outcomes.add(breakdown_category(op, outcome))
-        self.outcomes.add("demands")
-        if op is Op.READ:
-            self.outcomes.add("reads")
-        else:
-            self.outcomes.add("writes")
-        if outcome.is_hit:
-            self.outcomes.add("hits")
-        else:
-            self.outcomes.add("misses")
+
+    def total(self, name: str) -> int:
+        """One of :data:`OUTCOME_TOTALS`, summed from its categories."""
+        return self.outcomes.total(OUTCOME_TOTALS[name])
+
+    def outcome_counts(self) -> Dict[str, int]:
+        """The recorded categories plus every non-zero derived total."""
+        counts = self.outcomes.as_dict()
+        totals = {name: self.total(name) for name in OUTCOME_TOTALS}
+        counts.update((name, n) for name, n in totals.items() if n)
+        return counts
 
     # ------------------------------------------------------------------
     @property
     def demands(self) -> int:
-        return self.outcomes["demands"]
+        return self.total("demands")
 
     @property
     def miss_ratio(self) -> float:
         if self.demands == 0:
             return 0.0
-        return self.outcomes["misses"] / self.demands
+        return self.total("misses") / self.demands
 
     @property
     def read_miss_ratio(self) -> float:
-        reads = self.outcomes["reads"]
+        reads = self.total("reads")
         if reads == 0:
             return 0.0
         read_misses = self.outcomes["read_miss_clean"] + self.outcomes["read_miss_dirty"]
@@ -105,4 +116,3 @@ class CacheMetrics:
         self.tag_check.reset()
         self.read_queue_delay.reset()
         self.read_latency.reset()
-        self.flush_occupancy.reset()

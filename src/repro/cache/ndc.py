@@ -69,6 +69,5 @@ class NdcCache(TdramCache):
                 break
             self.flush.note_unload("forced")
             end = channel.transfer_raw(time, 64, Direction.READ)
-            self.meter.add_dq_bytes(64)
             self.metrics.ledger.move("flush_unload", 64, useful=False)
             self.sim.at(end, self._writeback, block)

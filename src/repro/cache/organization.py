@@ -15,9 +15,9 @@ inside it is split into two seams the store composes:
 The default pairing — :class:`SetAssociativeOrganization` +
 :class:`LruPolicy` — reproduces the pre-seam behaviour bit for bit
 (LRU is encoded as list order: index 0 = LRU, last = MRU); the A/B
-suite in ``tests/test_design_zoo.py`` proves it against the frozen
-:class:`~repro.cache.reference_tagstore.ReferenceTagStore` for every
-design. New designs plug in here: Gemini's hybrid mapping is an
+suite in ``tests/test_design_zoo.py`` swaps the frozen
+:class:`~repro.cache.reference_tagstore.ReferenceTagStore` in through
+the controller's ``_build_tag_store`` hook and proves it per design. New designs plug in here: Gemini's hybrid mapping is an
 :class:`Organization`, TicToc's mirrored SRAM structures ride a
 :class:`ReplacementPolicy` (see ``docs/design-zoo.md``).
 """

@@ -4,9 +4,9 @@ This is the tag store exactly as it was before the organization /
 replacement seam landed (same discipline as the event kernel keeping
 ``queue="heap"`` next to the calendar queue): a verbatim copy of the old
 control flow with LRU hard-coded as list order and ``block % num_sets``
-indexing inlined. Select it with
-``SystemConfig(cache_organization="reference")``; the A/B suite in
-``tests/test_design_zoo.py`` runs every design against both stores and
+indexing inlined. A test oracle only: the A/B suite in
+``tests/test_design_zoo.py`` swaps it in through the controller's
+``_build_tag_store`` hook, runs every design against both stores and
 requires ``dataclasses.asdict``-identical :class:`RunResult`\\ s.
 
 Do not improve this file. It intentionally preserves the old

@@ -12,8 +12,8 @@ mapping / probe cost) and a
 touch/install/evict hooks). The default pairing — modulo-indexed
 set-associative with LRU-as-list-order — is bit-identical to the
 pre-seam store (kept verbatim as
-:class:`~repro.cache.reference_tagstore.ReferenceTagStore` for A/B
-runs). Direct-mapped is the paper's primary configuration; ``ways > 1``
+:class:`~repro.cache.reference_tagstore.ReferenceTagStore`, the A/B
+test oracle). Direct-mapped is the paper's primary configuration; ``ways > 1``
 gives the set-associative variant of §V-F. Only frames that have ever
 been touched are materialised (a dict), so a 64 GiB cache costs memory
 proportional to the trace, not the device.

@@ -107,7 +107,6 @@ class TdramCache(DramCacheController):
         self._record_tag_result(request, now, Outcome.HIT_DIRTY)
         end = self.channels[channel_idx].transfer_raw(
             now + FLUSH_HIT_LATENCY, 64, Direction.READ)
-        self.meter.add_dq_bytes(64)
         self.metrics.ledger.move("flush_buffer_hit", 64, useful=True)
         self.sim.at(end, self._complete_read, request, end)
 
@@ -270,7 +269,6 @@ class TdramCache(DramCacheController):
                 break
             self.flush.note_unload("forced")
             end = channel.transfer_raw(time, 64, Direction.READ)
-            self.meter.add_dq_bytes(64)
             self.metrics.ledger.move("flush_unload", 64, useful=False)
             if self.obs is not None:
                 self.obs.on_flush_drain("forced", block, time, end)
@@ -314,9 +312,6 @@ class TdramCache(DramCacheController):
         assert demand is not None
         grant = channel.issue_probe(op.bank, now)
         self.probe_engine.record_issue()
-        self.meter.record("cmd")
-        self.meter.record("act_tag")
-        self.meter.record("hm_packet")
         demand.probed = True
         self._record_queue_delay(demand, now)
         tag_timing = self.config.tag_timing

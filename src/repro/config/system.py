@@ -76,9 +76,6 @@ class SystemConfig:
     #: (explicit drains only — the ablation knob isolating the
     #: opportunistic channels' contribution)
     flush_unload_policy: str = "opportunistic"
-    #: tag-store implementation: "set_associative" (the seamed default)
-    #: or "reference" (frozen pre-seam store, bit-identity A/B runs)
-    cache_organization: str = "set_associative"
     # -- design-zoo knobs: Gemini-style hybrid mapping (gemini_hybrid) --
     #: fraction of cache frames reserved for the direct-mapped hot region
     gemini_direct_fraction: float = 0.5
@@ -152,9 +149,11 @@ class SystemConfig:
             raise ConfigError("cores must be positive")
         if self.cache_ways <= 0:
             raise ConfigError("cache_ways must be positive")
-        if self.cache_organization not in ("set_associative", "reference"):
-            raise ConfigError(
-                f"unknown cache_organization {self.cache_organization!r}")
+        # An empty buffer admits no demand: fail here, not in a stall.
+        for name in ("read_buffer_entries", "write_buffer_entries",
+                     "max_outstanding_reads_per_core"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.gemini_direct_fraction < 1.0:
             raise ConfigError("gemini_direct_fraction must be in (0, 1)")
         if self.gemini_assoc_ways <= 0:

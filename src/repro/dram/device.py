@@ -83,9 +83,12 @@ class DramChannel:
         self.refreshes = 0
         #: attached command observers (logging / protocol checking)
         self.observers: List = []
-        # Traffic counters (bytes over the DQ bus, by purpose).
+        # Traffic counters, which the energy meter prices with the bus
+        # grants: DQ bytes, data-bank activates and column operations.
         self.bytes_read = 0
         self.bytes_written = 0
+        self.activates = 0
+        self.column_ops = 0
         #: bumped by each method that changes bank, bus or activation-
         #: window state: a scheduler's blocked decision made at the same
         #: instant and version still holds
@@ -216,6 +219,7 @@ class DramChannel:
         with_tag: bool = False,
         data_bytes: int = 64,
         hm_result_delay: Optional[int] = None,
+        column_op: bool = True,
         transfer: bool = True,
     ) -> AccessGrant:
         """Commit one access starting its command at exactly ``at``.
@@ -232,6 +236,8 @@ class DramChannel:
         hm_result_delay:
             Override the issue->HM delay (NDC ties the result to the
             column operation instead of the activation).
+        column_op:
+            Count a data-bank column operation (TDRAM gates it, §III-D1).
         transfer:
             Whether data actually moves in the reserved slot. TDRAM's
             conditional column operation keeps the slot (command timing
@@ -244,6 +250,8 @@ class DramChannel:
         busy = timing.write_bank_busy if is_write else timing.read_bank_busy
         self.banks[bank].reserve(at, busy)
         self.act_window.record(at)
+        self.activates += 1
+        self.column_ops += column_op
         data_start = data_end = None
         if with_data:
             offset = timing.write_data_delay if is_write else timing.read_data_delay
@@ -327,8 +335,10 @@ class DramChannel:
         if not hit:
             act_at = at if b.open_row < 0 else at + timing.tRP
             self.act_window.record(at)
+            self.activates += 1
             b.activated_at = act_at
             b.open_row = row
+        self.column_ops += 1
         direction = Direction.WRITE if is_write else Direction.READ
         burst = max(1, int(round(timing.tBURST * data_bytes / 64)))
         data_start = at + offset

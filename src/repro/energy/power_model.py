@@ -18,12 +18,11 @@ reproduce that *structure*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
-from repro.stats.counters import CounterSet
-
-PJ = 1.0  # energies below are in picojoules
+if TYPE_CHECKING:
+    from repro.dram.device import DramChannel
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class EnergyModel:
     dq_pj_per_bit: float = 6.0       #: core<->controller data movement
     hm_packet_pj: float = 144.0      #: 24-bit HM packet at DQ energy/bit
     cmd_pj: float = 20.0             #: one CA command slot
-    refresh_pj: float = 6000.0       #: all-bank refresh burst
     background_w_per_channel: float = 0.08
     tag_background_factor: float = 0.10  #: extra background for tag mats/HM PHY
 
@@ -44,42 +42,67 @@ class EnergyModel:
         return n_bytes * 8 * self.dq_pj_per_bit
 
 
+#: What an :class:`EnergyMeter` counts, in the order it adds the terms:
+#: DQ bytes, then each op priced at ``EnergyModel.<op>_pj``.
+ENERGY_COUNTERS = ("dq_bytes", "act_data", "act_tag", "col_op", "hm_packet",
+                   "cmd")
+
+
 class EnergyMeter:
-    """Accumulates operation counts and integrates energy.
+    """Prices the work a run committed and integrates energy.
 
-    Controllers call :meth:`record` / :meth:`add_dq_bytes` as they
-    commit resources; :meth:`total_pj` integrates background power over
-    the measured runtime.
+    Attached channels count the commands they commit; :meth:`reset`
+    snapshots those counts at the warm-up boundary, and the meter prices
+    the difference plus the work :meth:`record` / :meth:`add_dq_bytes`
+    add for commands no channel carries.
     """
-
-    _OP_FIELDS: Dict[str, str] = {
-        "act_data": "act_data_pj",
-        "act_tag": "act_tag_pj",
-        "col_op": "col_op_pj",
-        "hm_packet": "hm_packet_pj",
-        "cmd": "cmd_pj",
-        "refresh": "refresh_pj",
-    }
 
     def __init__(self, model: EnergyModel, channels: int, has_tag_path: bool) -> None:
         self.model = model
         self.channels = channels
         self.has_tag_path = has_tag_path
-        self.ops = CounterSet()
-        self.dq_bytes = 0
+        self.devices: List["DramChannel"] = []
+        self.reset()
+
+    def attach(self, devices: Iterable["DramChannel"]) -> None:
+        """Price the commands ``devices`` commit; attach before they issue."""
+        self.devices.extend(devices)
 
     def record(self, op: str, count: int = 1) -> None:
-        if op not in self._OP_FIELDS:
+        if op not in ENERGY_COUNTERS[1:]:
             raise ValueError(f"unknown energy op {op!r}")
-        self.ops.add(op, count)
+        self._offset[op] += count
 
     def add_dq_bytes(self, n_bytes: int) -> None:
-        self.dq_bytes += n_bytes
+        self._offset["dq_bytes"] += n_bytes
+
+    def _device_counts(self) -> Dict[str, int]:
+        tally = dict.fromkeys(ENERGY_COUNTERS, 0)
+        for channel in self.devices:
+            hm_packets = channel.hm.grants if channel.hm is not None else 0
+            tally["dq_bytes"] += channel.bytes_read + channel.bytes_written
+            tally["act_data"] += channel.activates
+            tally["act_tag"] += hm_packets
+            tally["col_op"] += channel.column_ops
+            tally["hm_packet"] += hm_packets
+            tally["cmd"] += channel.ca.grants
+        return tally
+
+    @property
+    def ops(self) -> Dict[str, int]:
+        """Each op's count since the last reset."""
+        now = self._device_counts()
+        return {op: now[op] + self._offset[op] for op in ENERGY_COUNTERS[1:]}
+
+    @property
+    def dq_bytes(self) -> int:
+        """Bytes moved on DQ since the last reset."""
+        return self._device_counts()["dq_bytes"] + self._offset["dq_bytes"]
 
     def dynamic_pj(self) -> float:
-        total = self.model.dq_bytes_pj(self.dq_bytes)
-        for op, attr in self._OP_FIELDS.items():
-            total += self.ops[op] * getattr(self.model, attr)
+        total = 0.0  # added left to right: sum() rounds otherwise on 3.12+
+        for part in self.breakdown_pj().values():
+            total += part
         return total
 
     def breakdown_pj(self, runtime_ps: int = 0) -> Dict[str, float]:
@@ -91,8 +114,8 @@ class EnergyMeter:
         parts: Dict[str, float] = {
             "data_movement": self.model.dq_bytes_pj(self.dq_bytes),
         }
-        for op, attr in self._OP_FIELDS.items():
-            parts[op] = self.ops[op] * getattr(self.model, attr)
+        for op, count in self.ops.items():
+            parts[op] = count * getattr(self.model, f"{op}_pj")
         if runtime_ps:
             parts["background"] = self.background_w() * runtime_ps
         return parts
@@ -113,5 +136,7 @@ class EnergyMeter:
         return self.dynamic_pj() + self.background_w() * runtime_ps
 
     def reset(self) -> None:
-        self.ops.reset()
-        self.dq_bytes = 0
+        """Start a measured region: drop the records, and count the
+        channels from their current totals (held as negative offsets)."""
+        self._offset = {name: -count
+                        for name, count in self._device_counts().items()}

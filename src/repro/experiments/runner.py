@@ -337,8 +337,8 @@ def _window_snapshot(sink, sim: Simulator) -> Dict[str, int]:
     metrics = sink.metrics
     return {
         "now": sim.now,
-        "demands": metrics.outcomes["demands"],
-        "misses": metrics.outcomes["misses"],
+        "demands": metrics.demands,
+        "misses": metrics.total("misses"),
         "read_latency_ps": metrics.read_latency.total_ps,
         "read_latency_n": metrics.read_latency.count,
         "tag_check_ps": metrics.tag_check.total_ps,

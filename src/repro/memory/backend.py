@@ -28,7 +28,7 @@ import abc
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import ConfigError
-from repro.stats.counters import CounterSet, OccupancyStat
+from repro.stats.counters import CounterSet
 
 if TYPE_CHECKING:
     from repro.config.system import SystemConfig
@@ -86,8 +86,6 @@ class MemoryBackend(abc.ABC):
         #: read()/write() calls over the whole run (never reset)
         self.reads_issued = 0
         self.writes_issued = 0
-        #: queue-depth samples taken at each arrival
-        self.queue_occupancy = OccupancyStat("mm_queues")
 
     # ------------------------------------------------------------------
     # The data path
@@ -160,10 +158,6 @@ class MemoryBackend(abc.ABC):
         snap = self.counters.as_dict()
         snap.update(self.wear_summary())
         return snap
-
-    def _sample_occupancy(self) -> None:
-        """Record the current queue depth (call on each arrival)."""
-        self.queue_occupancy.sample(self.pending())
 
 
 def build_backend(sim: "Simulator", config: "SystemConfig",

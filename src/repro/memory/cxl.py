@@ -80,7 +80,6 @@ class CxlBackend(MemoryBackend):
         if self._credits == 0:
             self.counters.add("credit_stalls")
         self._queue.append(op)
-        self._sample_occupancy()
         self._pump()
 
     def _pump(self) -> None:

@@ -66,7 +66,6 @@ class _Ddr5Scheduler(ChannelScheduler[_Request]):
 
     def __init__(self, memory: "MainMemory", channel: DramChannel) -> None:
         super().__init__(memory.sim, channel, HIGH_WATERMARK, LOW_WATERMARK)
-        self.meter = memory.meter
         self.read_queue_delay = memory.read_queue_delay
         self.read_latency = memory.read_latency
 
@@ -104,17 +103,9 @@ class _Ddr5Scheduler(ChannelScheduler[_Request]):
                                                 op.is_write)
 
     def commit(self, op: _Request, now: int) -> None:
-        """Issue ``op``; record energy and, for a read, its latencies."""
-        channel = self.channel
-        row_hit = channel.is_row_hit(op.bank, op.row)
-        grant = channel.issue_access_open(op.bank, now, op.row, op.is_write)
-        meter = self.meter
-        if meter is not None:
-            meter.record("cmd")
-            if not row_hit:
-                meter.record("act_data")
-            meter.record("col_op")
-            meter.add_dq_bytes(64)
+        """Issue ``op``; for a read, record its latencies."""
+        grant = self.channel.issue_access_open(op.bank, now, op.row,
+                                               op.is_write)
         if op.is_write:
             return
         finish = grant.data_end
@@ -145,6 +136,8 @@ class MainMemory(MemoryBackend):
                         page_policy="open")
             for i in range(geometry.channels)
         ]
+        if meter is not None:
+            meter.attach(self.channels)
         #: read latency statistics, shared by all channels
         self.read_queue_delay = LatencyStat("mm_read_queue")
         self.read_latency = LatencyStat("mm_read_latency")
@@ -166,7 +159,6 @@ class MainMemory(MemoryBackend):
             _Request(decoded.bank, decoded.row, now,
                      now if order is None else order, False, callback))
         self.reads_issued += 1
-        self._sample_occupancy()
 
     def write(self, block_addr: int) -> None:
         """Posted 64 B write (cache writeback or write-through demand)."""
@@ -175,7 +167,6 @@ class MainMemory(MemoryBackend):
         self._schedulers[decoded.channel].push_write(
             _Request(decoded.bank, decoded.row, now, now, True, None))
         self.writes_issued += 1
-        self._sample_occupancy()
 
     @property
     def mean_read_latency_ns(self) -> float:

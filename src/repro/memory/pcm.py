@@ -131,7 +131,6 @@ class PcmBackend(MemoryBackend):
             self._overflow_index[block_addr] = entry
         else:
             self._admit(entry)
-        self._sample_occupancy()
 
     def _admit(self, entry: _PcmRead) -> None:
         """Allocate an MSHR and reserve the bank for the array read."""
@@ -168,7 +167,6 @@ class PcmBackend(MemoryBackend):
         self._wq.append((block_addr, self._bank_of(block_addr)))
         self._wq_blocks[block_addr] = self._wq_blocks.get(block_addr, 0) + 1
         self._schedule_drain()
-        self._sample_occupancy()
 
     def _schedule_drain(self) -> None:
         if not self._drain_pending:

@@ -54,14 +54,11 @@ class EpochRecorder:
     def _snapshot(self) -> Dict[str, int]:
         """Current values of every cumulative (delta) counter."""
         controller = self.controller
-        outcomes = controller.metrics.outcomes
-        ledger = controller.metrics.ledger
-        snap = {
-            "demands": outcomes["demands"],
-            "hits": outcomes["hits"],
-            "misses": outcomes["misses"],
-            "reads": outcomes["reads"],
-            "writes": outcomes["writes"],
+        metrics = controller.metrics
+        ledger = metrics.ledger
+        snap = {name: metrics.total(name)
+                for name in ("demands", "hits", "misses", "reads", "writes")}
+        snap.update({
             "useful_bytes": ledger.useful_bytes,
             "total_bytes": ledger.total_bytes,
             "bytes_read": sum(ch.bytes_read for ch in controller.channels),
@@ -69,7 +66,7 @@ class EpochRecorder:
             "writebacks": controller.writebacks,
             "ras_corrected": 0,
             "ras_uncorrectable": 0,
-        }
+        })
         ras = getattr(controller, "ras", None)
         if ras is not None:
             snap["ras_corrected"] = ras.counters.corrected

@@ -61,7 +61,7 @@ def collect_stats(sink) -> Dict[str, object]:
 
     metrics = getattr(sink, "metrics", None)
     if metrics is not None:
-        for name, value in sorted(metrics.outcomes.as_dict().items()):
+        for name, value in sorted(metrics.outcome_counts().items()):
             stats.append((f"cache.outcomes.{name}", value))
         for name, value in sorted(metrics.events.as_dict().items()):
             stats.append((f"cache.events.{name}", value))
@@ -77,8 +77,9 @@ def collect_stats(sink) -> Dict[str, object]:
 
     meter = getattr(sink, "meter", None)
     if meter is not None:
-        for op, count in sorted(meter.ops.as_dict().items()):
-            stats.append((f"cache.energy.ops.{op}", count))
+        for op, count in sorted(meter.ops.items()):
+            if count:
+                stats.append((f"cache.energy.ops.{op}", count))
         stats.append(("cache.energy.dq_bytes", meter.dq_bytes))
         stats.append(("cache.energy.dynamic_pj", round(meter.dynamic_pj(), 1)))
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.request import DemandRequest, Op
 from repro.config.system import MIB, SystemConfig
+from repro.energy.power_model import EnergyMeter
 from repro.memory.backend import build_backend
 from repro.sim.kernel import Simulator, ns
 
@@ -32,7 +33,10 @@ class System:
     def __init__(self, design_cls, config: SystemConfig) -> None:
         self.sim = Simulator()
         self.config = config
-        self.main_memory = build_backend(self.sim, config)
+        self.mm_meter = EnergyMeter(config.energy_model, config.mm_channels,
+                                    False)
+        self.main_memory = build_backend(self.sim, config,
+                                         meter=self.mm_meter)
         self.cache = design_cls(self.sim, config, self.main_memory)
         self.completed = []
 

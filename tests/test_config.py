@@ -24,6 +24,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
 
+    # An empty buffer used to surface only as a late "no forward
+    # progress" stall; the error must name the field instead.
+    def test_empty_read_buffer_rejected(self):
+        with pytest.raises(ConfigError, match="read_buffer_entries"):
+            SystemConfig(read_buffer_entries=0)
+
+    def test_empty_write_buffer_rejected(self):
+        with pytest.raises(ConfigError, match="write_buffer_entries"):
+            SystemConfig(write_buffer_entries=-4)
+
+    def test_zero_outstanding_reads_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="max_outstanding_reads_per_core"):
+            SystemConfig(max_outstanding_reads_per_core=0)
+
 
 class TestScaling:
     def test_scale_factor(self):

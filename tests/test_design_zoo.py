@@ -3,7 +3,8 @@
 The organization/replacement refactor must be invisible to every
 pre-existing design: ``TestBitIdentity`` runs each one through
 ``run_experiment`` twice — seamed :class:`TagStore` vs the frozen
-:class:`ReferenceTagStore` — and requires ``dataclasses.asdict``
+:class:`ReferenceTagStore`, swapped in by patching the controller's
+``_build_tag_store`` hook — and requires ``dataclasses.asdict``
 equality of the *full* :class:`RunResult`. ``TestHookContracts``
 checks that the plugin bases refuse a half-implemented subclass at
 construction. The remaining classes pin the seam pieces in isolation
@@ -19,6 +20,7 @@ import dataclasses
 
 import pytest
 
+from repro.cache.controller import DramCacheController
 from repro.cache.metrics import BREAKDOWN_CATEGORIES, CacheMetrics
 from repro.cache.organization import (
     DirtyRegionList,
@@ -52,20 +54,23 @@ PRE_SEAM_DESIGNS = (
 # ---------------------------------------------------------------------------
 class TestBitIdentity:
     @pytest.mark.parametrize("design", PRE_SEAM_DESIGNS)
-    def test_design_bit_identical_through_seam(self, design):
+    def test_design_bit_identical_through_seam(self, design, monkeypatch):
         config = SystemConfig.small()
-        reference = config.with_(cache_organization="reference")
         seamed = run_experiment(design, "bfs.22", config=config,
                                 demands_per_core=150, seed=11)
-        frozen = run_experiment(design, "bfs.22", config=reference,
-                                demands_per_core=150, seed=11)
-        assert dataclasses.asdict(seamed) == dataclasses.asdict(frozen)
+        built = []
 
-    def test_reference_organization_selects_frozen_store(self, make_system):
-        from repro.cache.cascade_lake import CascadeLakeCache
-        system = make_system(CascadeLakeCache,
-                             cache_organization="reference")
-        assert isinstance(system.cache.tags, ReferenceTagStore)
+        def frozen_store(controller, geometry):
+            built.append(ReferenceTagStore(geometry.total_blocks,
+                                           controller.config.cache_ways))
+            return built[-1]
+
+        monkeypatch.setattr(DramCacheController, "_build_tag_store",
+                            frozen_store)
+        frozen = run_experiment(design, "bfs.22", config=config,
+                                demands_per_core=150, seed=11)
+        assert built or design == "no_cache"
+        assert dataclasses.asdict(seamed) == dataclasses.asdict(frozen)
 
     def test_default_organization_selects_seamed_store(self, make_system):
         from repro.cache.cascade_lake import CascadeLakeCache

@@ -1,8 +1,14 @@
 """Tests for the energy model and meter."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cache import DESIGNS
+from repro.cache.request import Op
+from repro.dram.monitor import CommandLog
 from repro.energy.power_model import EnergyMeter, EnergyModel
 
 
@@ -97,3 +103,68 @@ class TestEnergyBreakdown:
             meter.add_dq_bytes(64)
         parts = meter.breakdown_pj()
         assert parts["data_movement"] > parts["act_data"]
+
+
+# ---------------------------------------------------------------------------
+# The meter's counts reconcile with the commands a channel observer sees
+# ---------------------------------------------------------------------------
+class TestCommandReconciliation:
+    """Each meter count equals the commands a :class:`CommandLog` saw.
+
+    The runs mix hits, clean and dirty misses, TDRAM's early probes and
+    writebacks, so every command kind reaches the cache and DDR5
+    channels.
+    """
+
+    @staticmethod
+    def attach_logs(channels):
+        logs = [CommandLog() for _ in channels]
+        for channel, log in zip(channels, logs):
+            channel.observers.append(log)
+        return logs
+
+    @staticmethod
+    def observed(logs):
+        seen = Counter()
+        for log in logs:
+            seen.update(log.counts.as_dict())
+        return seen
+
+    @pytest.mark.parametrize("design", ["tdram", "ndc", "cascade_lake"])
+    def test_meter_counts_match_command_log(self, design, make_system):
+        system = make_system(DESIGNS[design])
+        cache_logs = self.attach_logs(system.cache.channels)
+        mm_logs = self.attach_logs(system.main_memory.channels)
+        tags = system.cache.tags
+        for block in range(0, tags.num_frames, 3):
+            tags.install(block, dirty=block % 2 == 0)
+        rng = np.random.default_rng(5)
+        for step in range(400):
+            op = Op.WRITE if rng.random() < 0.3 else Op.READ
+            block = int(rng.integers(0, 4 * tags.num_frames))
+            if system.cache.can_accept(op, block):
+                (system.write if op is Op.WRITE else system.read)(block)
+            if step % 8 == 7:
+                system.run(float(rng.integers(5, 60)))
+        system.run(200_000)
+
+        seen = self.observed(cache_logs)
+        fused = seen["act_rd"] + seen["act_wr"]
+        plain = seen["read"] + seen["write"]
+        ops = system.cache.meter.ops
+        assert ops["cmd"] == fused + plain + seen["probe"]
+        assert ops["act_tag"] == ops["hm_packet"] == fused + seen["probe"]
+        assert ops["act_data"] == fused + plain
+
+        mm_seen = self.observed(mm_logs)
+        mm_commands = mm_seen["read"] + mm_seen["write"]
+        mm_ops = system.mm_meter.ops
+        assert mm_ops["cmd"] == mm_ops["col_op"] == mm_commands
+        assert system.mm_meter.dq_bytes == 64 * mm_commands
+
+        # The run exercised what the counts are meant to cover.
+        outcomes = system.cache.metrics.outcomes
+        assert outcomes["read_hit"] and outcomes["read_miss_clean"]
+        assert outcomes["read_miss_dirty"] + outcomes["write_miss_dirty"]
+        assert system.main_memory.writes_issued > 0
+        assert seen["probe"] > 0 or design != "tdram"

@@ -141,10 +141,3 @@ class TestStats:
         mm.read(32, done.append)
         sim.run(until=ns(1000))
         assert mm.mean_read_latency_ns > 0
-
-    def test_queue_occupancy_sampled(self):
-        sim, mm = make_mm()
-        mm.read(0, None)
-        mm.write(64)
-        assert mm.queue_occupancy.samples == 2
-        assert mm.queue_occupancy.max_level >= 1

@@ -128,7 +128,7 @@ def test_property_random_traffic_is_protocol_clean(seed, design_name):
         system.run(float(rng.integers(5, 300)))
     system.run(100_000)
     # All reads eventually completed despite the random interleaving.
-    reads = system.cache.metrics.outcomes["reads"]
+    reads = system.cache.metrics.total("reads")
     assert len(system.completed) == reads
 
 
