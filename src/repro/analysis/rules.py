@@ -9,10 +9,9 @@ registered with the engine via the
 :mod:`repro.analysis.units`.
 
 Scoping is by module prefix: host-side orchestration
-(``repro.experiments``, ``repro.analysis``, ``repro.resilience`` and
-the ``cli``/``__main__`` entry points) may read the host clock, and
-only harness code (``repro.experiments``, ``repro.resilience``) is
-held to the exception-swallowing rule.
+(``repro.experiments``, ``repro.analysis`` and the ``cli``/``__main__``
+entry points) may read the host clock, and only harness code
+(``repro.experiments``) is held to the exception-swallowing rule.
 """
 
 from __future__ import annotations
@@ -204,13 +203,12 @@ class NoWallClock(Rule):
         "invalidates the campaign cache key, which assumes a run is a "
         "pure function of (design, workload, config, seed). Host-side "
         "orchestration (repro.experiments, repro.analysis, "
-        "repro.resilience, cli/__main__ modules) is exempt.")
+        "cli/__main__ modules) is exempt.")
 
     def exempt(self, source: SourceFile) -> bool:
-        # Campaign ETA displays, deadline supervision, report generation
-        # and this analysis package may read the host clock.
-        return (source.in_module("repro.experiments", "repro.analysis",
-                                 "repro.resilience")
+        # Campaign ETA displays, report generation and this analysis
+        # package may read the host clock.
+        return (source.in_module("repro.experiments", "repro.analysis")
                 or source.basename in _CLI_BASENAMES)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
@@ -457,21 +455,21 @@ class NoSilentExceptionSwallow(Rule):
     id = "SIM012"
     title = "no silent broad except in harness code"
     rationale = (
-        "The campaign harness survives worker crashes, hung tasks, and "
+        "The campaign harness survives failed tasks, dead workers, and "
         "corrupt cache entries by *counting and reporting* every "
         "failure; a bare/broad except whose body is just pass hides the "
-        "exact faults the resilience layer exists to surface — a "
-        "swallowed OSError in a store path silently re-simulates, a "
+        "exact faults the campaign engine exists to surface — a "
+        "swallowed OSError in a cache path silently re-simulates, a "
         "swallowed pool error silently drops tasks. Catch the narrow "
-        "type, or record the failure (counter, manifest row, journal "
-        "record) before continuing.")
+        "type, or record the failure (counter, failures entry) before "
+        "continuing.")
 
     _BROAD = {"Exception", "BaseException"}
 
     def exempt(self, source: SourceFile) -> bool:
         # Only harness/orchestration code is held to this: the campaign
-        # engine, the resilience layer, and their CLI plumbing.
-        return not source.in_module("repro.experiments", "repro.resilience")
+        # engine and its CLI plumbing.
+        return not source.in_module("repro.experiments")
 
     def _is_broad(self, handler: ast.ExceptHandler) -> bool:
         if handler.type is None:

@@ -52,18 +52,8 @@ class RetryExhaustedError(RasError):
 class CampaignError(SimulationError):
     """A campaign finished with tasks that exhausted their retries.
 
-    Only raised in strict mode (``run_campaign(strict=True)``); the
-    default CLI path degrades gracefully instead — partial results plus
-    a structured error manifest (:attr:`manifest`, a list of
-    :class:`repro.resilience.policies.TaskFailure` rows) and a nonzero
-    exit code."""
-
-    def __init__(self, message: str, manifest=()):
-        super().__init__(message)
-        #: the structured per-task failure rows behind the message
-        self.manifest = list(manifest)
-
-
-class JournalError(ReproError):
-    """The campaign journal could not be written (not merely resumed:
-    corrupt *reads* degrade to re-simulation and are only counted)."""
+    Only raised in strict mode (``run_campaign(strict=True)``, the
+    library default); the message names every failed task and its last
+    error. The CLI runs campaigns with ``strict=False`` instead:
+    partial results, one ``FAILED`` line per task, and a nonzero exit
+    code."""

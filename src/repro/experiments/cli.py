@@ -8,22 +8,22 @@ Installed as ``tdram-repro``::
     tdram-repro fig11 --full-suite   # all 28 workloads (slow)
     tdram-repro run tdram ft.D       # one simulation, all metrics
     tdram-repro campaign --jobs 4    # designs x workloads sweep, cached
-    tdram-repro campaign --resume    # reuse cache + replay the journal
+    tdram-repro campaign --resume    # serve finished tasks from the cache
     tdram-repro campaign --backend pcm_like
                                      # same sweep over a PCM-like store
     tdram-repro run tdram ft.D --sampled
                                      # SMARTS-style sampled estimate
                                      # with confidence intervals
     tdram-repro backends --jobs 4    # DDR5 vs PCM vs CXL speedup figure
-    tdram-repro chaos --jobs 2       # prove bit-identical results under
-                                     # injected crashes/corruption
     tdram-repro trace --workload synthetic --out trace.json
                                      # Perfetto-loadable lifecycle trace
 
 Simulation-backed targets share a content-addressed on-disk result
 cache (``--cache-dir``, default ``.tdram_cache``; ``--no-cache``
 disables it), so re-running a figure or sweep only simulates what
-changed. See ``docs/campaign.md``.
+changed. The cache is also the campaign's checkpoint: after a crash,
+``campaign --resume`` simulates only the tasks it does not hold. See
+``docs/campaign.md``.
 """
 
 from __future__ import annotations
@@ -33,19 +33,11 @@ import dataclasses
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from repro.config.system import SystemConfig
 from repro.experiments.campaign import ResultCache, run_campaign, tasks_for
 from repro.sim.sampling import SamplingConfig
-from repro.resilience import (
-    CampaignJournal,
-    ChaosConfig,
-    ChaosStore,
-    RetryPolicy,
-    render_manifest,
-)
 from repro.experiments.figures import (
     EVALUATED_DESIGNS,
     FIGURE_DESIGNS,
@@ -171,39 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="campaign: comma-separated workload names "
                              "(default: representative suite)")
     parser.add_argument("--retries", type=int, default=2,
-                        help="campaign: extra attempts per crashed task "
-                             "(default 2)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        help="campaign: per-task wall-clock budget in "
-                             "seconds; hung workers are killed and the "
-                             "task retried (default: no deadline)")
-    parser.add_argument("--backoff", type=float, default=0.0,
-                        help="campaign: base seconds of exponential "
-                             "backoff between retries of one task "
-                             "(default 0 = retry immediately)")
-    parser.add_argument("--breaker", type=int, default=0,
-                        help="campaign: quarantine a design/workload "
-                             "combo after this many distinct-seed "
-                             "failures (default 0 = disabled)")
-    parser.add_argument("--journal", default=None,
-                        help="campaign: journal file path (default "
-                             "campaign.journal.jsonl inside the cache dir)")
-    parser.add_argument("--no-journal", action="store_true",
-                        help="campaign: disable the crash-recovery journal")
-    parser.add_argument("--chaos-seed", type=int, default=0,
-                        help="chaos: seed of the fault-injection schedule")
-    parser.add_argument("--chaos-kill", type=float, default=0.5,
-                        help="chaos: per-task worker-kill probability "
-                             "(default 0.5)")
-    parser.add_argument("--chaos-hang", type=float, default=0.0,
-                        help="chaos: per-task hang probability; needs "
-                             "--deadline (default 0)")
-    parser.add_argument("--chaos-corrupt", type=float, default=0.5,
-                        help="chaos: probability a stored result is "
-                             "corrupted after writing (default 0.5)")
-    parser.add_argument("--chaos-enospc", type=float, default=0.5,
-                        help="chaos: probability the first write of a "
-                             "result fails like a full disk (default 0.5)")
+                        help="campaign: extra attempts per task that "
+                             "raised or lost its worker (default 2)")
     parser.add_argument("--out", default=None,
                         help="campaign: write all RunResults to this JSON "
                              "file; trace: output path (default trace.json)")
@@ -274,66 +235,6 @@ def _progress(done: int, total: int, label: str, source: str,
     print(f"[{done}/{total}] {label} {source}{eta}", file=sys.stderr)
 
 
-def _chaos(args) -> int:
-    """The ``chaos`` target: run one small campaign twice — clean, then
-    under a seeded fault schedule (worker kills, hangs, corrupt cache
-    bytes, ENOSPC writes) — and prove the final results are
-    bit-identical. Exits 0 only if they are."""
-    designs = (args.designs.split(",") if args.designs
-               else ["tdram", "no_cache"])
-    if args.workloads:
-        specs = [workload(name) for name in args.workloads.split(",")]
-    else:
-        specs = [workload("bfs.22")]
-    jobs = max(2, args.jobs)
-    tasks = tasks_for(designs, specs, config=SystemConfig.small(),
-                      demands_per_core=args.demands, seeds=[args.seed])
-    root = Path(args.cache_dir or os.environ.get("TDRAM_CACHE_DIR")
-                or ".tdram_chaos")
-    chaos = ChaosConfig(seed=args.chaos_seed, kill_prob=args.chaos_kill,
-                        hang_prob=args.chaos_hang,
-                        corrupt_prob=args.chaos_corrupt,
-                        enospc_prob=args.chaos_enospc)
-    deadline = args.deadline
-    if chaos.hang_prob > 0 and deadline is None:
-        deadline = 10.0
-    policy = RetryPolicy(retries=max(args.retries, 2), deadline_s=deadline,
-                         backoff_base_s=args.backoff, jitter_seed=args.seed,
-                         breaker_threshold=args.breaker)
-    print(f"# chaos: {len(tasks)} tasks jobs={jobs} "
-          f"schedule-seed={args.chaos_seed} kill={chaos.kill_prob} "
-          f"hang={chaos.hang_prob} corrupt={chaos.corrupt_prob} "
-          f"enospc={chaos.enospc_prob}", file=sys.stderr)
-    clean = run_campaign(tasks, jobs=jobs, cache=ResultCache(root / "clean"),
-                         reuse_cache=False, strict=False, clamp_jobs=False,
-                         progress=_progress)
-    store = ChaosStore(ResultCache(root / "faulty"), chaos)
-    journal = CampaignJournal(root / "faulty" / "campaign.journal.jsonl")
-    faulty = run_campaign(tasks, jobs=jobs, cache=store, reuse_cache=False,
-                          strict=False, clamp_jobs=False, policy=policy,
-                          journal=journal, chaos=chaos, progress=_progress)
-    # Read-back pass: corrupted entries are detected and quarantined
-    # here, proving the store never serves scrambled bytes.
-    recovered = sum(1 for task in tasks if store.get(task.key) is not None)
-    identical = all(
-        clean.by_key.get(task.key) is not None
-        and faulty.by_key.get(task.key) is not None
-        and dataclasses.asdict(clean.by_key[task.key])
-        == dataclasses.asdict(faulty.by_key[task.key])
-        for task in tasks)
-    print("clean  " + clean.summary(), file=sys.stderr)
-    print("chaos  " + faulty.summary(), file=sys.stderr)
-    print(f"injected: store_corrupt={store.injected_corrupt} "
-          f"enospc={store.injected_enospc}; survived: "
-          f"worker_crashes={faulty.stats.get('worker_crashes', 0):.0f} "
-          f"deadline_kills={faulty.stats.get('deadline_kills', 0):.0f} "
-          f"store_errors={faulty.store_errors} "
-          f"quarantined_entries={store.corrupt} "
-          f"recovered_reads={recovered}/{len(tasks)}")
-    print(f"bit-identical under chaos: {identical}")
-    return 0 if identical and faulty.ok else 1
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -347,7 +248,7 @@ def main(argv=None) -> int:
     target = args.target.lower()
     if target == "list":
         names = sorted(list(_CONTEXT_FIGURES) + list(_STANDALONE)
-                       + ["campaign", "chaos", "lint", "ras", "run",
+                       + ["campaign", "lint", "ras", "run",
                           "report", "selfcheck", "suite", "trace",
                           "trace-capture", "trace-stats"])
         print("available targets:", ", ".join(names))
@@ -422,32 +323,19 @@ def main(argv=None) -> int:
             specs = representative_suite()
         config = _speed_config(
             SystemConfig.small().with_(memory_backend=args.backend), args)
+        cache = _cache(args)
         trace_dir = None
         if args.trace:
             from repro.obs import ObsConfig
 
             config = config.with_(obs=ObsConfig(trace=True))
-            cache = _cache(args)
             trace_dir = str(cache.root) if cache is not None else ".tdram_cache"
         tasks = tasks_for(designs, specs, config=config,
                           demands_per_core=args.demands, seeds=[args.seed],
                           trace_dir=trace_dir)
-        cache = _cache(args)
-        policy = RetryPolicy(retries=args.retries, deadline_s=args.deadline,
-                             backoff_base_s=args.backoff,
-                             jitter_seed=args.seed,
-                             breaker_threshold=args.breaker)
-        journal = None
-        if not args.no_journal:
-            if args.journal:
-                journal = CampaignJournal(args.journal)
-            elif cache is not None:
-                journal = CampaignJournal(
-                    Path(cache.root) / "campaign.journal.jsonl")
         outcome = run_campaign(
-            tasks, jobs=args.jobs, cache=cache,
-            reuse_cache=args.resume, policy=policy, journal=journal,
-            progress=_progress, strict=False,
+            tasks, jobs=args.jobs, cache=cache, reuse_cache=args.resume,
+            retries=args.retries, progress=_progress, strict=False,
         )
         if args.out:
             payload = [
@@ -462,12 +350,8 @@ def main(argv=None) -> int:
             print(f"wrote {len(payload)} results to {args.out}")
         for key, message in sorted(outcome.failures.items()):
             print(f"FAILED {message}", file=sys.stderr)
-        if outcome.manifest:
-            print(render_manifest(outcome.manifest), file=sys.stderr)
         print(outcome.summary())
         return 0 if outcome.ok else 1
-    if target == "chaos":
-        return _chaos(args)
     if target == "trace-capture":
         if len(args.args) != 3:
             print("usage: tdram-repro trace-capture WORKLOAD PATH COUNT",

@@ -24,8 +24,6 @@ from repro.core.area import die_area_report, signal_report
 from repro.experiments.campaign import (
     CampaignTask,
     ResultCache,
-    cache_key,
-    execute_cached,
     run_campaign,
 )
 from repro.experiments.runner import RunResult
@@ -135,12 +133,13 @@ class ExperimentContext:
                             seed=self.seed)
 
     def result(self, design: str, spec: WorkloadSpec) -> RunResult:
-        key = cache_key(design, spec, self.config, self.demands_per_core,
-                        self.seed)
-        if key not in self._cache:
-            self._cache[key] = execute_cached(self.task(design, spec),
-                                              cache=self.cache)
-        return self._cache[key]
+        """One memoised simulation, run as a one-task campaign so cache
+        hits and failed cache writes are handled as in :meth:`warm`."""
+        task = self.task(design, spec)
+        if task.key not in self._cache:
+            outcome = run_campaign([task], cache=self.cache, retries=0)
+            self._cache[task.key] = outcome.results[0]
+        return self._cache[task.key]
 
     def warm(self, designs: Sequence[str], jobs: Optional[int] = None,
              progress=None):

@@ -26,7 +26,6 @@ See ``docs/tracing.md`` for the trace format, the epoch-series schema,
 and worked Perfetto/pandas examples.
 """
 
-from repro.obs.campaign import CampaignSeries
 from repro.obs.config import ObsConfig
 from repro.obs.epochs import EpochRecorder
 from repro.obs.profiler import KernelProfiler
@@ -34,7 +33,6 @@ from repro.obs.session import ObsSession
 from repro.obs.trace import TraceSession
 
 __all__ = [
-    "CampaignSeries",
     "EpochRecorder",
     "KernelProfiler",
     "ObsConfig",

@@ -1,6 +1,11 @@
-"""Shared fixtures: tiny system configurations and a drive harness."""
+"""Shared fixtures: tiny system configurations, a drive harness, and
+campaign-pool instrumentation."""
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +73,41 @@ def make_system(tiny_config):
         return System(design_cls, cfg)
 
     return factory
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool the campaign engine constructs, in order."""
+    import repro.experiments.campaign as campaign_mod
+
+    created = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(campaign_mod, "ProcessPoolExecutor", RecordingPool)
+    return created
+
+
+#: Marker directory of :func:`first_attempt`; an environment variable, so
+#: forked pool workers see it.
+MARKERS = "REPRO_TEST_MARKERS"
+
+
+@pytest.fixture
+def markers(tmp_path, monkeypatch):
+    """A fresh marker directory for :func:`first_attempt`."""
+    monkeypatch.setenv(MARKERS, str(tmp_path))
+    return tmp_path
+
+
+def first_attempt(task) -> bool:
+    """True the first time any process asks about ``task`` under the
+    ``markers`` fixture, which leaves one marker file per task key."""
+    marker = Path(os.environ[MARKERS]) / task.key
+    if marker.exists():
+        return False
+    marker.touch()
+    return True

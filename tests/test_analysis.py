@@ -462,8 +462,8 @@ class TestSilentExceptionSwallow:
         assert rules_of(report) == ["SIM012"]
         assert "except Exception" in report.findings[0].message
 
-    def test_flags_bare_except_continue_in_resilience(self, tmp_path):
-        report = lint(tmp_path, {"src/repro/resilience/mod.py": """\
+    def test_flags_bare_except_continue_in_experiments(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/experiments/mod.py": """\
             def f(items, g):
                 for item in items:
                     try:

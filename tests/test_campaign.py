@@ -1,8 +1,10 @@
 """Tests for the parallel campaign engine and its on-disk result cache.
 
 Covers the cache-key contract (every ingredient of a RunResult is part
-of the key), the JSON result cache, serial/parallel bit-identity,
-resume-with-zero-new-simulations, bounded retry, and the
+of the key), the JSON result cache and its durability (fsync before
+rename, no temp file after a failed write, corrupt-entry quarantine),
+serial/parallel bit-identity, resume-with-zero-new-simulations, bounded
+retry, the process-pool lifecycle, failed cache writes, and the
 ExperimentContext keying fix (config changes can never serve a stale
 result).
 """
@@ -12,23 +14,29 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import errno
 import json
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.config.system import MIB, OBS_ONLY, SystemConfig
-from repro.errors import SimulationError
+from repro.errors import CampaignError, SimulationError
 from repro.experiments.campaign import (
     CampaignTask,
     ResultCache,
     cache_key,
+    quarantine_entry,
     run_campaign,
     tasks_for,
 )
 from repro.experiments.figures import ExperimentContext
 from repro.experiments.runner import RunResult, run_experiment
 from repro.workloads.suite import representative_suite, workload
+from tests.conftest import first_attempt
 
 FAST = SystemConfig(cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
                     cores=4)
@@ -100,6 +108,23 @@ def perturbed(obj, path):
 
 
 TASK_LEAVES = list(leaf_paths(fast_task()))
+
+
+def fail_first_attempt(task: CampaignTask) -> RunResult:
+    """Runner that raises on each task's first attempt, then simulates.
+    Module-level so it pickles into pool workers."""
+    if first_attempt(task):
+        raise RuntimeError("first attempt fails")
+    return run_experiment(task.design, task.workload, config=task.config,
+                          demands_per_core=task.demands_per_core,
+                          seed=task.seed)
+
+
+class FullDiskCache(ResultCache):
+    """A cache whose every write fails like a full disk."""
+
+    def put(self, key, result, task=None):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +284,48 @@ class TestResultCache:
         path.write_text(json.dumps({"result": {"design": "tdram"}}))
         assert cache.get(key) is None
 
+    def test_put_fsyncs_the_temp_file_before_replacing(self, tmp_path,
+                                                       one_result,
+                                                       monkeypatch):
+        """The entry's bytes reach the disk before the rename publishes
+        them: the fsynced descriptor is the file that becomes the
+        entry, and the fsync comes first."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(src).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        cache = ResultCache(tmp_path)
+        key = cache_key("tdram", "cg.C", FAST, DEMANDS, SEED)
+        path = cache.put(key, one_result)
+        assert calls == [("fsync", path.stat().st_ino),
+                         ("replace", f"{key}.tmp.{os.getpid()}")]
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, one_result,
+                                            monkeypatch):
+        """A write that dies half-way (disk full) re-raises and removes
+        its temp file instead of leaving it in the cache directory."""
+        def full_disk(obj, handle, **kwargs):
+            handle.write('{"key": ')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", full_disk)
+        cache = ResultCache(tmp_path)
+        key = cache_key("tdram", "cg.C", FAST, DEMANDS, SEED)
+        with pytest.raises(OSError):
+            cache.put(key, one_result)
+        monkeypatch.undo()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert cache.get(key) is None
+
     def test_entry_records_task_metadata(self, tmp_path, one_result):
         cache = ResultCache(tmp_path)
         task = fast_tasks()[0]
@@ -268,6 +335,18 @@ class TestResultCache:
         assert payload["task"]["workload"] == task.workload.name
         assert payload["task"]["seed"] == SEED
         assert len(cache) == 1
+
+
+class TestQuarantine:
+    def test_quarantine_entry_moves_the_file(self, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_text("garbage")
+        moved = quarantine_entry(path)
+        assert moved == tmp_path / "entry.json.corrupt"
+        assert moved.exists() and not path.exists()
+
+    def test_quarantine_missing_file_is_none(self, tmp_path):
+        assert quarantine_entry(tmp_path / "absent.json") is None
 
 
 class TestCampaignExecution:
@@ -346,8 +425,9 @@ class TestCampaignExecution:
     def test_strict_failure_raises(self):
         bad = CampaignTask(design="not_a_design", workload=workload("cg.C"),
                            config=FAST, demands_per_core=DEMANDS, seed=SEED)
-        with pytest.raises(SimulationError):
+        with pytest.raises(CampaignError, match=re.escape(bad.label)) as exc:
             run_campaign([bad], jobs=1, retries=0)
+        assert isinstance(exc.value, SimulationError)
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         """An absurd jobs count falls back to the serial path on a
@@ -376,6 +456,13 @@ class TestCampaignExecution:
         assert outcome.results[1] is None
         assert outcome.retried == 1 and len(outcome.failures) == 1
 
+    def test_store_error_degrades_gracefully(self, tmp_path):
+        task = fast_tasks(designs=("tdram",), specs=("cg.C",))[0]
+        outcome = run_campaign([task], jobs=1, cache=FullDiskCache(tmp_path))
+        assert outcome.ok and outcome.results[0] is not None
+        assert outcome.store_errors == 1
+        assert "store_errors=1" in outcome.summary()
+
     def test_progress_reports_every_task(self):
         tasks = fast_tasks(designs=("tdram",))
         events = []
@@ -385,6 +472,24 @@ class TestCampaignExecution:
         dones = [e[0] for e in events]
         assert dones == sorted(dones) and dones[-1] == len(tasks)
         assert all(e[3] == "simulated" for e in events)
+
+
+class TestPoolLifecycle:
+    def test_clean_run_uses_exactly_one_pool(self, pools):
+        tasks = fast_tasks()
+        outcome = run_campaign(tasks, jobs=2, clamp_jobs=False)
+        assert outcome.ok and outcome.simulated == len(tasks)
+        assert len(pools) == 1
+
+    def test_error_retries_reuse_the_pool(self, pools, markers):
+        """A task that raises inside a healthy worker runs again on the
+        same pool: only a dead worker replaces it."""
+        tasks = fast_tasks(designs=("tdram", "no_cache"), specs=("cg.C",))
+        outcome = run_campaign(tasks, jobs=2, clamp_jobs=False, retries=1,
+                               runner=fail_first_attempt)
+        assert outcome.ok and outcome.simulated == len(tasks)
+        assert outcome.retried == len(tasks)
+        assert len(pools) == 1
 
 
 class TestExperimentContextKeying:
@@ -433,6 +538,17 @@ class TestExperimentContextKeying:
                                   seed=SEED, cache=tmp_path)
         other.result("tdram", spec)
         assert len(ResultCache(tmp_path)) == 2
+
+    def test_store_error_keeps_the_result(self, tmp_path):
+        """A failed cache write (disk full) costs the entry, not the
+        finished simulation: ``result`` returns and memoises it."""
+        ctx = ExperimentContext(config=FAST, specs=[workload("cg.C")],
+                                demands_per_core=DEMANDS, seed=SEED,
+                                cache=FullDiskCache(tmp_path))
+        result = ctx.result("tdram", ctx.specs[0])
+        assert result.demands > 0
+        assert ctx.result("tdram", ctx.specs[0]) is result
+        assert len(ResultCache(tmp_path)) == 0
 
     def test_warm_populates_memo(self):
         ctx = ExperimentContext(config=FAST, specs=[workload("cg.C")],

@@ -113,15 +113,3 @@ class TestCampaignCli:
         assert "Figure 1" in capsys.readouterr().out
         assert (tmp_path / "cache").exists()
 
-
-class TestChaosCli:
-    def test_chaos_proves_bit_identity(self, capsys, tmp_path):
-        argv = ["chaos", "--workloads", "bfs.22", "--demands", "50",
-                "--cache-dir", str(tmp_path / "chaos"), "--chaos-seed", "1"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical under chaos: True" in out
-
-    def test_chaos_in_target_list(self, capsys):
-        assert main(["list"]) == 0
-        assert "chaos" in capsys.readouterr().out

@@ -39,7 +39,6 @@ from repro.config.system import SystemConfig
 from repro.dram.monitor import ChannelObserver
 from repro.errors import ConfigError
 from repro.experiments.runner import run_experiment
-from repro.resilience.store import ResultStore
 from repro.stats.counters import RasCounters
 
 #: every design that existed before the seam — each must be bit-
@@ -109,7 +108,6 @@ class TestHookContracts:
         Organization: {"set_index", "ways_of"},
         ReplacementPolicy: {"victim", "on_hit", "on_install"},
         ChannelObserver: {"on_command"},
-        ResultStore: {"get", "put", "__contains__"},
     }
 
     @pytest.mark.parametrize("base", list(HOOKS), ids=lambda b: b.__name__)

@@ -1,5 +1,5 @@
 """Robustness paths: watchdogs, finite streams, fill-eviction races,
-worker-crash recovery, and SIGKILL-resume of journaled campaigns."""
+worker-crash recovery, and SIGKILL-resume of cached campaigns."""
 
 import dataclasses
 import os
@@ -20,6 +20,7 @@ from repro.errors import SimulationError
 from repro.experiments.runner import run_experiment
 from repro.frontend.core_model import Core, Progress
 from repro.sim.kernel import Simulator, ns
+from tests.conftest import first_attempt
 
 FAST = SystemConfig(cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
                     cores=2)
@@ -113,23 +114,34 @@ class TestFillEvictionRace:
             system.cache.metrics.ledger.by_category()
 
 
+def die_first_time(task):
+    """Runner that kills its worker process with ``os._exit(137)`` (the
+    SIGKILL/OOM signature) on each task's first attempt; later attempts
+    simulate normally. Only ever run inside a pool worker."""
+    if first_attempt(task):
+        os._exit(137)
+    return run_experiment(task.design, task.workload, config=task.config,
+                          demands_per_core=task.demands_per_core,
+                          seed=task.seed)
+
+
 class TestWorkerCrashRecovery:
-    def test_worker_killed_on_first_attempt_succeeds_on_second(self):
-        """Satellite: every task's worker dies (os._exit, the SIGKILL
-        signature) on attempt 1 under a real pool; attempt 2 runs clean
-        and the campaign completes with correct results."""
+    def test_worker_killed_on_first_attempt_succeeds_on_second(
+            self, pools, markers):
+        """Satellite: every task's worker dies on its first attempt
+        under a real pool; the broken pool is replaced, the retries run
+        clean, and the campaign completes with correct results."""
         from repro.experiments.campaign import run_campaign, tasks_for
-        from repro.resilience import ChaosConfig
 
         tasks = tasks_for(["tdram", "no_cache"], ["cg.C"], config=FAST,
                           demands_per_core=60, seeds=[13])
         clean = run_campaign(tasks, jobs=2, clamp_jobs=False)
-        chaos = ChaosConfig(seed=5, kill_prob=1.0, max_faulted_attempts=1)
-        outcome = run_campaign(tasks, jobs=2, clamp_jobs=False, chaos=chaos,
-                               retries=3)
+        pools.clear()
+        outcome = run_campaign(tasks, jobs=2, clamp_jobs=False,
+                               runner=die_first_time, retries=3)
         assert outcome.ok and outcome.simulated == len(tasks)
-        assert outcome.stats["worker_crashes"] >= 1
-        assert outcome.stats["pool_recycles"] >= 1
+        assert outcome.retried >= 1
+        assert len(pools) >= 2  # the broken pool was replaced
         for left, right in zip(clean.results, outcome.results):
             assert dataclasses.asdict(left) == dataclasses.asdict(right)
 
@@ -139,8 +151,8 @@ class TestSigkillResume:
         import sys
 
         from repro.config.system import MIB, SystemConfig
-        from repro.experiments.campaign import run_campaign, tasks_for
-        from repro.resilience import CampaignJournal
+        from repro.experiments.campaign import (ResultCache, run_campaign,
+                                                tasks_for)
 
         config = SystemConfig(cache_capacity_bytes=4 * MIB,
                               mm_capacity_bytes=64 * MIB, cores=2)
@@ -150,26 +162,25 @@ class TestSigkillResume:
         def progress(done, total, label, source, eta_s):
             print(source, flush=True)
 
-        run_campaign(tasks, jobs=1, cache=None,
-                     journal=CampaignJournal(sys.argv[1]),
+        run_campaign(tasks, jobs=1, cache=ResultCache(sys.argv[1]),
                      progress=progress)
     """)
 
-    def test_resume_simulates_only_unjournaled_tasks(self, tmp_path):
-        """Integration: SIGKILL a journaled campaign mid-flight, resume
-        with no cache at all, and the journal alone restores completed
-        tasks — exactly total - replayed tasks re-simulate."""
-        from repro.experiments.campaign import run_campaign, tasks_for
-        from repro.resilience import CampaignJournal
+    def test_resume_simulates_only_uncached_tasks(self, tmp_path):
+        """Integration: SIGKILL a cached campaign mid-flight and resume
+        from that cache alone — every finished task is served from it
+        intact, and exactly total - cached tasks re-simulate."""
+        from repro.experiments.campaign import (ResultCache, run_campaign,
+                                                tasks_for)
 
         script = tmp_path / "child.py"
         script.write_text(self.CHILD)
-        journal_path = tmp_path / "campaign.journal.jsonl"
+        cache_dir = tmp_path / "cache"
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
         proc = subprocess.Popen(
-            [sys.executable, str(script), str(journal_path)],
+            [sys.executable, str(script), str(cache_dir)],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
             text=True)
         try:
@@ -189,13 +200,11 @@ class TestSigkillResume:
                 proc.kill()
                 proc.wait()
         assert proc.returncode == -signal.SIGKILL
-        assert journal_path.exists()
 
-        config = FAST
         tasks = tasks_for(["tdram", "cascade_lake", "no_cache"], ["cg.C"],
-                          config=config, demands_per_core=350, seeds=[13])
-        outcome = run_campaign(tasks, jobs=1, cache=None,
-                               journal=CampaignJournal(journal_path))
-        assert outcome.replayed >= 1
-        assert outcome.simulated == len(tasks) - outcome.replayed
+                          config=FAST, demands_per_core=350, seeds=[13])
+        outcome = run_campaign(tasks, jobs=1, cache=ResultCache(cache_dir))
+        assert outcome.cached >= 1
+        assert outcome.simulated == len(tasks) - outcome.cached
+        assert outcome.cache_corrupt == 0
         assert all(result is not None for result in outcome.results)

@@ -20,8 +20,8 @@ Checks:
 * **links** — relative-link check over the markdown docs
   (:mod:`check_links`);
 * **docstrings** — 100% public docstring coverage on ``repro.obs``,
-  ``repro.ras``, ``repro.memory`` and ``repro.dram.scheduler``
-  (:mod:`check_docstrings`);
+  ``repro.ras``, ``repro.memory``, ``repro.dram.scheduler`` and
+  ``repro.experiments.campaign`` (:mod:`check_docstrings`);
 * **metrics** — every counter name declared in
   ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
   ``docs/metrics.md``, so new backend counters cannot ship
@@ -58,7 +58,8 @@ TYPED_PACKAGES = ("src/repro/sim", "src/repro/dram", "src/repro/cache",
 LINK_PATHS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 #: Packages gated at 100% public docstring coverage.
 DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
-                   "src/repro/dram/scheduler.py")
+                   "src/repro/dram/scheduler.py",
+                   "src/repro/experiments/campaign.py")
 
 
 def run_lint() -> Tuple[bool, str]:
