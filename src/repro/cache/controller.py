@@ -14,7 +14,7 @@ subclass :class:`DramCacheController` and implement:
   queued cache operations;
 * :meth:`DramCacheController._earliest_op` / :meth:`_commit_op` — the
   design's DRAM transaction for each operation kind;
-* optionally :meth:`_on_blocked` (TDRAM's probe slots) and
+* optionally :meth:`_blocked_work` (TDRAM's probe slots) and
   :meth:`_handle_fill_eviction` (flush/victim buffers).
 """
 
@@ -24,7 +24,7 @@ import abc
 import enum
 import itertools
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.metrics import CacheMetrics
 from repro.cache.prefetcher import StridePrefetcher
@@ -92,7 +92,7 @@ class CacheChannelScheduler(ChannelScheduler[CacheOp]):
     the write drain starts at 3/4 of the write buffer and ends at 1/4.
     The DRAM transaction and any blocked-slot work are the design's
     (:meth:`DramCacheController._earliest_op` / ``_commit_op`` /
-    ``_on_blocked``).
+    ``_blocked_work``).
     """
 
     def __init__(self, controller: "DramCacheController", index: int) -> None:
@@ -105,6 +105,7 @@ class CacheChannelScheduler(ChannelScheduler[CacheOp]):
         self.index = index
         self.read_capacity = config.read_buffer_entries
         self.write_capacity = write_capacity
+        self.blocked_work = controller._blocked_work(index)
 
     # ------------------------------------------------------------------
     def read_space(self) -> int:
@@ -140,7 +141,7 @@ class CacheChannelScheduler(ChannelScheduler[CacheOp]):
         """FR-FCFS: oldest op whose bank is ready, else the oldest op."""
         banks = self.channel.banks
         for op in queue:
-            if banks[op.bank].is_ready(at):
+            if banks[op.bank].ready_at <= at:
                 return op
         return queue[0]
 
@@ -149,9 +150,6 @@ class CacheChannelScheduler(ChannelScheduler[CacheOp]):
 
     def commit(self, op: CacheOp, now: int) -> None:
         self.controller._commit_op(self.index, op, now)
-
-    def _on_blocked(self, now: int) -> None:
-        self.controller._on_blocked(self.index, now)
 
 
 class DramCacheController(abc.ABC):
@@ -441,12 +439,16 @@ class DramCacheController(abc.ABC):
     def _commit_op(self, channel_idx: int, op: CacheOp, now: int) -> None:
         """Issue ``op`` now: reserve resources, schedule consequences."""
 
-    def _on_blocked(self, channel_idx: int, now: int) -> None:
-        """Called when the scheduler found work but no free slot.
+    def _blocked_work(self, channel_idx: int) -> Optional[Callable[[int], None]]:
+        """Work for channel ``channel_idx``'s scheduler to do, given
+        ``now``, whenever it has work queued but no free slot.
 
-        TDRAM overrides this to fire early tag probes into the unused
-        CA/HM slots (§III-E).
+        Asked once, when the scheduler is built. The default is None:
+        the design has none, and blocked polls make no call. TDRAM with
+        probing returns its early tag probes into the unused CA/HM
+        slots (§III-E).
         """
+        return None
 
     # ------------------------------------------------------------------
     # Introspection for experiments

@@ -18,6 +18,8 @@ The differences the paper calls out (§VI) and that this model captures:
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from repro.cache.tdram import TdramCache
 from repro.config.system import SystemConfig
 from repro.dram.bus import Direction
@@ -33,11 +35,14 @@ class NdcCache(TdramCache):
     def __init__(self, sim: Simulator, config: SystemConfig,
                  main_memory: MemoryBackend) -> None:
         super().__init__(sim, config, main_memory)
-        self.enable_probing = False
         self.unload_on_refresh = False
         self.unload_on_read_miss_clean = False
         #: RES fires once the victim buffer is half full
         self.res_threshold = max(1, config.flush_buffer_entries // 2)
+
+    def _blocked_work(self, channel_idx: int) -> Optional[Callable[[int], None]]:
+        """NDC has no early tag probing: blocked channels do nothing."""
+        return None
 
     def _hm_delay(self) -> int:
         """NDC's result appears during the column operation."""

@@ -21,7 +21,8 @@ write misses so the DQ bus never turns around mid-write-burst.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.cache.controller import CacheOp, DramCacheController, OpKind
 from repro.cache.request import DemandRequest, Op, Outcome
@@ -53,7 +54,6 @@ class TdramCache(DramCacheController):
         if self.obs is not None:
             self.obs.attach_flush(self.flush)
         self.probe_engine = ProbeEngine()
-        self.enable_probing = config.enable_probing
         opportunistic = config.flush_unload_policy == "opportunistic"
         self.unload_on_refresh = opportunistic
         self.unload_on_read_miss_clean = opportunistic
@@ -123,7 +123,7 @@ class TdramCache(DramCacheController):
         channel = self.channels[channel_idx]
         earliest = channel.earliest_issue(op.bank, now, is_write, with_tag=True)
         probe_hold = self._probe_busy_until[channel_idx][op.bank]
-        if probe_hold > now and probe_hold > channel.banks[op.bank].earliest(now):
+        if probe_hold > now and probe_hold > channel.banks[op.bank].ready_at:
             # Each probe's hold is counted as a conflict at most once.
             key = (channel_idx, op.bank, probe_hold)
             if key not in self._counted_conflicts:
@@ -291,9 +291,13 @@ class TdramCache(DramCacheController):
     # ------------------------------------------------------------------
     # Early tag probing (§III-E)
     # ------------------------------------------------------------------
+    def _blocked_work(self, channel_idx: int) -> Optional[Callable[[int], None]]:
+        """Early tag probes while the channel waits, if probing is on."""
+        if not self.config.enable_probing:
+            return None
+        return partial(self._on_blocked, channel_idx)
+
     def _on_blocked(self, channel_idx: int, now: int) -> None:
-        if not self.enable_probing:
-            return
         channel = self.channels[channel_idx]
         read_q = self.schedulers[channel_idx].read_q
         op = self.probe_engine.select(channel, read_q, now)

@@ -13,6 +13,7 @@ the 64 B block size); the front end performs that division once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, NamedTuple, Tuple
 
 from repro.errors import ConfigError
 
@@ -41,14 +42,17 @@ class DramGeometry:
 
     @property
     def blocks_per_channel(self) -> int:
+        """64 B blocks held by one channel."""
         return self.banks_per_channel * self.rows_per_bank * self.columns_per_row
 
     @property
     def total_blocks(self) -> int:
+        """64 B blocks held by the whole device."""
         return self.channels * self.blocks_per_channel
 
     @property
     def capacity_bytes(self) -> int:
+        """Device capacity in bytes."""
         return self.total_blocks * BLOCK_BYTES
 
     @classmethod
@@ -74,8 +78,7 @@ class DramGeometry:
         return cls(channels, banks_per_channel, rows, columns_per_row)
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     """A block address decomposed for one device access."""
 
     channel: int
@@ -109,43 +112,42 @@ class AddressMapper:
             raise ConfigError(f"unknown interleaving scheme {scheme!r}")
         self.geometry = geometry
         self.scheme = scheme
+        # Every field width is a power of two (DramGeometry checks), so
+        # each field is a shift and a mask of the block address.
+        sizes = {"channel": geometry.channels,
+                 "bank": geometry.banks_per_channel,
+                 "column": geometry.columns_per_row,
+                 "row": geometry.rows_per_bank}
+        order = (("channel", "bank", "column", "row")
+                 if scheme == "RoCoRaBaCh"
+                 else ("column", "channel", "bank", "row"))
+        fields: Dict[str, Tuple[int, int]] = {}
+        shift = 0
+        for name in order:  # least-significant field first
+            fields[name] = (shift, sizes[name] - 1)
+            shift += sizes[name].bit_length() - 1
+        self._channel_shift, self._channel_mask = fields["channel"]
+        self._bank_shift, self._bank_mask = fields["bank"]
+        self._row_shift, self._row_mask = fields["row"]
+        self._column_shift, self._column_mask = fields["column"]
 
     def decode(self, block_addr: int) -> DecodedAddress:
         """Map a block address to (channel, bank, row, column)."""
         if block_addr < 0:
             raise ConfigError(f"negative block address {block_addr}")
-        geo = self.geometry
-        rest = block_addr
-        if self.scheme == "RoCoRaBaCh":
-            channel = rest % geo.channels
-            rest //= geo.channels
-            bank = rest % geo.banks_per_channel
-            rest //= geo.banks_per_channel
-            column = rest % geo.columns_per_row
-            rest //= geo.columns_per_row
-        else:  # RoRaBaChCo
-            column = rest % geo.columns_per_row
-            rest //= geo.columns_per_row
-            channel = rest % geo.channels
-            rest //= geo.channels
-            bank = rest % geo.banks_per_channel
-            rest //= geo.banks_per_channel
-        row = rest % geo.rows_per_bank
-        return DecodedAddress(channel=channel, bank=bank, row=row, column=column)
+        return DecodedAddress(
+            (block_addr >> self._channel_shift) & self._channel_mask,
+            (block_addr >> self._bank_shift) & self._bank_mask,
+            (block_addr >> self._row_shift) & self._row_mask,
+            (block_addr >> self._column_shift) & self._column_mask,
+        )
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (for the canonical in-device block)."""
-        geo = self.geometry
-        value = decoded.row
-        if self.scheme == "RoCoRaBaCh":
-            value = value * geo.columns_per_row + decoded.column
-            value = value * geo.banks_per_channel + decoded.bank
-            value = value * geo.channels + decoded.channel
-        else:
-            value = value * geo.banks_per_channel + decoded.bank
-            value = value * geo.channels + decoded.channel
-            value = value * geo.columns_per_row + decoded.column
-        return value
+        return ((decoded.row << self._row_shift)
+                + (decoded.column << self._column_shift)
+                + (decoded.bank << self._bank_shift)
+                + (decoded.channel << self._channel_shift))
 
     def frame_index(self, block_addr: int) -> int:
         """The cache frame (set, for direct-mapped) a block lands in."""

@@ -3,8 +3,12 @@
 With a close-page policy every access is activate + column + auto-
 precharge, so a bank is fully described by the earliest time its next
 activate may begin. Rolling activate constraints (tRRD between any two
-activates, at most four activates per tXAW window — Table III) live in
-:class:`ActivationWindow`, shared per channel.
+activates, at most ``activates_per_window`` activates per tXAW window —
+Table III) live in :class:`ActivationWindow`, shared per channel.
+
+Each resource keeps its floor — the earliest instant its next grant may
+start — as a plain attribute that only its own mutators move, so the
+issue planner reads floors instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ class Bank:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self._ready_at = 0
+        #: earliest time the next activate to this bank may issue; moved
+        #: only by :meth:`reserve`, :meth:`block_until` and :meth:`set_ready`
+        self.ready_at = 0
         self.accesses = 0
         self.busy_time = 0
         # Open-page state
@@ -35,34 +41,22 @@ class Bank:
         self.activated_at = 0            #: last ACT time (tRAS accounting)
         self.precharge_not_before = 0    #: max(act+tRAS, write_end+tWR)
 
-    @property
-    def ready_at(self) -> int:
-        """Earliest time the next activate to this bank may issue."""
-        return self._ready_at
-
-    def earliest(self, at: int) -> int:
-        """Earliest activate time at or after ``at``."""
-        return max(at, self._ready_at)
-
-    def is_ready(self, at: int) -> bool:
-        return at >= self._ready_at
-
     def reserve(self, start: int, busy: int) -> int:
         """Occupy the bank for one access; returns when it frees."""
-        if start < self._ready_at:
+        if start < self.ready_at:
             raise ProtocolError(
-                f"bank {self.index}: activate at {start} before ready ({self._ready_at})"
+                f"bank {self.index}: activate at {start} before ready ({self.ready_at})"
             )
         if busy <= 0:
             raise ProtocolError(f"bank {self.index}: non-positive busy time {busy}")
-        self._ready_at = start + busy
+        self.ready_at = start + busy
         self.accesses += 1
         self.busy_time += busy
-        return self._ready_at
+        return self.ready_at
 
     def block_until(self, time: int) -> None:
         """Push readiness out (used by the refresh engine)."""
-        self._ready_at = max(self._ready_at, time)
+        self.ready_at = max(self.ready_at, time)
 
     def close_row(self) -> None:
         """Precharge bookkeeping (refresh closes every row)."""
@@ -70,14 +64,15 @@ class Bank:
 
     def set_ready(self, time: int, accesses: int = 1) -> None:
         """Open-page bookkeeping: next command to this bank at ``time``."""
-        if time > self._ready_at:
-            self.busy_time += time - max(self._ready_at, self.activated_at)
-            self._ready_at = time
+        if time > self.ready_at:
+            self.busy_time += time - max(self.ready_at, self.activated_at)
+            self.ready_at = time
         self.accesses += accesses
 
 
 class ActivationWindow:
-    """Rolling tRRD / tXAW (four-activate-window) constraint tracker."""
+    """Rolling tRRD / tXAW (``activates_per_window``-activate window)
+    constraint tracker."""
 
     def __init__(self, t_rrd: int, t_xaw: int, activates_per_window: int = 4) -> None:
         if activates_per_window < 1:
@@ -86,20 +81,22 @@ class ActivationWindow:
         self.t_xaw = t_xaw
         self.activates_per_window = activates_per_window
         self._recent: Deque[int] = deque(maxlen=activates_per_window)
-
-    def earliest(self, at: int) -> int:
-        """Earliest activate time at or after ``at`` honouring tRRD/tXAW."""
-        earliest = at
-        if self._recent:
-            earliest = max(earliest, self._recent[-1] + self.t_rrd)
-            if len(self._recent) == self.activates_per_window:
-                earliest = max(earliest, self._recent[0] + self.t_xaw)
-        return earliest
+        #: earliest legal next activate: the last one plus tRRD, raised
+        #: to the oldest plus tXAW once the window is full; moved only
+        #: by :meth:`record`
+        self.floor = 0
 
     def record(self, at: int) -> None:
         """Record an activate issued at ``at``."""
-        if self._recent and at < self._recent[-1]:
+        recent = self._recent
+        if recent and at < recent[-1]:
             raise ProtocolError("activates must be recorded in time order")
-        if at < self.earliest(at):
+        if at < self.floor:
             raise ProtocolError(f"activate at {at} violates tRRD/tXAW window")
-        self._recent.append(at)
+        recent.append(at)
+        floor = at + self.t_rrd
+        if len(recent) == self.activates_per_window:
+            oldest = recent[0] + self.t_xaw
+            if oldest > floor:
+                floor = oldest
+        self.floor = floor

@@ -4,7 +4,10 @@ Buses are modelled as monotonic reservation resources: each grant starts
 at or after the end of the previous grant (plus a direction-turnaround
 gap on the bidirectional DQ bus). This is exact for an in-order
 command stream with fixed data offsets, which is how close-page
-FR-FCFS controllers drive DRAM.
+FR-FCFS controllers drive DRAM. Each bus keeps the earliest start of
+its next grant as a plain attribute (``free_at``; on DQ also
+``read_floor``/``write_floor``, which include the turnaround gap), and
+only the bus's own reserve methods move it.
 
 The DQ model also records *idle read-direction gaps*: these are the
 "unused DQ slots" TDRAM exploits for opportunistic flush-buffer unloads
@@ -31,22 +34,14 @@ class Bus:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._free_at = 0
+        #: earliest time a new grant may begin; moved only by :meth:`reserve`
+        self.free_at = 0
         self.busy_time = 0
         self.grants = 0
 
-    @property
-    def free_at(self) -> int:
-        """Earliest time a new grant may begin."""
-        return self._free_at
-
     def earliest(self, start: int) -> int:
         """Earliest grant start at or after ``start``."""
-        return max(start, self._free_at)
-
-    def is_free(self, at: int) -> bool:
-        """Whether a grant could begin exactly at ``at``."""
-        return at >= self._free_at
+        return max(start, self.free_at)
 
     def reserve(self, start: int, duration: int) -> int:
         """Occupy the bus for ``[start, start + duration)``.
@@ -56,14 +51,14 @@ class Bus:
         """
         if duration < 0:
             raise ProtocolError(f"{self.name}: negative duration {duration}")
-        if start < self._free_at:
+        if start < self.free_at:
             raise ProtocolError(
-                f"{self.name}: grant at {start} overlaps previous (free at {self._free_at})"
+                f"{self.name}: grant at {start} overlaps previous (free at {self.free_at})"
             )
-        self._free_at = start + duration
+        self.free_at = start + duration
         self.busy_time += duration
         self.grants += 1
-        return self._free_at
+        return self.free_at
 
 
 class DataBus(Bus):
@@ -81,34 +76,45 @@ class DataBus(Bus):
         self._last_direction: Optional[Direction] = None
         self.turnarounds = 0
         self.turnaround_time = 0
-
-    def turnaround_gap(self, direction: Direction) -> int:
-        """Dead time required before a grant in ``direction``."""
-        if self._last_direction is None or self._last_direction is direction:
-            return 0
-        return self.t_rtw if direction is Direction.WRITE else self.t_wtr
+        #: earliest start of a read / a write grant: ``free_at`` plus the
+        #: turnaround gap into that direction; moved only by
+        #: :meth:`reserve_dir`
+        self.read_floor = 0
+        self.write_floor = 0
 
     def earliest_dir(self, start: int, direction: Direction) -> int:
         """Earliest start for a grant in ``direction`` at/after ``start``."""
-        return max(start, self._free_at + self.turnaround_gap(direction))
+        floor = self.read_floor if direction is Direction.READ else self.write_floor
+        return max(start, floor)
 
     def reserve_dir(self, start: int, duration: int, direction: Direction) -> int:
         """Occupy the bus in ``direction``; returns the end time."""
-        gap = self.turnaround_gap(direction)
-        if start < self._free_at + gap:
+        is_read = direction is Direction.READ
+        floor = self.read_floor if is_read else self.write_floor
+        gap = floor - self.free_at
+        if start < floor:
             raise ProtocolError(
                 f"{self.name}: grant at {start} violates turnaround "
-                f"(free at {self._free_at}, gap {gap})"
+                f"(free at {self.free_at}, gap {gap})"
             )
         if gap:
             self.turnarounds += 1
             self.turnaround_time += gap
         self._last_direction = direction
-        return super().reserve(start, duration)
+        end = super().reserve(start, duration)
+        if is_read:
+            self.read_floor = end
+            self.write_floor = end + self.t_rtw
+        else:
+            self.write_floor = end
+            self.read_floor = end + self.t_wtr
+        return end
 
     def reserve(self, start: int, duration: int) -> int:  # pragma: no cover
+        """Refused: every DQ grant has a direction (:meth:`reserve_dir`)."""
         raise ProtocolError("use reserve_dir() on the DQ bus")
 
     @property
     def last_direction(self) -> Optional[Direction]:
+        """Direction of the latest grant (None before the first)."""
         return self._last_direction

@@ -6,17 +6,17 @@ turns each HBM3 pseudo-channel into one, §III-B): an 8-bit CA bus, a
 sixteen logical (pair-scheduled) data banks, and an all-bank refresh
 engine.
 
-Issue planning uses a fixed-point search over monotonic resource
-constraints: the earliest time every needed resource (CA slot, bank,
-activation window, DQ slot at its fixed offset, tag bank, HM slot) is
-simultaneously available. Controllers then commit the plan, which
+Issue planning asks for the earliest time every needed resource (CA
+slot, bank, activation window, DQ slot at its fixed offset, tag bank,
+HM slot) is simultaneously available. Each resource keeps that floor as
+a plain attribute which only its own mutators move, so the answer is a
+max over attribute reads. Controllers then commit the plan, which
 reserves the resources and returns the grant times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.dram.bank import ActivationWindow, Bank
 from repro.dram.bus import Bus, DataBus, Direction
@@ -29,8 +29,7 @@ from repro.sim.kernel import Simulator, ns
 HM_PACKET_TIME = ns(0.75)
 
 
-@dataclass(frozen=True)
-class AccessGrant:
+class AccessGrant(NamedTuple):
     """Committed resource grants for one DRAM access."""
 
     issue: int                 #: command slot start on the CA bus
@@ -61,6 +60,15 @@ class DramChannel:
         self.sim = sim
         self.timing = timing
         self.tag_timing = tag_timing
+        #: command-to-data offsets and bank occupancy of the fused
+        #: close-page commands
+        self._read_data_delay = timing.read_data_delay
+        self._write_data_delay = timing.write_data_delay
+        self._read_bank_busy = timing.read_bank_busy
+        self._write_bank_busy = timing.write_bank_busy
+        #: command-to-HM-result delay (0 without a tag path)
+        self._hm_result_delay = (0 if tag_timing is None
+                                 else tag_timing.hm_result_delay)
         self.page_policy = page_policy
         self.refresh_policy = refresh_policy
         self._refresh_cursor = 0
@@ -171,41 +179,38 @@ class DramChannel:
         """Earliest legal command-issue instant at or after ``at``.
 
         Every constraint has the form ``max(t, floor)`` where the floor
-        (a bus free time, bank ready time, activation-window horizon,
-        or data/HM slot at a fixed command offset) does not depend on
-        ``t``, so the fixed point is a single max over the floors — no
-        iterative search. This is the hottest function in the simulator
-        (one call per scheduler wake per channel), hence the manual
-        comparisons instead of one big ``max(...)`` call.
+        does not depend on ``t`` and the resource that owns it keeps it
+        current, so the answer is one max over floor reads: the DQ and
+        HM floors minus their fixed command offsets, the others as they
+        are. This is the hottest function in the simulator (one call per
+        scheduler decision per channel), hence the manual comparisons
+        instead of one big ``max(...)`` call.
         """
-        t = self.ca.earliest(at)
-        v = self.banks[bank].earliest(at)
+        t = self.ca.free_at
+        if at > t:
+            t = at
+        v = self.banks[bank].ready_at
         if v > t:
             t = v
-        v = self.act_window.earliest(at)
+        v = self.act_window.floor
         if v > t:
             t = v
         if with_data:
-            timing = self.timing
             if is_write:
-                offset = timing.write_data_delay
-                v = self.dq.earliest_dir(at + offset, Direction.WRITE) - offset
+                v = self.dq.write_floor - self._write_data_delay
             else:
-                offset = timing.read_data_delay
-                v = self.dq.earliest_dir(at + offset, Direction.READ) - offset
+                v = self.dq.read_floor - self._read_data_delay
             if v > t:
                 t = v
-        tag_timing = self.tag_timing
-        if with_tag and tag_timing is not None:
+        if with_tag and self.tag_timing is not None:
             assert self.tag_act_window is not None and self.hm is not None
-            v = self.tag_banks[bank].earliest(at)
+            v = self.tag_banks[bank].ready_at
             if v > t:
                 t = v
-            v = self.tag_act_window.earliest(at)
+            v = self.tag_act_window.floor
             if v > t:
                 t = v
-            delay = tag_timing.hm_result_delay
-            v = self.hm.earliest(at + delay) - delay
+            v = self.hm.free_at - self._hm_result_delay
             if v > t:
                 t = v
         return t
@@ -247,14 +252,14 @@ class DramChannel:
         timing = self.timing
         self.version += 1
         self.ca.reserve(at, timing.tCMD)
-        busy = timing.write_bank_busy if is_write else timing.read_bank_busy
+        busy = self._write_bank_busy if is_write else self._read_bank_busy
         self.banks[bank].reserve(at, busy)
         self.act_window.record(at)
         self.activates += 1
         self.column_ops += column_op
         data_start = data_end = None
         if with_data:
-            offset = timing.write_data_delay if is_write else timing.read_data_delay
+            offset = self._write_data_delay if is_write else self._read_data_delay
             direction = Direction.WRITE if is_write else Direction.READ
             burst = max(1, int(round(timing.tBURST * data_bytes / 64)))
             data_start = at + offset
@@ -269,9 +274,8 @@ class DramChannel:
             assert self.tag_act_window is not None and self.hm is not None
             self.tag_banks[bank].reserve(at, self.tag_timing.tRC_TAG)
             self.tag_act_window.record(at)
-            delay = hm_result_delay if hm_result_delay is not None else (
-                self.tag_timing.hm_result_delay
-            )
+            delay = (self._hm_result_delay if hm_result_delay is None
+                     else hm_result_delay)
             hm_slot = self.hm.earliest(at + delay)
             self.hm.reserve(hm_slot, HM_PACKET_TIME)
             hm_at = hm_slot + HM_PACKET_TIME
@@ -279,14 +283,13 @@ class DramChannel:
             name = ("act_wr" if is_write else "act_rd") if with_tag else (
                 "write" if is_write else "read")
             self._notify(name, bank, at, data_start, data_end)
-        return AccessGrant(
-            issue=at, data_start=data_start, data_end=data_end, hm_at=hm_at, bank=bank
-        )
+        return AccessGrant(at, data_start, data_end, hm_at, bank)
 
     # ------------------------------------------------------------------
     # Open-page accesses (the DDR5 backing store)
     # ------------------------------------------------------------------
     def is_row_hit(self, bank: int, row: int) -> bool:
+        """Whether ``row`` is the open row of ``bank`` (open-page)."""
         return self.banks[bank].open_row == row
 
     def _open_data_offset(self, bank: int, row: int, is_write: bool) -> int:
@@ -304,20 +307,32 @@ class DramChannel:
                             is_write: bool) -> int:
         """Open-page analogue of :meth:`earliest_issue`.
 
-        Like :meth:`earliest_issue`, every constraint floor is
-        ``t``-independent, so a single max pass gives the fixed point.
+        A row hit needs the CA slot, the bank and the DQ slot at the CAS
+        offset; a row change also needs the activation window, and a
+        row conflict the implicit precharge. Every floor is
+        ``t``-independent, so one max gives the answer.
         """
         b = self.banks[bank]
-        hit = b.open_row == row
-        offset = self._open_data_offset(bank, row, is_write)
-        direction = Direction.WRITE if is_write else Direction.READ
-        t = max(at, self.ca.earliest(at), b.earliest(at))
-        if not hit:
-            t = max(t, self.act_window.earliest(at))
+        t = self.ca.free_at
+        if at > t:
+            t = at
+        v = b.ready_at
+        if v > t:
+            t = v
+        if b.open_row != row:
+            v = self.act_window.floor
+            if v > t:
+                t = v
             if b.open_row >= 0:
                 # The implicit precharge obeys tRAS and tWR.
-                t = max(t, b.precharge_not_before)
-        return max(t, self.dq.earliest_dir(at + offset, direction) - offset)
+                v = b.precharge_not_before
+                if v > t:
+                    t = v
+        floor = self.dq.write_floor if is_write else self.dq.read_floor
+        v = floor - self._open_data_offset(bank, row, is_write)
+        if v > t:
+            t = v
+        return t
 
     def issue_access_open(self, bank: int, at: int, row: int, is_write: bool,
                           data_bytes: int = 64) -> AccessGrant:
@@ -355,8 +370,7 @@ class DramChannel:
             self.bytes_read += data_bytes
         self._notify("write" if is_write else "read", bank, at,
                      data_start, data_end)
-        return AccessGrant(issue=at, data_start=data_start, data_end=data_end,
-                           hm_at=None, bank=bank)
+        return AccessGrant(at, data_start, data_end, None, bank)
 
     # ------------------------------------------------------------------
     # Tag-only probes (TDRAM early tag probing, §III-E)
@@ -372,10 +386,10 @@ class DramChannel:
             return False
         assert self.tag_act_window is not None and self.hm is not None
         return (
-            self.ca.is_free(at)
-            and self.tag_banks[bank].is_ready(at)
-            and self.tag_act_window.earliest(at) <= at
-            and self.hm.is_free(at + self.tag_timing.hm_result_delay)
+            at >= self.ca.free_at
+            and at >= self.tag_banks[bank].ready_at
+            and at >= self.tag_act_window.floor
+            and at + self._hm_result_delay >= self.hm.free_at
         )
 
     def issue_probe(self, bank: int, at: int) -> AccessGrant:
@@ -387,13 +401,10 @@ class DramChannel:
         self.ca.reserve(at, self.timing.tCMD)
         self.tag_banks[bank].reserve(at, self.tag_timing.tRC_TAG)
         self.tag_act_window.record(at)
-        hm_slot = self.hm.earliest(at + self.tag_timing.hm_result_delay)
+        hm_slot = self.hm.earliest(at + self._hm_result_delay)
         self.hm.reserve(hm_slot, HM_PACKET_TIME)
         self._notify("probe", bank, at)
-        return AccessGrant(
-            issue=at, data_start=None, data_end=None,
-            hm_at=hm_slot + HM_PACKET_TIME, bank=bank,
-        )
+        return AccessGrant(at, None, None, hm_slot + HM_PACKET_TIME, bank)
 
     # ------------------------------------------------------------------
     # Raw DQ grants (flush-buffer unloads, NDC's RES command)

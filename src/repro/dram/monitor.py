@@ -36,6 +36,7 @@ class CommandRecord:
 
     @property
     def time_ns(self) -> float:
+        """Command time in nanoseconds."""
         return to_ns(self.time_ps)
 
 
@@ -59,6 +60,7 @@ class CommandLog(ChannelObserver):
         self.counts = CounterSet()
 
     def on_command(self, record: CommandRecord) -> None:
+        """Count the command and keep it while the log has room."""
         self.counts.add(record.command)
         if len(self.records) < self.capacity:
             self.records.append(record)
@@ -66,6 +68,7 @@ class CommandLog(ChannelObserver):
             self.dropped += 1
 
     def between(self, start_ps: int, end_ps: int) -> List[CommandRecord]:
+        """Logged commands issued in ``[start_ps, end_ps)``."""
         return [r for r in self.records if start_ps <= r.time_ps < end_ps]
 
     def render_timeline(self, start_ps: int, end_ps: int,
@@ -108,6 +111,8 @@ class ProtocolChecker(ChannelObserver):
         self.commands_checked = 0
 
     def on_command(self, record: CommandRecord) -> None:
+        """Check the command's CA order, per-bank tRC spacing and data
+        window; raise :class:`ProtocolError` on a violation."""
         self.commands_checked += 1
         if record.command in ("act_rd", "act_wr", "read", "write", "probe"):
             if (self._last_cmd_time is not None

@@ -10,8 +10,10 @@ supplies:
 * :meth:`~ChannelScheduler._update_drain_mode` — its watermark rule;
 * :meth:`~ChannelScheduler.earliest` / :meth:`~ChannelScheduler.commit`
   — the DRAM transaction that serves an op;
-* optionally :meth:`~ChannelScheduler._on_blocked` — work to do while
-  the picked op waits (TDRAM's early tag probes, §III-E).
+* optionally :attr:`~ChannelScheduler.blocked_work`, set at
+  construction — work to do while the picked op waits (TDRAM's early
+  tag probes, §III-E). Owners without such work leave it ``None``, and
+  their blocked polls make no call.
 
 Every arrival :meth:`~ChannelScheduler.kick`\\ s the loop. Unless a
 wake-up is already pending, it serves the write queue while draining
@@ -39,20 +41,22 @@ its last blocked decision as ``(now, channel.version, wake time)``.
 its five state mutators, and :meth:`~ChannelScheduler.push_read`,
 :meth:`~ChannelScheduler.push_write` and
 :meth:`~ChannelScheduler.remove_read` — the only queue mutators — forget
-the decision. A poll that finds it still current re-arms its wake and
-runs :meth:`~ChannelScheduler._on_blocked`, skipping the drain update,
-the pick and ``earliest``. This is exact under the owner contract:
-``_select``, ``_update_drain_mode`` and ``earliest`` read only ``now``,
-the queues, :attr:`~ChannelScheduler.draining` and channel state that
-changes only through the five mutators, and any side effect of
-``earliest`` is idempotent (TDRAM counts each probe-hold conflict
-once).
+the decision. A wake that finds it still current re-arms the remembered
+wake and runs :attr:`~ChannelScheduler.blocked_work`, if any, in one
+step, skipping the drain update, the pick and ``earliest``. Only a wake
+can find it current: a blocked decision leaves ``_wake_at`` after
+``now``, so a kick at that instant returns before deciding. This is
+exact under the owner contract: ``_select``, ``_update_drain_mode`` and
+``earliest`` read only ``now``, the queues,
+:attr:`~ChannelScheduler.draining` and channel state that changes only
+through the five mutators, and any side effect of ``earliest`` is
+idempotent (TDRAM counts each probe-hold conflict once).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Generic, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 
 from repro.dram.device import DramChannel
 from repro.sim.kernel import Simulator
@@ -81,9 +85,14 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
         self.low_watermark = low_watermark
         #: serve writes ahead of waiting reads
         self.draining = False
+        #: work to do, given ``now``, whenever work is queued but the
+        #: next issue must wait; None when the owner has none
+        self.blocked_work: Optional[Callable[[int], None]] = None
         self._wake_at: Optional[int] = None
         #: last blocked decision as ``(now, channel.version, wake time)``
         self._blocked: Optional[Tuple[int, int, int]] = None
+        #: the wake callback, bound once
+        self._wake = self._on_wake
 
     # ------------------------------------------------------------------
     # Owner hooks
@@ -103,9 +112,6 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
     @abc.abstractmethod
     def commit(self, op: OpT, now: int) -> None:
         """Issue ``op`` now: reserve resources, schedule consequences."""
-
-    def _on_blocked(self, now: int) -> None:
-        """Called when work is queued but the next issue must wait."""
 
     # ------------------------------------------------------------------
     # The loop
@@ -130,35 +136,43 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
     def kick(self) -> None:
         """New work arrived: issue now unless a wake-up is still ahead."""
         now = self.sim.now
-        if self._wake_at is not None and self._wake_at <= now:
+        wake_at = self._wake_at
+        if wake_at is not None:
+            if wake_at > now:
+                # An issue is already pending; newly arrived work can
+                # still be probed in the meantime (TDRAM, §III-E).
+                work = self.blocked_work
+                if work is not None:
+                    work(now)
+                return
             self._wake_at = None
-        if self._wake_at is not None:
-            # An issue is already pending; newly arrived work can still
-            # be probed in the meantime (TDRAM, §III-E).
-            self._on_blocked(now)
-            return
         self._try_issue()
 
     def _schedule_wake(self, at: int) -> None:
-        at = max(at, self.sim.now + 1)
+        """Wake at ``at`` (after now) unless a wake at or before it is
+        already pending."""
         if self._wake_at is not None and self._wake_at <= at:
             return
         self._wake_at = at
-        self.sim.at(at, self._on_wake)
+        self.sim.at(at, self._wake)
 
     def _on_wake(self) -> None:
-        self._wake_at = None
-        self._try_issue()
-
-    def _try_issue(self) -> None:
         now = self.sim.now
         blocked = self._blocked
         if (blocked is not None and blocked[0] == now
                 and blocked[1] == self.channel.version):
             # Same instant, same queues, same channel: same decision.
-            self._schedule_wake(blocked[2])
-            self._on_blocked(now)
+            at = self._wake_at = blocked[2]
+            self.sim.at(at, self._wake)
+            work = self.blocked_work
+            if work is not None:
+                work(now)
             return
+        self._wake_at = None
+        self._try_issue()
+
+    def _try_issue(self) -> None:
+        now = self.sim.now
         self._update_drain_mode()
         read_q = self.read_q
         write_q = self.write_q
@@ -170,10 +184,13 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
         if earliest > now:
             self._blocked = (now, self.channel.version, earliest)
             self._schedule_wake(earliest)
-            self._on_blocked(now)
+            work = self.blocked_work
+            if work is not None:
+                work(now)
             return
         queue.remove(op)
         self.commit(op, now)
         # Look for more work once the command slot frees.
         if read_q or write_q:
-            self._schedule_wake(self.channel.ca.free_at)
+            free_at = self.channel.ca.free_at
+            self._schedule_wake(free_at if free_at > now else now + 1)

@@ -88,7 +88,7 @@ class DramTiming:
     tCL: int = ns(18)         #: read CAS latency
     tCWL: int = ns(7)         #: write CAS latency
     tRRD: int = ns(2)         #: activate-to-activate, different banks
-    tXAW: int = ns(16)        #: rolling activation window (4 activates)
+    tXAW: int = ns(16)        #: rolling activation window (activates_per_window activates)
     tRL_core: int = ns(2)     #: internal read latency for flush-buffer moves
     tRTW_int: int = ns(1)     #: internal read-to-write turnaround
     activates_per_window: int = 8

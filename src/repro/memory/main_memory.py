@@ -75,8 +75,9 @@ class _Ddr5Scheduler(ChannelScheduler[_Request]):
         ready_hit = None
         ready = None
         for request in queue:
-            if banks[request.bank].is_ready(at):
-                if self.channel.is_row_hit(request.bank, request.row):
+            bank = banks[request.bank]
+            if bank.ready_at <= at:
+                if bank.open_row == request.row:
                     if ready_hit is None or request.order < ready_hit.order:
                         ready_hit = request
                 elif ready is None or request.order < ready.order:

@@ -11,11 +11,9 @@ from repro.sim.kernel import ns
 class TestBank:
     def test_reserve_advances_ready(self):
         bank = Bank(0)
-        assert bank.is_ready(0)
+        assert bank.ready_at == 0
         bank.reserve(0, ns(42))
         assert bank.ready_at == ns(42)
-        assert not bank.is_ready(ns(41))
-        assert bank.is_ready(ns(42))
 
     def test_reserve_before_ready_rejected(self):
         bank = Bank(0)
@@ -28,10 +26,11 @@ class TestBank:
             Bank(0).reserve(0, 0)
 
     def test_earliest_clamps_to_ready(self):
+        """The next activate may start at ``ready_at`` or any later time."""
         bank = Bank(0)
         bank.reserve(0, ns(40))
-        assert bank.earliest(ns(10)) == ns(40)
-        assert bank.earliest(ns(50)) == ns(50)
+        assert bank.reserve(ns(40), ns(40)) == ns(80)
+        assert bank.reserve(ns(90), ns(40)) == ns(130)
 
     def test_block_until_only_extends(self):
         bank = Bank(0)
@@ -64,21 +63,20 @@ class TestActivationWindow:
     def test_trrd_spacing(self):
         window = ActivationWindow(ns(2), ns(16), 4)
         window.record(0)
-        assert window.earliest(0) == ns(2)
-        assert window.earliest(ns(5)) == ns(5)
+        assert window.floor == ns(2)
 
     def test_four_activate_window(self):
         window = ActivationWindow(ns(2), ns(16), 4)
         for i in range(4):
             window.record(i * ns(2))
         # fifth activate must wait until the first leaves the window
-        assert window.earliest(ns(8)) == ns(16)
+        assert window.floor == ns(16)
 
     def test_window_slides(self):
         window = ActivationWindow(ns(2), ns(16), 4)
         times = [0, ns(2), ns(4), ns(6), ns(16), ns(18)]
         for t in times:
-            assert window.earliest(t) <= t
+            assert window.floor <= t
             window.record(t)
 
     def test_record_out_of_order_rejected(self):
@@ -96,7 +94,7 @@ class TestActivationWindow:
     def test_single_activate_window_acts_as_trrd_only(self):
         window = ActivationWindow(ns(2), 0, 1)
         window.record(0)
-        assert window.earliest(0) == ns(2)
+        assert window.floor == ns(2)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ProtocolError):
@@ -106,9 +104,9 @@ class TestActivationWindow:
 @given(st.lists(st.integers(min_value=0, max_value=ns(1000)), min_size=1,
                 max_size=40))
 def test_property_window_never_admits_violation(raw_times):
-    """Issuing at earliest() is always legal, whatever the request times."""
+    """Issuing at the floor is always legal, whatever the request times."""
     window = ActivationWindow(ns(2), ns(16), 4)
     t = 0
     for req in sorted(raw_times):
-        t = window.earliest(max(t, req))
+        t = max(t, req, window.floor)
         window.record(t)  # must never raise

@@ -34,8 +34,8 @@ class TestUnidirectionalBus:
     def test_is_free(self):
         bus = Bus("hm")
         bus.reserve(0, ns(4))
-        assert not bus.is_free(ns(3))
-        assert bus.is_free(ns(4))
+        assert bus.free_at == ns(4)
+        assert bus.reserve(ns(4), ns(1)) == ns(5)
 
 
 class TestDataBusTurnaround:
@@ -44,21 +44,21 @@ class TestDataBusTurnaround:
 
     def test_first_grant_has_no_turnaround(self):
         dq = self.make()
-        assert dq.turnaround_gap(Direction.READ) == 0
+        assert dq.read_floor == dq.write_floor == dq.free_at == 0
         dq.reserve_dir(0, ns(2), Direction.READ)
         assert dq.last_direction is Direction.READ
 
     def test_same_direction_has_no_gap(self):
         dq = self.make()
         dq.reserve_dir(0, ns(2), Direction.READ)
-        assert dq.turnaround_gap(Direction.READ) == 0
+        assert dq.read_floor == dq.free_at
         dq.reserve_dir(ns(2), ns(2), Direction.READ)
         assert dq.turnarounds == 0
 
     def test_read_to_write_pays_trtw(self):
         dq = self.make()
         dq.reserve_dir(0, ns(2), Direction.READ)
-        assert dq.turnaround_gap(Direction.WRITE) == ns(4)
+        assert dq.write_floor - dq.free_at == ns(4)
         assert dq.earliest_dir(0, Direction.WRITE) == ns(6)
         dq.reserve_dir(ns(6), ns(2), Direction.WRITE)
         assert dq.turnarounds == 1
@@ -67,7 +67,7 @@ class TestDataBusTurnaround:
     def test_write_to_read_pays_twtr(self):
         dq = self.make()
         dq.reserve_dir(0, ns(2), Direction.WRITE)
-        assert dq.turnaround_gap(Direction.READ) == ns(8)
+        assert dq.read_floor - dq.free_at == ns(8)
 
     def test_grant_violating_turnaround_rejected(self):
         dq = self.make()

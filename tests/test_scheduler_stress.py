@@ -155,6 +155,28 @@ def test_channel_mutator_bumps_version(mutator):
     assert channel.version > before
 
 
+def test_blocked_work_bound_only_when_probing(make_system):
+    """Only TDRAM with probing gives its schedulers blocked-slot work,
+    each bound to its own channel; TDRAM without probing, NDC,
+    cascade_lake and the DDR5 store leave ``blocked_work`` as None."""
+    for design, overrides, probes in [
+        (TdramCache, {}, True),
+        (TdramCache, {"enable_probing": False}, False),
+        (NdcCache, {}, False),
+        (CascadeLakeCache, {}, False),
+    ]:
+        system = make_system(design, **overrides)
+        for index, scheduler in enumerate(system.cache.schedulers):
+            work = scheduler.blocked_work
+            if probes:
+                assert work.func == system.cache._on_blocked
+                assert work.args == (index,)
+            else:
+                assert work is None, design
+        for scheduler in system.main_memory._schedulers:
+            assert scheduler.blocked_work is None
+
+
 def ddr5_request(bank, order, is_write=False):
     """A queued DDR5 access to row 5 of ``bank``, arriving at t=0."""
     return _Request(bank, 5, 0, order, is_write, None)
@@ -229,29 +251,46 @@ REUSE_FLOOR_CELLS = {("no_cache", "lu.C", "ddr5"),
 @pytest.mark.parametrize("cell", SHADOW_CELLS, ids="/".join)
 def test_reused_decisions_match_full_decision(cell, monkeypatch):
     """Every reused blocked decision equals the full decision recomputed
-    on the spot, and the run stays bit-identical to its golden digest."""
-    original = ChannelScheduler._try_issue
+    on the spot, and the run stays bit-identical to its golden digest.
+
+    A poll is a wake or a kick that reaches a decision. Only a wake can
+    find the blocked decision current, and ``_on_wake`` re-arms it
+    without entering ``_try_issue``; every other poll, from a wake or a
+    kick, decides in ``_try_issue``. Both are shadowed, so each poll is
+    seen once, whichever method makes it."""
+    original_try_issue = ChannelScheduler._try_issue
+    original_on_wake = ChannelScheduler._on_wake
     decided = {}
     counts = {"polls": 0, "reused": 0}
 
-    def shadowed(scheduler):
+    def memo_is_current(scheduler):
+        memo = scheduler._blocked
+        return memo is not None and memo[:2] == (scheduler.sim.now,
+                                                 scheduler.channel.version)
+
+    def shadowed_on_wake(scheduler):
+        if memo_is_current(scheduler):  # re-armed without _try_issue
+            counts["polls"] += 1
+            counts["reused"] += 1
+            now = scheduler.sim.now
+            assert full_decision(scheduler, now) == decided[scheduler]
+        original_on_wake(scheduler)
+
+    def shadowed_try_issue(scheduler):
         now = scheduler.sim.now
         version = scheduler.channel.version
         memo = scheduler._blocked
+        assert not memo_is_current(scheduler)
         counts["polls"] += 1
-        if memo is not None and memo[:2] == (now, version):
-            counts["reused"] += 1
-            assert full_decision(scheduler, now) == decided[scheduler]
-            original(scheduler)
-            return
         decision = full_decision(scheduler, now)
-        original(scheduler)
+        original_try_issue(scheduler)
         if scheduler._blocked is not memo:
             assert decision is not None and decision[2] > now
             assert scheduler._blocked == (now, version, decision[2])
             decided[scheduler] = decision
 
-    monkeypatch.setattr(ChannelScheduler, "_try_issue", shadowed)
+    monkeypatch.setattr(ChannelScheduler, "_on_wake", shadowed_on_wake)
+    monkeypatch.setattr(ChannelScheduler, "_try_issue", shadowed_try_issue)
     design, workload, backend = cell
     golden_cell = (design, workload, backend, "write_allocate")
     row = golden_runs.run_cell(golden_cell)

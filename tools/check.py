@@ -20,7 +20,7 @@ Checks:
 * **links** — relative-link check over the markdown docs
   (:mod:`check_links`);
 * **docstrings** — 100% public docstring coverage on ``repro.obs``,
-  ``repro.ras``, ``repro.memory``, ``repro.dram.scheduler`` and
+  ``repro.ras``, ``repro.memory``, ``repro.dram`` and
   ``repro.experiments.campaign`` (:mod:`check_docstrings`);
 * **metrics** — every counter name declared in
   ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
@@ -58,8 +58,7 @@ TYPED_PACKAGES = ("src/repro/sim", "src/repro/dram", "src/repro/cache",
 LINK_PATHS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 #: Packages gated at 100% public docstring coverage.
 DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
-                   "src/repro/dram/scheduler.py",
-                   "src/repro/experiments/campaign.py")
+                   "src/repro/dram", "src/repro/experiments/campaign.py")
 
 
 def run_lint() -> Tuple[bool, str]:
