@@ -5,17 +5,19 @@ no DRAM timing — so the number is the ceiling any full-system run can
 reach. Scenarios, all with empty callbacks:
 
 ``stream``
-    K self-rescheduling chains with a fixed short delay: the steady
-    request-path shape (every event lands in the current or next
-    calendar bucket).
+    K self-rescheduling chains with a fixed short delay, staggered so
+    each event opens its own instant: the steady request-path shape
+    without the same-instant sharing of a real run.
 ``mixed_horizon``
-    Delays cycled from sub-bucket to multi-microsecond horizons, so
-    mid-drain pushes into the current bucket, appends to near buckets
-    and long idle gaps between occupied buckets are all on the
-    measured path.
+    Delays cycled from sub-nanosecond to multi-microsecond horizons,
+    so near instants and long idle gaps between pending instants are
+    both on the measured path.
 ``cancel``
     Schedule a window of events and cancel every other one before it
-    fires — the O(1) tombstone path plus dispatch-side draining.
+    fires — the O(1) tombstone path plus dispatch-side skipping. Every
+    event has its own instant and all are scheduled up front, so the
+    whole window is pending as distinct instants at once: the worst
+    case of the time-slot heap, and not the shape of any simulated run.
 ``sampled``
     The one end-to-end scenario: a small tdram run exact vs SMARTS
     sampled (``config.sampling``), recording the wall-clock speedup
@@ -49,8 +51,8 @@ from typing import Optional
 
 from repro.sim.kernel import Simulator
 
-#: delay pattern for the mixed-horizon scenario (ps): within one
-#: 16.4 ns bucket, a few buckets ahead, and multi-microsecond gaps
+#: delay pattern for the mixed-horizon scenario (ps): under a
+#: nanosecond, tens of nanoseconds, and multi-microsecond gaps
 _HORIZONS = (700, 2_500, 60_000, 900_000, 5_000_000)
 
 #: untimed warm-up fraction of the measured event count (min 1000)
@@ -168,7 +170,6 @@ def bench_kernel(events: int = 200_000,
         "bench": "kernel",
         "events": events,
         "warmup_events": warm,
-        "queue": Simulator.DEFAULT_QUEUE,
         "cpu_count": cpu_count,
         # Single-threaded benchmark, but wall-clock floors measured on a
         # starved host are still not comparable datapoints: mirror the

@@ -1,8 +1,8 @@
 """Frozen pre-seam :class:`TagStore` — the bit-identity A/B reference.
 
 This is the tag store exactly as it was before the organization /
-replacement seam landed (same discipline as the event kernel keeping
-``queue="heap"`` next to the calendar queue): a verbatim copy of the old
+replacement seam landed (the event queue's counterpart is the reference
+binary heap in ``tests/heap_reference.py``): a verbatim copy of the old
 control flow with LRU hard-coded as list order and ``block % num_sets``
 indexing inlined. A test oracle only: the A/B suite in
 ``tests/test_design_zoo.py`` swaps it in through the controller's

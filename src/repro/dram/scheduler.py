@@ -91,8 +91,9 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
         self._wake_at: Optional[int] = None
         #: last blocked decision as ``(now, channel.version, wake time)``
         self._blocked: Optional[Tuple[int, int, int]] = None
-        #: the wake callback, bound once
+        #: the wake callback and ``sim.at``, bound once
         self._wake = self._on_wake
+        self._at = sim.at
 
     # ------------------------------------------------------------------
     # Owner hooks
@@ -154,7 +155,7 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
         if self._wake_at is not None and self._wake_at <= at:
             return
         self._wake_at = at
-        self.sim.at(at, self._wake)
+        self._at(at, self._wake)
 
     def _on_wake(self) -> None:
         now = self.sim.now
@@ -163,7 +164,7 @@ class ChannelScheduler(abc.ABC, Generic[OpT]):
                 and blocked[1] == self.channel.version):
             # Same instant, same queues, same channel: same decision.
             at = self._wake_at = blocked[2]
-            self.sim.at(at, self._wake)
+            self._at(at, self._wake)
             work = self.blocked_work
             if work is not None:
                 work(now)

@@ -7,41 +7,31 @@ for any realistic simulation length.
 
 Scheduler design
 ----------------
-The pending-event set is a **sparse calendar queue** exploiting the
-integer time base:
+The pending-event set is a **time-slot queue** exploiting the integer
+time base and the fixed command offsets that put many events on one
+instant:
 
-* events land in buckets of ``2**_BUCKET_SHIFT`` ps each; a dict
-  maps each occupied bucket id to its handles (``list.append``, O(1))
-  and a min-heap holds the occupied bucket ids;
-* the drain side pops the next *occupied* bucket id and installs the
-  whole bucket as the current batch (``_cur``) with one sort — a sorted
-  list is a valid binary heap — so empty buckets are never visited and
-  a long idle gap (refresh idles, drain tails) costs O(log occupied);
-* arrivals scheduled into the current (or an earlier) bucket mid-drain
-  heap-push into ``_cur``, so exact ``(time, seq)`` order is preserved.
+* a dict maps each pending instant to its handles in scheduling order
+  (its *slot*), so :meth:`Simulator.at` is one dict lookup plus one
+  ``list.append``;
+* a min-heap holds the distinct pending instants as plain ints; only
+  the first event at a new instant pushes onto it;
+* :meth:`Simulator.run` pops the earliest instant and walks its slot in
+  order. An event scheduled for the instant being dispatched appends to
+  that slot and runs in the same walk, so the heap is touched once per
+  instant, not once per event.
 
-Buckets are 16.4 ns wide (``_BUCKET_SHIFT = 14``): a bucket gathers a
-burst of near-future traffic — command retries, data bursts, HM
-results, bank wakes — so the per-bucket install (dict pop, id-heap pop,
-sort) is shared by several events instead of paid per event, while
-each sorted batch stays small. End to end, 16 ns buckets measured
-faster than 1 ns ones (see docs/performance.md). Dispatch order is
-**exactly** the ``(time, seq)`` order of a plain binary heap (locked by
-a randomized equivalence test); determinism is guaranteed by the
-monotonically increasing sequence number used as a tie-breaker for
-simultaneous events.
+Dispatch order is **exactly** the ``(time, seq)`` order of a plain
+binary heap keyed by a monotonically increasing sequence number:
+sequence numbers only grow, so first-in-first-out order within an
+instant *is* sequence order. A randomized test locks the equivalence
+against the reference heap kept in ``tests/heap_reference.py``.
 
 Events are small mutable handles, which buys **O(1) cancellation**
-(:meth:`Simulator.cancel` tombstones the handle in place; the drain
-loop skips dead entries) and argument passing without per-event closure
+(:meth:`Simulator.cancel` tombstones the handle in place; the walk
+skips dead entries) and argument passing without per-event closure
 allocation: ``sim.at(t, self._writeback, block)`` instead of
 ``sim.at(t, lambda: self._writeback(block))``.
-
-For A/B verification the classic heapq scheduler is still available:
-``Simulator(queue="heap")`` routes every event through one binary heap
-(a calendar whose current bucket never ends). Both queues dispatch
-bit-identically (the randomized equivalence test plus the whole-run
-A/B suite in ``tests/test_sampling.py``); the calendar is simply faster.
 """
 
 from __future__ import annotations
@@ -55,16 +45,14 @@ from repro.errors import SimulationError
 #: Picoseconds per nanosecond; all public timing parameters are in ns.
 PS_PER_NS = 1000
 
-#: log2 of the calendar bucket width: 16 384 ps ≈ 16.4 ns buckets.
-_BUCKET_SHIFT = 14
+#: Sentinel bound larger than any simulated time or event count (about
+#: 107 simulated days); an int, so the dispatch loop's per-event limit
+#: test compares int to int, which is cheaper than int to float.
+_UNBOUNDED = 1 << 63
 
-#: Sentinel bound larger than any simulated time or event count.
-_UNBOUNDED = float("inf")
-
-#: Handle slots: [time_ps, seq, callback, args]. ``callback`` becomes
-#: ``None`` once dispatched or cancelled (the tombstone). Handles sort
-#: by (time, seq) under list comparison because seq is unique.
-_TIME, _SEQ, _CALLBACK, _ARGS = 0, 1, 2, 3
+#: Handle slots: [callback, args]. ``callback`` becomes ``None`` once
+#: dispatched or cancelled (the tombstone).
+_CALLBACK, _ARGS = 0, 1
 
 
 def ns(value: float) -> int:
@@ -97,6 +85,10 @@ class Simulator:
     >>> fired
     [5000]
 
+    :attr:`now` is a plain attribute that only the dispatch loop (and
+    a bounded :meth:`run`'s final advance) writes; callers read it and
+    must never assign it.
+
     Clock semantics of the three ways a :meth:`run` can end
     ------------------------------------------------------
     * ``until=`` bound reached — ``now`` is advanced **to the bound**,
@@ -110,64 +102,46 @@ class Simulator:
     The asymmetry is deliberate: ``stop``/``max_events`` end a run
     *early* (before any bound), so advancing the clock would invent
     simulated time nothing observed; see :meth:`run` for why the bound
-    case must advance.
+    case must advance. An instant whose events were all cancelled
+    dispatches nothing and never moves the clock.
 
     Profiling
     ---------
     :attr:`profiler` is ``None`` by default. Assign an object with a
     ``record(callback, wall_ns)`` method (e.g.
     :class:`repro.obs.KernelProfiler`) and the dispatch loop times
-    every callback with the host clock; with ``None`` the loop takes an
-    uninstrumented branch — the profiler check is hoisted out of the
-    loop entirely, no timestamps are read, and dispatch order, event
-    counts, and results are unchanged either way.
+    every callback with the host clock; with ``None`` the loop reads no
+    host clock, and dispatch order, event counts, and results are
+    unchanged either way.
     """
 
-    #: Queue implementation new simulators default to. The A/B
-    #: equivalence tests flip this to ``"heap"`` to run whole
-    #: experiments on the reference scheduler.
-    DEFAULT_QUEUE = "calendar"
-
-    def __init__(self, queue: Optional[str] = None) -> None:
-        queue = queue or self.DEFAULT_QUEUE
-        if queue not in ("calendar", "heap"):
-            raise SimulationError(
-                f"unknown queue implementation {queue!r}; choose from "
-                "('calendar', 'heap')")
-        self._now: int = 0
-        self._seq: int = 0
+    def __init__(self) -> None:
+        #: current simulation time in picoseconds
+        self.now: int = 0
         self._running = False
         self._stop_requested = False
-        #: events scheduled but neither dispatched nor cancelled
-        self._live = 0
-        #: heap of handles for bucket ids <= the drain cursor
-        self._cur: List[list] = []
-        #: bucket id currently being drained into ``_cur``; the "heap"
-        #: oracle is the degenerate calendar whose current bucket never
-        #: ends, so every event heap-pushes into ``_cur``
-        self._cur_bid: float = _UNBOUNDED if queue == "heap" else 0
-        #: sparse calendar: occupied bucket id -> pending handles
-        self._cal: Dict[int, List[list]] = {}
-        #: min-heap of occupied calendar bucket ids
-        self._occ: List[int] = []
+        #: pending instant -> its handles in scheduling order
+        self._slots: Dict[int, List[list]] = {}
+        #: min-heap of the pending instants, each once; the instant
+        #: being dispatched is popped off it while its slot is walked
+        self._times: List[int] = []
         #: optional profiler with ``record(callback, wall_ns)``; set by
         #: the observability layer (``SystemConfig.obs.profile``)
         self.profiler = None
 
     @property
-    def now(self) -> int:
-        """Current simulation time in picoseconds."""
-        return self._now
-
-    @property
     def now_ns(self) -> float:
         """Current simulation time in nanoseconds."""
-        return to_ns(self._now)
+        return to_ns(self.now)
 
     def pending(self) -> int:
         """Number of events scheduled and still due to dispatch
-        (cancelled events stop counting immediately)."""
-        return self._live
+        (cancelled events stop counting immediately).
+
+        Counts the live handles, so it costs O(queued events).
+        """
+        return sum(handle[_CALLBACK] is not None
+                   for slot in self._slots.values() for handle in slot)
 
     def at(self, time: int, callback: Callable, *args: object) -> list:
         """Schedule ``callback(*args)`` at absolute ``time`` (ps).
@@ -175,34 +149,33 @@ class Simulator:
         Returns an opaque handle accepted by :meth:`cancel`. Extra
         positional arguments are stored on the handle, so hot paths can
         schedule bound methods directly instead of allocating a closure
-        per event.
+        per event. ``time`` must be an ``int``; convert nanoseconds
+        with :func:`ns`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time} ps, now is {self._now} ps"
+                f"cannot schedule event at {time} ps, now is {self.now} ps"
             )
-        handle = [time, self._seq, callback, args]
-        self._seq += 1
-        self._live += 1
-        bid = time >> _BUCKET_SHIFT
-        if bid <= self._cur_bid:
-            # Into (or before) the batch being drained: keep exact
-            # (time, seq) order via the current heap.
-            heappush(self._cur, handle)
+        handle = [callback, args]
+        slot = self._slots.get(time)
+        if slot is None:
+            # Only a new instant is type-checked: an append to an
+            # existing one found its key equal to an int already.
+            if not isinstance(time, int):
+                raise SimulationError(
+                    f"event time {time!r} is not an integer number of "
+                    "picoseconds; convert nanoseconds with ns()")
+            self._slots[time] = [handle]
+            heappush(self._times, time)
         else:
-            slot = self._cal.get(bid)
-            if slot is None:
-                self._cal[bid] = [handle]
-                heappush(self._occ, bid)
-            else:
-                slot.append(handle)
+            slot.append(handle)
         return handle
 
     def schedule(self, delay: int, callback: Callable, *args: object) -> list:
         """Schedule ``callback(*args)`` after ``delay`` picoseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} ps")
-        return self.at(self._now + delay, callback, *args)
+        return self.at(self.now + delay, callback, *args)
 
     def cancel(self, handle: list) -> bool:
         """Cancel a scheduled event in O(1).
@@ -211,60 +184,39 @@ class Simulator:
         Returns ``True`` if the event was still pending (it will now
         never fire); ``False`` if it already dispatched or was already
         cancelled. The handle is tombstoned in place and skipped by the
-        drain loop, so cancellation never perturbs the order or timing
-        of surviving events.
+        dispatch loop, so cancellation never perturbs the order or
+        timing of surviving events.
         """
         if handle[_CALLBACK] is None:
             return False
         handle[_CALLBACK] = None
         handle[_ARGS] = ()
-        self._live -= 1
         return True
 
     def peek_time(self) -> Optional[int]:
         """Time (ps) of the next pending event, or ``None`` if idle.
 
-        O(1) amortised: tombstones and buckets installed here are work
-        the next :meth:`run` no longer has to do.
+        Called from a callback, it sees the rest of the instant being
+        dispatched first. Instants found holding only cancelled events
+        are dropped, which is work the next :meth:`run` no longer has
+        to do.
         """
-        head = self._front()
-        return None if head is None else head[_TIME]
-
-    # ------------------------------------------------------------------
-    def _front(self) -> Optional[list]:
-        """The next live handle (left at ``_cur[0]``), or ``None``.
-
-        Discards tombstones; once the current batch is empty, pops the
-        next *occupied* bucket id off the min-heap — empty buckets are
-        never visited — and installs the bucket's surviving handles as
-        the current batch with one sort (a sorted list is a valid
-        binary heap, so the dispatch loop needs no ``heapify``). Safe
-        to call outside :meth:`run`: a later ``at()`` into a bucket at
-        or before the installed one still lands in ``_cur``, so no
-        event can be skipped.
-        """
-        cur = self._cur
-        cal = self._cal
-        occ = self._occ
-        while True:
-            while cur:
-                head = cur[0]
-                if head[_CALLBACK] is not None:
-                    return head
-                heappop(cur)
-            if self._live == 0:
-                return None
-            # live > 0 with an empty batch means some calendar slot
-            # holds a live handle, so the occupied-bid heap is non-empty
-            # (every calendar insert pushes its bid exactly once). The
-            # heap oracle never gets here: all its handles sit in _cur.
-            bid = heappop(occ)
-            batch = [h for h in cal.pop(bid) if h[_CALLBACK] is not None]
-            if not batch:
-                continue
-            self._cur_bid = bid
-            batch.sort()
-            cur[:] = batch
+        slots = self._slots
+        if self._running:
+            # The instant being dispatched is off the heap until its
+            # walk ends; its dispatched handles are tombstones.
+            for handle in slots[self.now]:
+                if handle[_CALLBACK] is not None:
+                    return self.now
+        times = self._times
+        while times:
+            time = times[0]
+            for handle in slots[time]:
+                if handle[_CALLBACK] is not None:
+                    return time
+            heappop(times)
+            del slots[time]
+        return None
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -276,7 +228,8 @@ class Simulator:
             Absolute time bound (picoseconds). Events scheduled later than
             ``until`` stay in the queue.
         max_events:
-            Safety valve: stop after this many dispatches. Like
+            Safety valve: stop after this many dispatches (``0``
+            dispatches nothing; a negative value is an error). Like
             :meth:`stop`, this ends the run *early*: the clock is left
             at the last dispatched event, **not** advanced to ``until``.
 
@@ -293,71 +246,65 @@ class Simulator:
         runner's watchdog loop) whose next event lies beyond the chunk
         boundary would re-run the same window forever and mis-account
         stall time.
+
+        A run that ends inside an instant (:meth:`stop`, ``max_events``
+        or a raising callback) leaves that instant's remaining events
+        queued in order; the next run dispatches each of them once.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(
+                f"max_events must be >= 0, got {max_events}")
         self._running = True
         self._stop_requested = False
         dispatched = 0
-        # Hot loop: every name it touches is a local; the profiler
-        # branch is hoisted into two separate loops so the common
-        # (profiler off) path reads no host clock and tests no flag.
+        # Hot loop: every name it touches is a local except ``now``
+        # and the stop flag.
         bound = _UNBOUNDED if until is None else until
         limit = _UNBOUNDED if max_events is None else max_events
-        profiler = self.profiler
-        front = self._front
-        cur = self._cur
-        pop = heappop
+        record = None if self.profiler is None else self.profiler.record
+        times = self._times
+        slots = self._slots
+        slot = None
         try:
-            if profiler is None:
-                while not self._stop_requested:
-                    if cur:
-                        head = cur[0]
-                        if head[2] is None:
-                            head = front()
-                            if head is None:
-                                break
+            # A stop or the limit can only arise after a dispatch, and
+            # the walk checks both there; this test serves max_events=0.
+            while times and dispatched < limit:
+                time = times[0]
+                if time > bound:
+                    break
+                heappop(times)
+                slot = slots[time]
+                # The walk sees handles appended to ``slot`` while it
+                # runs: same-instant events scheduled by a callback.
+                for handle in slot:
+                    callback = handle[0]
+                    if callback is None:
+                        continue
+                    handle[0] = None
+                    self.now = time
+                    if record is None:
+                        callback(*handle[1])
                     else:
-                        head = front()
-                        if head is None:
-                            break
-                    time = head[0]
-                    if time > bound:
-                        break
-                    pop(cur)
-                    self._live -= 1
-                    self._now = time
-                    callback = head[2]
-                    head[2] = None
-                    callback(*head[3])
+                        # Host wall time feeds only the profiler,
+                        # never simulated state.
+                        begin = perf_counter_ns()  # tdram: noqa[SIM001] -- host-side profiling only, sim state untouched
+                        callback(*handle[1])
+                        record(callback, perf_counter_ns() - begin)  # tdram: noqa[SIM001] -- host-side profiling only, sim state untouched
                     dispatched += 1
-                    if dispatched >= limit:
+                    if dispatched >= limit or self._stop_requested:
                         break
-            else:
-                record = profiler.record
-                while not self._stop_requested:
-                    head = front()
-                    if head is None:
-                        break
-                    time = head[0]
-                    if time > bound:
-                        break
-                    pop(cur)
-                    self._live -= 1
-                    self._now = time
-                    callback = head[2]
-                    head[2] = None
-                    # Host wall time feeds only the profiler digest,
-                    # never simulated state; the profiler-off branch
-                    # reads no clock at all (locked by tests).
-                    begin = perf_counter_ns()  # tdram: noqa[SIM001] -- host-side profiling only, sim state untouched
-                    callback(*head[3])
-                    record(callback, perf_counter_ns() - begin)  # tdram: noqa[SIM001] -- host-side profiling only, sim state untouched
-                    dispatched += 1
-                    if dispatched >= limit:
-                        break
+                else:
+                    # Walked to the end: the instant is done.
+                    del slots[time]
+                    slot = None
+                    continue
+                break  # stopped inside the instant; see finally
         finally:
             self._running = False
+            if slot is not None:
+                self._requeue(time, slot)
         # Advance to the bound unconditionally on a bounded run: a
         # pending future event must not leave ``now`` lagging ``until``,
         # or chunked callers (the runner's watchdog loop) re-run the
@@ -366,12 +313,30 @@ class Simulator:
         # leave the clock at the last dispatched event.
         if (
             until is not None
-            and self._now < until
+            and self.now < until
             and not self._stop_requested
             and dispatched < limit
         ):
-            self._now = until
+            self.now = until
         return dispatched
+
+    def _requeue(self, time: int, slot: List[list]) -> None:
+        """Put back an instant whose walk ended early.
+
+        Everything before the first live handle was dispatched or
+        cancelled, so that prefix is dropped; the rest stays queued in
+        order.
+        """
+        done = 0
+        for handle in slot:
+            if handle[_CALLBACK] is not None:
+                break
+            done += 1
+        del slot[:done]
+        if slot:
+            heappush(self._times, time)
+        else:
+            del self._slots[time]
 
     def stop(self) -> None:
         """Request :meth:`run` to return after the current event.

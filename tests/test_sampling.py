@@ -3,10 +3,11 @@
 Three contracts under test:
 
 * **Bit-identity of the event queue** — a whole-run ``asdict`` A/B of
-  the production calendar queue against the reference binary heap
-  (``Simulator.DEFAULT_QUEUE = "heap"``) for the paper's headline
-  designs, exact and sampled. Not a spot check of a few counters: every
-  RunResult field, recursively.
+  the production time-slot queue against the reference binary heap
+  (``tests/heap_reference.py``, swapped in for the runner's
+  ``Simulator``) for the paper's headline designs, exact and sampled.
+  Not a spot check of a few counters: every RunResult field,
+  recursively.
 * **Estimator correctness** — window planning, the Student-t CI math,
   the functional fast-forward's architectural transitions, and the
   accuracy of sampled estimates against exact same-seed runs on figure
@@ -28,10 +29,11 @@ from repro.cache import DESIGNS
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
 from repro.experiments.campaign import ResultCache, cache_key
+from repro.experiments import runner
 from repro.experiments.runner import run_experiment
+from repro.sim.kernel import Simulator
 from repro.memory.backend import build_backend
 from repro.energy.power_model import EnergyMeter
-from repro.sim.kernel import Simulator
 from repro.sim.sampling import (
     SamplingConfig,
     estimate,
@@ -40,6 +42,7 @@ from repro.sim.sampling import (
     t_critical,
 )
 from repro.workloads.suite import demand_stream, workload
+from tests.heap_reference import HeapSimulator
 
 
 def _sampled_config(**overrides) -> SystemConfig:
@@ -50,30 +53,30 @@ def _sampled_config(**overrides) -> SystemConfig:
 
 
 # ---------------------------------------------------------------------------
-# Whole-run A/B: the calendar queue is bit-identical to the heap oracle
+# Whole-run A/B: the time-slot queue is bit-identical to the heap oracle
 # ---------------------------------------------------------------------------
 def _heap_ab(monkeypatch, *args, **kwargs):
-    """Run one experiment on the default queue, then on the reference
-    heap, and return both results as ``asdict`` trees."""
-    calendar = run_experiment(*args, **kwargs)
-    monkeypatch.setattr(Simulator, "DEFAULT_QUEUE", "heap")
+    """Run one experiment on the production queue, then on the
+    reference heap, and return both results as ``asdict`` trees."""
+    slots = run_experiment(*args, **kwargs)
+    monkeypatch.setattr(runner, "Simulator", HeapSimulator)
     heap = run_experiment(*args, **kwargs)
-    return dataclasses.asdict(calendar), dataclasses.asdict(heap)
+    return dataclasses.asdict(slots), dataclasses.asdict(heap)
 
 
 class TestHeapOracleBitIdentity:
     @pytest.mark.parametrize("design", ["tdram", "cascade_lake", "alloy"])
     def test_whole_run_asdict_identical(self, design, monkeypatch):
-        calendar, heap = _heap_ab(monkeypatch, design, "bfs.22",
-                                  config=SystemConfig.small(),
-                                  demands_per_core=150, seed=11)
-        assert calendar == heap
+        slots, heap = _heap_ab(monkeypatch, design, "bfs.22",
+                               config=SystemConfig.small(),
+                               demands_per_core=150, seed=11)
+        assert slots == heap
 
     def test_sampled_run_asdict_identical(self, monkeypatch):
-        calendar, heap = _heap_ab(monkeypatch, "tdram", "bfs.22",
-                                  config=_sampled_config(),
-                                  demands_per_core=600, seed=11)
-        assert calendar == heap
+        slots, heap = _heap_ab(monkeypatch, "tdram", "bfs.22",
+                               config=_sampled_config(),
+                               demands_per_core=600, seed=11)
+        assert slots == heap
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.kernel import PS_PER_NS, Simulator, ns, to_ns
+from tests.heap_reference import HeapSimulator
 
 
 class TestTimeConversion:
@@ -78,6 +79,19 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
+
+    def test_float_time_rejected_by_at(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match=r"5\.5.*ns\(\)"):
+            sim.at(5.5, lambda: None)
+        assert sim.pending() == 0 and sim.peek_time() is None
+
+    def test_float_delay_rejected_by_schedule(self):
+        sim = Simulator()
+        sim.run(until=1_000)
+        with pytest.raises(SimulationError, match=r"1002\.5.*ns\(\)"):
+            sim.schedule(2.5, lambda: None)
+        assert sim.pending() == 0
 
 
 class TestRunControls:
@@ -163,6 +177,26 @@ class TestRunControls:
         assert dispatched == 3
         assert fired == [0, 1, 2]
 
+    def test_max_events_zero_dispatches_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.at(5, lambda: fired.append(sim.now))
+        assert sim.run(max_events=0) == 0
+        assert fired == [] and sim.pending() == 1 and sim.now == 0
+        assert sim.run(until=10, max_events=0) == 0
+        assert sim.now == 0
+        assert sim.run() == 1
+        assert fired == [5]
+
+    def test_negative_max_events_raises(self):
+        sim = Simulator()
+        fired = []
+        sim.at(5, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=-1)
+        assert fired == [] and sim.pending() == 1
+        assert sim.run() == 1
+
     def test_stop_breaks_run_loop(self):
         sim = Simulator()
         fired = []
@@ -217,7 +251,7 @@ class TestCancel:
         assert sim.pending() == 3
 
     def test_cancel_far_future_event(self):
-        """Events in a far calendar bucket cancel cleanly too."""
+        """Events at a far instant cancel cleanly too."""
         sim = Simulator()
         fired = []
         handle = sim.schedule(ns(1_000_000), lambda: fired.append("far"))
@@ -251,28 +285,31 @@ class TestCancel:
         assert Simulator().peek_time() is None
 
 
-# Delays stay within one 16.4 ns bucket (0..4096 ps), cross bucket
-# boundaries (16_384, 40_000, 100_000), and leave multi-us gaps between
-# occupied buckets (2 us, 6 us).
+# Delays that repeat an instant (0), stay within a few ns, and leave
+# gaps of tens of ns and multi-us between pending instants.
 _SPREAD_DELAYS = (0, 1, 512, 4096, 16_384, 40_000, 100_000,
                   2_000_000, 6_000_000)
-# Delays that keep almost every event inside the bucket being drained or
-# the next one, so most schedules and cancels hit an installed batch.
+# Delays that keep almost every event on the instant being dispatched
+# or a few ps ahead, so most schedules and cancels hit a slot in use.
 _DENSE_DELAYS = (0, 0, 1, 7, 100, 512, 1_000, 4096, 16_383, 16_384)
 
 
-def _run_script(queue: str, seed: int, delay_choices=_SPREAD_DELAYS):
+def _run_script(make_sim, seed: int, delay_choices=_SPREAD_DELAYS,
+                split: bool = False):
     """Drive one simulator through a seeded random op stream.
 
     The RNG decides, identically for both queue implementations, a mix
     of schedules, mid-callback reschedules, and cancellations of
-    still-live handles. Returns the exact dispatch trace as
-    ``(time, event_id)`` pairs.
+    still-live handles. With ``split``, the stream runs as a series of
+    short runs ended by random ``max_events`` limits, ``until`` bounds
+    and mid-callback ``stop()`` calls, so runs end inside instants.
+    Returns the exact dispatch trace as ``(time, event_id)`` pairs, with
+    ``("run", dispatched, now, pending)`` after each run when split.
     """
     import random
 
     rng = random.Random(seed)
-    sim = Simulator(queue=queue)
+    sim = make_sim()
     trace = []
     live = []
     budget = [200]
@@ -286,6 +323,8 @@ def _run_script(queue: str, seed: int, delay_choices=_SPREAD_DELAYS):
         if roll > 0.7 and live:
             victim = live.pop(rng.randrange(len(live)))
             sim.cancel(victim)
+        if split and roll < 0.05:
+            sim.stop()
 
     def spawn(delay):
         event_id = budget[0]
@@ -294,42 +333,51 @@ def _run_script(queue: str, seed: int, delay_choices=_SPREAD_DELAYS):
     for _ in range(40):
         budget[0] -= 1
         spawn(rng.choice(delay_choices))
-    sim.run()
+    if not split:
+        sim.run()
+        return trace
+    while sim.pending():
+        until = sim.now + rng.choice(delay_choices) if rng.random() < 0.3 else None
+        dispatched = sim.run(until=until, max_events=rng.randrange(8))
+        trace.append(("run", dispatched, sim.now, sim.pending()))
     return trace
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_calendar_matches_reference_heap_exactly(seed):
-    """The calendar queue dispatches any randomized op stream in the
+def test_slots_match_reference_heap_exactly(seed):
+    """The time-slot queue dispatches any randomized op stream in the
     exact (time, seq) order of the reference binary heap."""
-    assert _run_script("calendar", seed) == _run_script("heap", seed)
+    assert _run_script(Simulator, seed) == _run_script(HeapSimulator, seed)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_batched_matches_reference_heap_exactly(seed):
-    """Under dense traffic, where most events land in the bucket being
-    drained as one sorted batch, the calendar queue still dispatches in
-    the exact (time, seq) order of the reference binary heap."""
-    assert (_run_script("calendar", seed, _DENSE_DELAYS)
-            == _run_script("heap", seed, _DENSE_DELAYS))
+def test_same_instant_slots_match_reference_heap_exactly(seed):
+    """Under dense traffic, where most events join the instant being
+    dispatched or one a few ps ahead, the time-slot queue still
+    dispatches in the exact (time, seq) order of the reference binary
+    heap."""
+    assert (_run_script(Simulator, seed, _DENSE_DELAYS)
+            == _run_script(HeapSimulator, seed, _DENSE_DELAYS))
 
 
-def test_heap_mode_rejects_unknown_queue():
-    with pytest.raises(SimulationError):
-        Simulator(queue="fibonacci")
-
-
-def test_removed_ladder_queue_rejected_with_choices():
-    with pytest.raises(SimulationError, match=r"\('calendar', 'heap'\)"):
-        Simulator(queue="ladder")
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_split_runs_match_reference_heap_exactly(seed):
+    """Runs cut short inside an instant (``max_events``, ``stop()``) or
+    at an ``until`` bound resume exactly where the reference binary
+    heap does: same dispatches, same counts, same clock, same backlog."""
+    assert (_run_script(Simulator, seed, _DENSE_DELAYS, split=True)
+            == _run_script(HeapSimulator, seed, _DENSE_DELAYS, split=True))
 
 
 class TestBatchedClockSemantics:
-    """The calendar drains a whole 16.4 ns bucket as one sorted batch.
-    These cases keep every event and bound inside one bucket, so the
-    run(until=)/stop()/max_events contracts of TestRunControls are
-    checked on a batch that a bound splits, alongside ordering, arrivals
-    and cancels while the batch drains."""
+    """Events a few ns apart, with bounds between them.
+
+    The cases date from a bucketed queue, where all of these events
+    shared one 16.4 ns bucket drained as one batch; they keep their
+    names. Under time slots they check the run(until=)/stop()/max_events
+    contracts of TestRunControls on closely spaced instants, alongside
+    same-instant order, arrivals and cancels while a run is in
+    progress."""
 
     def test_run_until_leaves_later_events_queued(self):
         sim = Simulator()
@@ -343,8 +391,8 @@ class TestBatchedClockSemantics:
         assert fired == ["early", "late"]
 
     def test_run_until_fast_forwards_empty_queue(self):
-        """Once the batch drains, the clock still moves to the bound
-        inside the same bucket."""
+        """Once the queue drains, the clock still moves to a bound
+        only a few ns later."""
         sim = Simulator()
         sim.at(1_000, lambda: None)
         sim.run(until=5_000)
@@ -388,7 +436,8 @@ class TestBatchedClockSemantics:
         assert sim.pending() == 1
 
     def test_run_batched_returns_dispatch_count(self):
-        """A bound that splits one batch counts only what it dispatched."""
+        """A bound between close instants counts only what it
+        dispatched."""
         sim = Simulator()
         for i in range(5):
             sim.at(1_000 * (i + 1), lambda: None)
@@ -396,8 +445,8 @@ class TestBatchedClockSemantics:
         assert sim.run() == 3
 
     def test_same_bucket_events_fire_in_schedule_order(self):
-        """A drained bucket's sorted batch must preserve (time, seq)
-        FIFO order for simultaneous events — the tie-break contract."""
+        """An instant's slot must preserve (time, seq) FIFO order for
+        simultaneous events — the tie-break contract."""
         sim = Simulator()
         fired = []
         for i in range(8):
@@ -406,8 +455,8 @@ class TestBatchedClockSemantics:
         assert fired == list(range(8))
 
     def test_mid_drain_arrival_lands_in_current_batch(self):
-        """A callback scheduling into the bucket being drained must see
-        its event dispatched this drain, in exact time order."""
+        """A callback scheduling a few ns ahead must see its event
+        dispatched in this run, in exact time order."""
         sim = Simulator()
         fired = []
         sim.at(100, lambda: (fired.append("a"),
@@ -421,14 +470,14 @@ class TestBatchedClockSemantics:
         fired = []
         keep = sim.at(100, lambda: fired.append("keep"))
         victim = sim.at(200, lambda: fired.append("victim"))
-        assert sim.peek_time() == 100  # installs the bucket
+        assert sim.peek_time() == 100  # a peek leaves both queued
         assert sim.cancel(victim)
         sim.run()
         assert fired == ["keep"]
         assert sim.cancel(keep) is False
 
     def test_chunked_until_inside_one_bucket(self):
-        """``until`` bounds that split one bucket dispatch exactly the
+        """``until`` bounds between close instants dispatch exactly the
         events at or before each bound, and a later arrival scheduled
         between chunks still fires in time order."""
         sim = Simulator()
@@ -443,6 +492,119 @@ class TestBatchedClockSemantics:
         assert sim.now == 10_000
         sim.run()
         assert fired == [1_000, 5_000, 7_000, 9_000, 13_000]
+
+
+class TestInstantSlotContract:
+    """Dispatch walks each instant's slot in scheduling order. These
+    cases pin what a slot walk must keep of the (time, seq) heap
+    contract, including the ones a naive walk gets wrong."""
+
+    def test_cancelled_last_instant_does_not_move_clock(self):
+        """An instant whose events were all cancelled dispatches
+        nothing, so it must not move the clock (a walk that sets
+        ``now`` before skipping dead handles ends at 7)."""
+        sim = Simulator()
+        sim.at(5, lambda: None)
+        sim.cancel(sim.at(7, lambda: None))
+        assert sim.run() == 1
+        assert sim.now == 5
+
+    def test_zero_delay_schedule_runs_after_the_instants_earlier_events(self):
+        sim = Simulator()
+        fired = []
+        sim.at(5, lambda: (fired.append("a"),
+                           sim.schedule(0, lambda: fired.append("c"))))
+        sim.at(5, lambda: fired.append("b"))
+        sim.at(6, lambda: fired.append("d"))
+        assert sim.run() == 4
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_stop_mid_instant_keeps_the_rest_queued_in_order(self):
+        sim = Simulator()
+        fired = []
+        sim.at(5, lambda: fired.append(0))
+        sim.at(5, lambda: (fired.append(1), sim.stop()))
+        sim.at(5, lambda: fired.append(2))
+        sim.at(5, lambda: fired.append(3))
+        sim.at(8, lambda: fired.append(4))
+        assert sim.run(until=50) == 2
+        assert fired == [0, 1] and sim.now == 5 and sim.pending() == 3
+        assert sim.peek_time() == 5
+        assert sim.run() == 3
+        assert fired == [0, 1, 2, 3, 4]
+
+    def test_max_events_mid_instant_keeps_the_rest_queued_in_order(self):
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.at(5, lambda i=i: fired.append(i))
+        assert sim.run(max_events=2) == 2
+        assert sim.pending() == 3
+        sim.at(5, lambda: fired.append(5))
+        assert sim.run(max_events=2) == 2
+        assert sim.run() == 2
+        assert fired == [0, 1, 2, 3, 4, 5]
+        assert sim.now == 5 and sim.pending() == 0
+
+    def test_raise_mid_instant_then_run_dispatches_the_rest_once(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            raise RuntimeError("callback failed")
+
+        sim.at(5, lambda: fired.append(0))
+        sim.at(5, boom)
+        sim.at(5, lambda: fired.append(2))
+        sim.at(9, lambda: fired.append(3))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.now == 5 and sim.pending() == 2
+        assert sim.run() == 2
+        assert fired == [0, "boom", 2, 3]
+        assert sim.run() == 0
+
+    def test_cancel_later_handle_of_the_instant_being_dispatched(self):
+        sim = Simulator()
+        fired = []
+        handles = {}
+        sim.at(5, lambda: (fired.append("a"), sim.cancel(handles["b"])))
+        handles["b"] = sim.at(5, lambda: fired.append("b"))
+        sim.at(5, lambda: fired.append("c"))
+        assert sim.run() == 2
+        assert fired == ["a", "c"]
+        assert sim.cancel(handles["b"]) is False
+
+    def test_peek_time_in_callback_sees_the_rest_of_its_instant(self):
+        sim = Simulator()
+        peeks = []
+        sim.at(5, lambda: peeks.append(sim.peek_time()))
+        sim.at(5, lambda: peeks.append(sim.peek_time()))
+        sim.at(9, lambda: peeks.append(sim.peek_time()))
+        assert sim.run() == 3
+        assert peeks == [5, 9, None]
+
+    def test_peek_time_in_callback_keeps_the_instant_being_dispatched(self):
+        """A peek that finds nothing live left on the current instant
+        must not drop that instant: a same-instant event scheduled
+        after the peek still runs, once, before later instants."""
+        sim = Simulator()
+        fired = []
+        handles = {}
+
+        def first():
+            fired.append("a")
+            sim.cancel(handles["b"])
+            fired.append(("peek", sim.peek_time()))
+            sim.schedule(0, lambda: fired.append("c"))
+
+        sim.at(5, first)
+        handles["b"] = sim.at(5, lambda: fired.append("b"))
+        sim.at(9, lambda: fired.append("d"))
+        assert sim.run() == 3
+        assert fired == ["a", ("peek", 9), "c", "d"]
+        assert sim.pending() == 0 and sim.peek_time() is None
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))

@@ -58,7 +58,8 @@ TYPED_PACKAGES = ("src/repro/sim", "src/repro/dram", "src/repro/cache",
 LINK_PATHS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 #: Packages gated at 100% public docstring coverage.
 DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
-                   "src/repro/dram", "src/repro/experiments/campaign.py")
+                   "src/repro/dram", "src/repro/sim",
+                   "src/repro/experiments/campaign.py")
 
 
 def run_lint() -> Tuple[bool, str]:
