@@ -280,7 +280,7 @@ class NoFloatTimeEquality(Rule):
         "parameter changes the rounding, then silently never fires.")
 
     _SUFFIXES = ("_ns", "_us", "_ms")
-    _CONVERTERS = {"to_ns", "now_ns"}
+    _CONVERTERS = {"to_ns"}
 
     def _is_float_time(self, node: ast.AST) -> bool:
         name = terminal(node)

@@ -11,6 +11,12 @@ from __future__ import annotations
 from repro.cache.controller import CacheOp, DramCacheController, OpKind
 from repro.cache.request import DemandRequest, Op, Outcome
 
+# Enum members read per access, as module globals (see controller.py).
+_READ = Op.READ
+_DATA_READ = OpKind.DATA_READ
+_DATA_WRITE = OpKind.DATA_WRITE
+_MISS_DIRTY = Outcome.MISS_DIRTY
+
 
 class IdealCache(DramCacheController):
     """Zero-latency tag check; data accesses at normal DRAM timing."""
@@ -23,15 +29,15 @@ class IdealCache(DramCacheController):
         now = self.sim.now
         channel_idx, bank = self.route(request.block_addr)
         scheduler = self.schedulers[channel_idx]
-        if request.op is Op.READ:
+        if request.op is _READ:
             result = self.tags.probe(request.block_addr, touch=True)
             self._record_tag_result(request, now, result.outcome)
             if result.outcome.is_hit:
-                op = CacheOp(OpKind.DATA_READ, request.block_addr, bank,
+                op = CacheOp(_DATA_READ, request.block_addr, bank,
                              now, demand=request)
                 scheduler.push_read(op)
                 return
-            if result.outcome is Outcome.MISS_DIRTY:
+            if result.outcome is _MISS_DIRTY:
                 assert result.victim_block is not None
                 self._schedule_victim_readout(result.victim_block, now)
             request.issue_time = now  # no DRAM-cache read command needed
@@ -43,23 +49,24 @@ class IdealCache(DramCacheController):
         evicted = self.tags.install(request.block_addr, dirty=True)
         if evicted is not None and evicted[1]:
             self._schedule_victim_readout(evicted[0], now)
-        op = CacheOp(OpKind.DATA_WRITE, request.block_addr, bank, now)
+        op = CacheOp(_DATA_WRITE, request.block_addr, bank, now)
         scheduler.push_write(op, forced=True)
 
     def _schedule_victim_readout(self, victim_block: int, now: int) -> None:
         channel_idx, bank = self.route(victim_block)
         self.tags.invalidate(victim_block)
-        op = CacheOp(OpKind.DATA_READ, victim_block, bank, now,
+        op = CacheOp(_DATA_READ, victim_block, bank, now,
                      victim_block=victim_block)
         self.schedulers[channel_idx].push_read(op)
 
     # ------------------------------------------------------------------
     def _earliest_op(self, channel_idx: int, op: CacheOp, now: int) -> int:
-        is_write = op.kind is OpKind.DATA_WRITE
+        is_write = op.kind is _DATA_WRITE
         return self.channels[channel_idx].earliest_issue(op.bank, now, is_write)
 
     def _commit_op(self, channel_idx: int, op: CacheOp, now: int) -> None:
-        if op.kind is OpKind.DATA_READ:
+        kind = op.kind
+        if kind is _DATA_READ:
             grant = self._access(channel_idx, op.bank, now, is_write=False,
                                  with_data=True)
             assert grant.data_end is not None
@@ -74,7 +81,7 @@ class IdealCache(DramCacheController):
             self._record_queue_delay(demand, now)
             self.metrics.ledger.move("hit_data", 64, useful=True)
             self.sim.at(data_end, self._complete_read, demand, data_end)
-        elif op.kind is OpKind.DATA_WRITE:
+        elif kind is _DATA_WRITE:
             self._access(channel_idx, op.bank, now, is_write=True, with_data=True)
             if op.is_fill:
                 self.metrics.ledger.move("fill", 64, useful=False)

@@ -15,6 +15,9 @@ from repro.config.system import SystemConfig
 from repro.memory.backend import MemoryBackend
 from repro.sim.kernel import Simulator
 
+# Read per demand, as a module global (see repro.cache.controller).
+_READ = Op.READ
+
 
 class NoCacheSystem:
     """Front-end-compatible shim that bypasses the DRAM cache entirely."""
@@ -35,13 +38,13 @@ class NoCacheSystem:
         self._write_capacity = config.write_buffer_entries * config.mm_channels
 
     def can_accept(self, op: Op, block: int) -> bool:
-        if op is Op.READ:
+        if op is _READ:
             return self._inflight_reads < self._read_capacity
         return self.main_memory.pending_writes() < self._write_capacity
 
     def submit(self, request: DemandRequest) -> None:
         request.arrive_time = self.sim.now
-        if request.op is Op.READ:
+        if request.op is _READ:
             self._inflight_reads += 1
             self.main_memory.read(
                 request.block_addr, partial(self._on_read_done, request),

@@ -87,19 +87,6 @@ class StridePrefetcher:
             return True
         return False
 
-    def note_evicted(self, block: int) -> None:
-        """A prefetched block left the cache untouched (wasted)."""
-        if block in self._outstanding:
-            self._outstanding.discard(block)
-            self.stats.add("wasted")
-
     @property
     def issued(self) -> int:
         return self.stats["prefetches"]
-
-    @property
-    def accuracy(self) -> float:
-        resolved = self.stats["useful"] + self.stats["wasted"]
-        if resolved == 0:
-            return 0.0
-        return self.stats["useful"] / resolved

@@ -37,6 +37,12 @@ from repro.sim.kernel import Simulator, ns
 #: Controller-side latency to recognise and serve a flush-buffer hit.
 FLUSH_HIT_LATENCY = ns(4)
 
+# Enum members read per access, as module globals (see controller.py).
+_READ = Op.READ
+_ACT_RD = OpKind.ACT_RD
+_ACT_WR = OpKind.ACT_WR
+_MISS_DIRTY = Outcome.MISS_DIRTY
+
 
 class TdramCache(DramCacheController):
     """Tag-enhanced DRAM cache with probing and a flush buffer."""
@@ -63,6 +69,8 @@ class TdramCache(DramCacheController):
         ]
         #: per-channel flag: a deferred probe attempt is already scheduled
         self._probe_retry_pending = [False] * len(self.channels)
+        #: wait before a deferred probe attempt
+        self._probe_retry_delay = config.tag_timing.tRRD_TAG * 2
         #: (channel, bank, hold-end) probe conflicts already counted
         self._counted_conflicts = set()
         for channel in self.channels:
@@ -73,18 +81,18 @@ class TdramCache(DramCacheController):
     # ------------------------------------------------------------------
     def _enqueue(self, request: DemandRequest) -> None:
         channel_idx, bank = self.route(request.block_addr)
-        if request.op is Op.READ:
+        if request.op is _READ:
             if self.flush.contains(request.block_addr):
                 self._serve_from_flush_buffer(channel_idx, request)
                 return
-            op = CacheOp(OpKind.ACT_RD, request.block_addr, bank,
+            op = CacheOp(_ACT_RD, request.block_addr, bank,
                          self.sim.now, demand=request)
             self.schedulers[channel_idx].push_read(op)
             return
         # Write demand: a newer full-line write supersedes any buffered
         # dirty copy of the same block (§III-D2).
         self.flush.remove(request.block_addr)
-        op = CacheOp(OpKind.ACT_WR, request.block_addr, bank,
+        op = CacheOp(_ACT_WR, request.block_addr, bank,
                      self.sim.now, demand=request)
         try:
             self.schedulers[channel_idx].push_write(op)
@@ -119,7 +127,7 @@ class TdramCache(DramCacheController):
         return None
 
     def _earliest_op(self, channel_idx: int, op: CacheOp, now: int) -> int:
-        is_write = op.kind is OpKind.ACT_WR
+        is_write = op.kind is _ACT_WR
         channel = self.channels[channel_idx]
         earliest = channel.earliest_issue(op.bank, now, is_write, with_tag=True)
         probe_hold = self._probe_busy_until[channel_idx][op.bank]
@@ -132,9 +140,10 @@ class TdramCache(DramCacheController):
         return earliest
 
     def _commit_op(self, channel_idx: int, op: CacheOp, now: int) -> None:
-        if op.kind is OpKind.ACT_RD:
+        kind = op.kind
+        if kind is _ACT_RD:
             self._commit_act_rd(channel_idx, op, now)
-        elif op.kind is OpKind.ACT_WR:
+        elif kind is _ACT_WR:
             self._commit_act_wr(channel_idx, op, now)
         else:  # pragma: no cover
             raise AssertionError(f"unexpected op kind {op.kind}")
@@ -151,7 +160,7 @@ class TdramCache(DramCacheController):
         self._record_queue_delay(demand, now)
         result = self.tags.probe(demand.block_addr, touch=True)
         outcome = result.outcome
-        streams_data = outcome.is_hit or outcome is Outcome.MISS_DIRTY
+        streams_data = outcome.is_hit or outcome is _MISS_DIRTY
         grant = self._access(
             channel_idx, op.bank, now, is_write=False, with_data=True,
             with_tag=True, hm_result_delay=self._hm_delay(),
@@ -174,7 +183,7 @@ class TdramCache(DramCacheController):
                 self.obs.on_dq_window(demand, data_start, data_end)
             self.sim.at(data_end, self._complete_read, demand, data_end)
             return
-        if outcome is Outcome.MISS_DIRTY:
+        if outcome is _MISS_DIRTY:
             assert result.victim_block is not None
             victim = result.victim_block
             self.metrics.ledger.move("victim_readout", 64, useful=False)
@@ -278,7 +287,7 @@ class TdramCache(DramCacheController):
     # Fill path
     # ------------------------------------------------------------------
     def _fill_op_kind(self) -> OpKind:
-        return OpKind.ACT_WR
+        return _ACT_WR
 
     def _handle_fill_eviction(self, victim_block: int, time: int) -> None:
         """A fill displaced dirty data: it goes to the flush buffer
@@ -305,12 +314,15 @@ class TdramCache(DramCacheController):
             # Candidates may exist whose tag bank / CA / HM slot is
             # momentarily busy: retry shortly (probe windows open and
             # close between MAIN commands).
-            if (not self._probe_retry_pending[channel_idx]
-                    and any(o.demand is not None and o.demand.is_read
-                            and not o.demand.probed for o in read_q)):
-                self._probe_retry_pending[channel_idx] = True
-                self.sim.schedule(self.config.tag_timing.tRRD_TAG * 2,
-                                  self._probe_retry, channel_idx)
+            if not self._probe_retry_pending[channel_idx]:
+                for queued in read_q:
+                    demand = queued.demand
+                    if (demand is not None and demand.op is _READ
+                            and not demand.probed):
+                        self._probe_retry_pending[channel_idx] = True
+                        self.sim.at(self.sim.now + self._probe_retry_delay,
+                                    self._probe_retry, channel_idx)
+                        break
             return
         demand = op.demand
         assert demand is not None
@@ -349,7 +361,7 @@ class TdramCache(DramCacheController):
         if outcome.is_hit:
             self.metrics.events.add("probe_hit")
             return  # stays queued; its MAIN ActRd streams the data
-        if outcome is Outcome.MISS_DIRTY:
+        if outcome is _MISS_DIRTY:
             self.metrics.events.add("probe_miss_dirty")
             assert result.victim_block is not None
             self.tags.invalidate(result.victim_block)

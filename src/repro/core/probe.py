@@ -13,11 +13,15 @@ latency benefit.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.cache.controller import CacheOp, OpKind
+from repro.cache.controller import CacheOp
+from repro.cache.request import Op
 from repro.dram.device import DramChannel
 from repro.stats.counters import CounterSet
+
+# Read per queued op, as a module global (see repro.cache.controller).
+_READ = Op.READ
 
 
 class ProbeEngine:
@@ -37,30 +41,38 @@ class ProbeEngine:
         sit ahead of it in the queue. Probing the imminent-issue head
         would only create tag-bank conflicts with its own MAIN command
         (the paper measures such conflicts below 1 %, §III-E2).
+
+        When a bank-independent slot (CA bus, tag activation window, HM
+        slot) is busy at ``now``, no read is eligible and the queue is
+        not walked. The oldest read per bank is looked up only for a
+        candidate whose data bank frees within the probe's hold.
         """
-        if channel.tag_timing is None:
+        tag_timing = channel.tag_timing
+        if tag_timing is None or not channel.probe_slot_free(now):
             return None
-        hold = channel.tag_timing.tRC_TAG
-        oldest_for_bank = {}
-        for op in read_q:  # queue order = age order
-            if op.bank not in oldest_for_bank:
-                oldest_for_bank[op.bank] = op
+        hold_end = now + tag_timing.tRC_TAG
+        banks = channel.banks
+        oldest_for_bank: Optional[Dict[int, CacheOp]] = None
         for op in reversed(read_q):  # youngest first
             demand = op.demand
-            if demand is None or not demand.is_read or demand.probed:
+            if demand is None or demand.op is not _READ or demand.probed:
                 continue
-            bank_frees_soon = channel.banks[op.bank].ready_at < now + hold
-            if bank_frees_soon and oldest_for_bank.get(op.bank) is op:
-                # This demand is next in line for a bank that frees
-                # inside the probe's tag-bank hold: probing it would
-                # collide with its own MAIN command.
-                continue
+            if banks[op.bank].ready_at < hold_end:
+                if oldest_for_bank is None:
+                    oldest_for_bank = {}
+                    for queued in read_q:  # queue order = age order
+                        oldest_for_bank.setdefault(queued.bank, queued)
+                if oldest_for_bank[op.bank] is op:
+                    # This demand is next in line for a bank that frees
+                    # inside the probe's tag-bank hold: probing it would
+                    # collide with its own MAIN command.
+                    continue
             if channel.can_probe(op.bank, now):
                 return op
-            self.stats.add("blocked_slots")
         return None
 
     def record_issue(self) -> None:
+        """A probe was issued."""
         self.stats.add("probes")
 
     def record_bank_conflict(self) -> None:
@@ -69,8 +81,10 @@ class ProbeEngine:
 
     @property
     def probes(self) -> int:
+        """Probes issued."""
         return self.stats["probes"]
 
     @property
     def bank_conflicts(self) -> int:
+        """MAIN commands that found their tag bank held by a probe."""
         return self.stats["bank_conflicts"]

@@ -52,7 +52,10 @@ from repro.workloads.suite import workload as lookup_workload
 
 #: Bump to invalidate every existing cache entry (simulator behaviour
 #: changes that alter results without touching any key ingredient).
-CACHE_VERSION = 1
+#: 2: speculative fetches and prefetches carry their triggering demand's
+#: age at the backing store (runs with the MAP-I predictor or the
+#: prefetcher moved; default runs did not).
+CACHE_VERSION = 2
 
 #: ``progress(done, total, label, source, eta_s)`` — ``source`` is one
 #: of "cached", "simulated", "retried" or "failed"; ``eta_s`` is the

@@ -19,6 +19,9 @@ from repro.workloads.base import DemandRecord
 #: Back-off before retrying a demand refused by a full controller buffer.
 RETRY_DELAY = ns(20)
 
+# Read per demand, as a module global (see repro.cache.controller).
+_READ = Op.READ
+
 
 class Progress:
     """Shared submission/completion bookkeeping across all cores."""
@@ -83,7 +86,7 @@ class Core:
 
     def start(self) -> None:
         """Begin replay (call once before ``sim.run``)."""
-        self.sim.schedule(0, self._advance)
+        self.sim.at(self.sim.now, self._advance)
 
     # ------------------------------------------------------------------
     def _advance(self) -> None:
@@ -102,25 +105,24 @@ class Core:
             self._check_finished()
             return
         self._pending = record
-        gap = record[0]
-        self._pending_ready_at = self.sim.now + gap
-        self.sim.schedule(gap, self._try_submit)
+        ready_at = self._pending_ready_at = self.sim.now + record[0]
+        self.sim.at(ready_at, self._try_submit)
 
     def _try_submit(self) -> None:
         record = self._pending
         if record is None or self.sim.now < self._pending_ready_at:
             return  # the inter-arrival gap has not elapsed yet
         _gap, op, block, pc = record
-        if op is Op.READ and self.outstanding_reads >= self.max_outstanding_reads:
+        if op is _READ and self.outstanding_reads >= self.max_outstanding_reads:
             return  # parked; resumed by _on_read_complete
         if not self.sink.can_accept(op, block):
             self.retries += 1
-            self.sim.schedule(RETRY_DELAY, self._try_submit)
+            self.sim.at(self.sim.now + RETRY_DELAY, self._try_submit)
             return
         self._pending = None
         self.issued += 1
         request = DemandRequest(op=op, block_addr=block, core_id=self.core_id, pc=pc)
-        if op is Op.READ:
+        if op is _READ:
             self.outstanding_reads += 1
             request.on_complete = self._on_read_complete
         self.sink.submit(request)

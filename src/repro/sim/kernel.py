@@ -129,11 +129,6 @@ class Simulator:
         #: the observability layer (``SystemConfig.obs.profile``)
         self.profiler = None
 
-    @property
-    def now_ns(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return to_ns(self.now)
-
     def pending(self) -> int:
         """Number of events scheduled and still due to dispatch
         (cancelled events stop counting immediately).

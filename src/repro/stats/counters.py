@@ -20,6 +20,7 @@ class CounterSet:
         self._counts: Dict[str, int] = defaultdict(int)
 
     def add(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (created at zero)."""
         self._counts[name] += amount
 
     def __getitem__(self, name: str) -> int:
@@ -29,15 +30,19 @@ class CounterSet:
         return name in self._counts
 
     def names(self) -> Iterable[str]:
+        """Names of the counters added to so far."""
         return self._counts.keys()
 
     def total(self, names: Iterable[str]) -> int:
+        """Sum of the named counters (absent ones count zero)."""
         return sum(self._counts.get(name, 0) for name in names)
 
     def reset(self) -> None:
+        """Drop every counter."""
         self._counts.clear()
 
     def as_dict(self) -> Dict[str, int]:
+        """A copy of the counters as a plain dict."""
         return dict(self._counts)
 
 
@@ -97,31 +102,41 @@ class LatencyStat:
         self.max_ps: int = 0
 
     def record(self, latency_ps: int) -> None:
+        """Add one sample; a negative latency raises ``ValueError``.
+
+        Called once per measured demand, so the extremes are kept with
+        plain comparisons rather than ``min``/``max`` calls.
+        """
         if latency_ps < 0:
             raise ValueError(f"{self.name}: negative latency {latency_ps}")
         if self.count == 0:
             self.min_ps = self.max_ps = latency_ps
-        else:
-            self.min_ps = min(self.min_ps, latency_ps)
-            self.max_ps = max(self.max_ps, latency_ps)
+        elif latency_ps < self.min_ps:
+            self.min_ps = latency_ps
+        elif latency_ps > self.max_ps:
+            self.max_ps = latency_ps
         self.count += 1
         self.total_ps += latency_ps
 
     @property
     def mean_ns(self) -> float:
+        """Mean latency in ns (0.0 with no samples)."""
         if self.count == 0:
             return 0.0
         return self.total_ps / self.count / 1000.0
 
     @property
     def min_ns(self) -> float:
+        """Smallest sample in ns (0.0 with no samples)."""
         return self.min_ps / 1000.0
 
     @property
     def max_ns(self) -> float:
+        """Largest sample in ns (0.0 with no samples)."""
         return self.max_ps / 1000.0
 
     def reset(self) -> None:
+        """Forget every sample."""
         self.count = 0
         self.total_ps = 0
         self.min_ps = 0
@@ -143,17 +158,20 @@ class OccupancyStat:
         self.max_level = 0
 
     def sample(self, level: int) -> None:
+        """Record the current level."""
         self.samples += 1
         self.total_level += level
         self.max_level = max(self.max_level, level)
 
     @property
     def mean_level(self) -> float:
+        """Mean of the sampled levels (0.0 with no samples)."""
         if self.samples == 0:
             return 0.0
         return self.total_level / self.samples
 
     def reset(self) -> None:
+        """Forget every sample."""
         self.samples = 0
         self.total_level = 0
         self.max_level = 0

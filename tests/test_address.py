@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dram.address import BLOCK_BYTES, AddressMapper, DramGeometry
+from repro.dram.address import (
+    BLOCK_BYTES,
+    AddressMapper,
+    DecodedAddress,
+    DramGeometry,
+)
 from repro.errors import ConfigError
 
 GEO = DramGeometry(channels=8, banks_per_channel=16, rows_per_bank=64,
@@ -101,3 +106,34 @@ def test_property_decode_fields_in_range(block):
 def test_property_frame_index_is_modular(block):
     mapper = AddressMapper(GEO)
     assert mapper.frame_index(block) == block % GEO.total_blocks
+
+
+_GEOMETRIES = st.builds(
+    DramGeometry,
+    channels=st.sampled_from([1, 2, 8]),
+    banks_per_channel=st.sampled_from([1, 4, 16]),
+    rows_per_bank=st.sampled_from([1, 64, 1024]),
+    columns_per_row=st.sampled_from([1, 8, 32]),
+)
+
+
+@pytest.mark.parametrize("scheme", AddressMapper.SCHEMES)
+@given(geometry=_GEOMETRIES, block=st.integers(min_value=0, max_value=2**48))
+def test_property_route_is_the_decoded_channel_and_bank(scheme, geometry,
+                                                        block):
+    """``route`` is ``decode(...)[:2]``, and ``decode`` still builds a
+    ``DecodedAddress`` with its four named fields."""
+    mapper = AddressMapper(geometry, scheme=scheme)
+    decoded = mapper.decode(block)
+    assert type(decoded) is DecodedAddress
+    assert decoded == DecodedAddress(decoded.channel, decoded.bank,
+                                     decoded.row, decoded.column)
+    assert mapper.route(block) == decoded[:2]
+
+
+@pytest.mark.parametrize("scheme", AddressMapper.SCHEMES)
+@given(block=st.integers(max_value=-1))
+def test_property_route_rejects_negative_address(scheme, block):
+    mapper = AddressMapper(GEO, scheme=scheme)
+    with pytest.raises(ConfigError):
+        mapper.route(block)

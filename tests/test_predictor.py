@@ -1,11 +1,17 @@
 """Unit and behavioural tests for the MAP-I predictor (§V-D)."""
 
+import itertools
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.cache.request as request_module
 from repro.cache.cascade_lake import CascadeLakeCache
 from repro.cache.predictor import MapIPredictor
+from repro.config.system import SystemConfig
 from repro.errors import ConfigError
+from repro.experiments.runner import run_experiment
 
 
 class TestPredictorTable:
@@ -108,3 +114,30 @@ class TestPredictorIntegration:
         assert ledger.get("mm_fetch") == 64
         # It was useless: nobody waited on it.
         assert system.cache.metrics.ledger.unuseful_bytes >= 64
+
+
+
+class TestFetchOrderDomain:
+    """Every backing-store read the cache sends is ordered by demand
+    sequence number, so a run cannot depend on how many demands the
+    process created before it. A speculative fetch (MAP-I) or a
+    prefetch carries its triggering demand's number; ordered by arrival
+    time instead, it was compared with sequence numbers in the DDR5
+    scheduler, and results moved with the counter's start."""
+
+    @pytest.mark.parametrize("design, feature", [
+        ("cascade_lake", "use_predictor"),
+        ("cascade_lake", "use_prefetcher"),
+        ("tdram", "use_prefetcher"),
+    ])
+    def test_result_independent_of_demand_counter_start(
+            self, design, feature, monkeypatch):
+        config = SystemConfig.small().with_(**{feature: True})
+        results = []
+        for start in (0, 10 ** 9):
+            monkeypatch.setattr(request_module, "_sequence",
+                                itertools.count(start))
+            results.append(asdict(run_experiment(
+                design, "ft.D", config=config, demands_per_core=150,
+                seed=7)))
+        assert results[0] == results[1]

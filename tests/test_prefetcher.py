@@ -67,7 +67,6 @@ class TestStrideDetection:
         assert pf.note_demand_hit(13)
         assert not pf.note_demand_hit(13)
         assert pf.stats["useful"] == 1
-        assert pf.accuracy == 1.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):

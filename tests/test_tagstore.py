@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.request import Outcome
-from repro.cache.tagstore import TagStore
+from repro.cache.tagstore import LookupResult, TagStore
 from repro.errors import ConfigError
 
 
@@ -178,3 +178,42 @@ def test_property_tagstore_invariants(ops, ways):
             assert len(lines) <= ways
             blocks = [line.block for line in lines]
             assert len(set(blocks)) == len(blocks)  # no duplicates
+
+
+class TestSharedResults:
+    """Probes that name no victim and pay no ECC penalty return shared
+    results; they must be immutable and equal to freshly built ones."""
+
+    def probes(self):
+        store = TagStore(num_frames=64, ways=1)
+        miss = store.probe(5)
+        store.install(5, dirty=False)
+        clean = store.probe(5)
+        store.install(6, dirty=True)
+        dirty = store.probe(6)
+        victim = store.probe(6 + 64)
+        return store, miss, clean, dirty, victim
+
+    def test_equal_to_freshly_built_results(self):
+        _store, miss, clean, dirty, victim = self.probes()
+        assert miss == LookupResult(Outcome.MISS_INVALID)
+        assert clean == LookupResult(Outcome.HIT_CLEAN)
+        assert dirty == LookupResult(Outcome.HIT_DIRTY)
+        assert victim == LookupResult(Outcome.MISS_DIRTY, victim_block=6,
+                                      victim_dirty=True)
+        for result in (miss, clean, dirty, victim):
+            assert type(result) is LookupResult
+
+    def test_penalty_free_results_are_shared(self):
+        store, miss, clean, dirty, _victim = self.probes()
+        assert store.probe(5) is clean
+        assert store.probe(6) is dirty
+        assert store.probe(7) is miss
+
+    @pytest.mark.parametrize("field", LookupResult._fields)
+    def test_results_cannot_be_mutated(self, field):
+        for result in self.probes()[1:]:
+            with pytest.raises(AttributeError):
+                setattr(result, field, getattr(result, field))
+        store = TagStore(num_frames=64, ways=1)
+        assert store.probe(5) == LookupResult(Outcome.MISS_INVALID)

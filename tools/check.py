@@ -20,7 +20,9 @@ Checks:
 * **links** — relative-link check over the markdown docs
   (:mod:`check_links`);
 * **docstrings** — 100% public docstring coverage on ``repro.obs``,
-  ``repro.ras``, ``repro.memory``, ``repro.dram`` and
+  ``repro.ras``, ``repro.memory``, ``repro.dram``, ``repro.sim``,
+  ``repro.stats``, ``repro.core.probe``, the cache path's
+  ``controller``/``request``/``metrics``/``tagstore`` modules and
   ``repro.experiments.campaign`` (:mod:`check_docstrings`);
 * **metrics** — every counter name declared in
   ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
@@ -58,7 +60,12 @@ TYPED_PACKAGES = ("src/repro/sim", "src/repro/dram", "src/repro/cache",
 LINK_PATHS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 #: Packages gated at 100% public docstring coverage.
 DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
-                   "src/repro/dram", "src/repro/sim",
+                   "src/repro/dram", "src/repro/sim", "src/repro/stats",
+                   "src/repro/core/probe.py",
+                   "src/repro/cache/controller.py",
+                   "src/repro/cache/request.py",
+                   "src/repro/cache/metrics.py",
+                   "src/repro/cache/tagstore.py",
                    "src/repro/experiments/campaign.py")
 
 
