@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.metrics import BREAKDOWN_CATEGORIES, CacheMetrics, breakdown_category
+from repro.cache.metrics import BREAKDOWN_CATEGORIES, CacheMetrics
 from repro.cache.request import Op, Outcome
 from repro.stats.bandwidth import BandwidthLedger
 from repro.stats.counters import CounterSet, LatencyStat, OccupancyStat
@@ -116,7 +116,17 @@ class TestCacheMetrics:
         (Op.WRITE, Outcome.MISS_DIRTY, "write_miss_dirty"),
     ])
     def test_breakdown_category(self, op, outcome, expected):
-        assert breakdown_category(op, outcome) == expected
+        category = (outcome.read_category if op is Op.READ
+                    else outcome.write_category)
+        assert category == expected
+        metrics = CacheMetrics()
+        metrics.record_outcome(op, outcome)
+        assert metrics.outcomes.as_dict() == {expected: 1}
+
+    def test_outcomes_carry_exactly_the_breakdown_labels(self):
+        labels = {label for outcome in Outcome
+                  for label in (outcome.read_category, outcome.write_category)}
+        assert labels == set(BREAKDOWN_CATEGORIES)
 
     def test_breakdown_fractions_sum_to_one(self):
         metrics = CacheMetrics()
