@@ -223,6 +223,15 @@ def test_epochs_off_by_default():
     assert result.profile == {}
 
 
+def test_same_seed_reproduces_epoch_series():
+    """Two same-seed runs agree on every ``RunResult`` field, the epoch
+    series included; the golden digests pin runs with epochs off."""
+    obs = ObsConfig(epoch_us=0.5)
+    first, second = _run(obs=obs), _run(obs=obs)
+    assert len(first.epochs["t_us"]) >= 2
+    assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+
 # ---------------------------------------------------------------------------
 # Zero perturbation
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.cache.tdram import TdramCache
 from repro.config.system import MIB, SystemConfig
 from repro.core.ecc import EccOutcome
 from repro.core.flush_buffer import FlushBuffer
+from repro.dram.timing import hbm3_cache_timing, rldram_like_tag_timing
 from repro.errors import (
     CapacityError,
     ConfigError,
@@ -80,6 +81,15 @@ class TestRasConfig:
         config = RasConfig().with_(enabled=True, seed=9)
         assert config.enabled and config.seed == 9
         assert not RasConfig().enabled
+
+    def test_default_scrub_batch_fits_a_refresh_window(self):
+        """One default scrub batch of tag-mat reads (16 x tRC_TAG =
+        192 ns) fits an all-bank refresh (tRFC = 195 ns), when the tag
+        banks are idle anyway. ``RasConfig.campaign`` overruns it on
+        purpose and is not covered here."""
+        batch = (RasConfig().scrub_lines_per_pass
+                 * rldram_like_tag_timing().tRC_TAG)
+        assert batch <= hbm3_cache_timing().tRFC
 
 
 class TestTagEccEngine:

@@ -19,7 +19,7 @@ class TestInDram:
     def test_zero_latency_overhead_at_any_associativity(self):
         """§V-F: parallel per-way comparators keep the direct-mapped
         timing regardless of associativity."""
-        for ways in (1, 2, 4, 8, 16):
+        for ways in (1, 2, 3, 4, 8, 16):
             model = in_dram_way_select(ways)
             assert model.total_latency_overhead == 0
             assert model.extra_hm_time == 0
