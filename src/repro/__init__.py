@@ -45,7 +45,6 @@ from repro.errors import (
 )
 from repro.experiments.runner import RunResult, run_experiment, run_matrix
 from repro.sim import Simulator, ns, to_ns
-from repro.validation import run_selfcheck
 from repro.workloads import (
     WorkloadSpec,
     full_suite,
@@ -87,7 +86,6 @@ __all__ = [
     "run_experiment",
     "run_matrix",
     "Simulator",
-    "run_selfcheck",
     "ns",
     "to_ns",
     "WorkloadSpec",

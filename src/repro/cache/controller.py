@@ -216,10 +216,8 @@ class DramCacheController(abc.ABC):
     def _build_tag_store(self, geometry: DramGeometry) -> TagStore:
         """Construct the design's tag store (the organization seam).
 
-        The default is set-associative LRU, matching the pre-seam
-        behaviour bit for bit (the A/B suite swaps in the frozen
-        ``ReferenceTagStore`` through this hook); designs with a custom
-        layout (Gemini, TicToc) override it.
+        The default is set-associative LRU; designs with a custom layout
+        (Gemini, TicToc) override it.
         """
         return TagStore(geometry.total_blocks, self.config.cache_ways)
 

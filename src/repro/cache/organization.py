@@ -13,11 +13,10 @@ inside it is split into two seams the store composes:
   dirty-region list are exactly such mirrors).
 
 The default pairing — :class:`SetAssociativeOrganization` +
-:class:`LruPolicy` — reproduces the pre-seam behaviour bit for bit
-(LRU is encoded as list order: index 0 = LRU, last = MRU); the A/B
-suite in ``tests/test_design_zoo.py`` swaps the frozen
-:class:`~repro.cache.reference_tagstore.ReferenceTagStore` in through
-the controller's ``_build_tag_store`` hook and proves it per design. New designs plug in here: Gemini's hybrid mapping is an
+:class:`LruPolicy` — encodes LRU as list order (index 0 = LRU, last =
+MRU); the committed golden digests pin every design's results through
+it, and ``tests/test_tagstore.py`` pins its victim and eviction order.
+New designs plug in here: Gemini's hybrid mapping is an
 :class:`Organization`, TicToc's mirrored SRAM structures ride a
 :class:`ReplacementPolicy` (see ``docs/design-zoo.md``).
 """

@@ -10,13 +10,12 @@ to the pluggable seams in :mod:`repro.cache.organization`: an
 mapping / probe cost) and a
 :class:`~repro.cache.organization.ReplacementPolicy` (victim choice +
 touch/install/evict hooks). The default pairing — modulo-indexed
-set-associative with LRU-as-list-order — is bit-identical to the
-pre-seam store (kept verbatim as
-:class:`~repro.cache.reference_tagstore.ReferenceTagStore`, the A/B
-test oracle). Direct-mapped is the paper's primary configuration; ``ways > 1``
-gives the set-associative variant of §V-F. Only frames that have ever
-been touched are materialised (a dict), so a 64 GiB cache costs memory
-proportional to the trace, not the device.
+set-associative with LRU-as-list-order — is pinned by the committed
+golden digests (``tests/golden_runs.json``) and by the unit tests in
+``tests/test_tagstore.py``. Direct-mapped is the paper's primary
+configuration; ``ways > 1`` gives the set-associative variant of §V-F.
+Only frames that have ever been touched are materialised (a dict), so a
+64 GiB cache costs memory proportional to the trace, not the device.
 
 When a RAS hook is attached (``SystemConfig.ras.enabled``), every line
 additionally carries the SECDED codeword the tag mats would store

@@ -65,7 +65,12 @@ class SystemConfig:
     write_buffer_entries: int = 64
     flush_buffer_entries: int = 16
     enable_probing: bool = True
+    #: MAP-I hit/miss predictor (§V-D); read by cascade_lake and the
+    #: designs built on it (alloy, bear, gemini_hybrid, tictoc), ignored
+    #: by the rest
     use_predictor: bool = False
+    #: stride prefetcher; read by every cache controller, ignored by
+    #: no_cache
     use_prefetcher: bool = False
     prefetch_degree: int = 2
     #: "all_bank" (default; creates the DQ-idle refresh windows TDRAM

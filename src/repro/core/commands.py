@@ -39,6 +39,7 @@ class TimingEvent:
 
     @property
     def time_ns(self) -> float:
+        """The instant in nanoseconds."""
         return to_ns(self.time_ps)
 
 

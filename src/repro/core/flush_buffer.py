@@ -55,9 +55,11 @@ class FlushBuffer:
 
     @property
     def is_full(self) -> bool:
+        """Whether every entry is taken (the next ``add`` stalls)."""
         return len(self._entries) >= self.capacity
 
     def contains(self, block: int) -> bool:
+        """Whether ``block``'s dirty victim is buffered."""
         return block in self._entries
 
     def add(self, block: int) -> bool:

@@ -43,6 +43,7 @@ class HmPacket:
 
     @classmethod
     def decode(cls, value: int, tag_bits: int) -> "HmPacket":
+        """Unpack an integer built by :meth:`encode`."""
         hit = bool(value & 1)
         valid = bool((value >> 1) & 1)
         dirty = bool((value >> 2) & 1)

@@ -44,6 +44,7 @@ class WaySelectModel:
 
     @property
     def total_latency_overhead(self) -> int:
+        """Latency added to an access (ps): result plus data delay."""
         return self.extra_result_delay + self.extra_data_delay
 
 

@@ -185,10 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="campaign/run: backing-store backend model "
                              "(ddr5, pcm_like, cxl_like; default ddr5 — "
                              "see docs/backends.md)")
-    parser.add_argument("--determinism", action="store_true",
-                        help="selfcheck: also run one synthetic workload "
-                             "twice with the same seed and require "
-                             "bit-identical counters/epochs")
     parser.add_argument("--sampled", action="store_true",
                         help="campaign/run: SMARTS-style sampled "
                              "simulation — detailed windows + functional "
@@ -236,6 +232,7 @@ def _progress(done: int, total: int, label: str, source: str,
 
 
 def main(argv=None) -> int:
+    """Run one ``tdram-repro`` target; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
@@ -249,23 +246,13 @@ def main(argv=None) -> int:
     if target == "list":
         names = sorted(list(_CONTEXT_FIGURES) + list(_STANDALONE)
                        + ["campaign", "lint", "ras", "run",
-                          "report", "selfcheck", "suite", "trace",
+                          "report", "suite", "trace",
                           "trace-capture", "trace-stats"])
         print("available targets:", ", ".join(names))
         print("designs (for run/campaign/--designs):")
         for name in sorted(_DESIGN_SUMMARIES):
             print(f"  {name:<14} {_DESIGN_SUMMARIES[name]}")
         return 0
-    if target == "selfcheck":
-        from repro.validation import render_selfcheck, run_selfcheck
-
-        results = run_selfcheck()
-        if args.determinism:
-            from repro.validation import run_determinism_check
-
-            results = results + run_determinism_check(seed=args.seed)
-        print(render_selfcheck(results))
-        return 0 if all(r.passed for r in results) else 1
     if target == "suite":
         from repro.workloads.suite import suite_summary
 

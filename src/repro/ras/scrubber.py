@@ -6,8 +6,8 @@ correctable error into an uncorrectable double. The scrubber bounds the
 window in which that pairing can happen: every ``scrub_interval_ns`` it
 decodes the next ``scrub_lines_per_pass`` resident tag words (sized so
 one batch of tag-mat reads fits in an all-bank refresh window, when the
-tag banks are idle anyway — the invariant ``tdram-repro selfcheck``
-asserts) and rewrites any word that decodes CORRECTED.
+tag banks are idle anyway — ``tests/test_ras.py`` asserts this for the
+default config) and rewrites any word that decodes CORRECTED.
 
 Uncorrectable words found while scrubbing follow the same graceful
 policy as the demand path: clean lines are invalidated (a later demand

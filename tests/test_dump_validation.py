@@ -1,12 +1,8 @@
-"""Tests for the stats dump, selfcheck battery, and suite summary."""
-
-import pytest
+"""Tests for the stats dump and the suite summary."""
 
 from repro.cache.cascade_lake import CascadeLakeCache
 from repro.cache.tdram import TdramCache
-from repro.dram.timing import separate_die_tag_timing
 from repro.stats.dump import collect_stats, dump_stats
-from repro.validation import render_selfcheck, run_selfcheck
 from repro.workloads.suite import suite_summary
 
 
@@ -43,26 +39,6 @@ class TestStatsDump:
         text = dump_stats(system.cache)
         assert "sim.now_ns = " in text
         assert "mm.reads_issued = 1" in text
-
-
-class TestSelfcheck:
-    def test_default_configuration_passes_everything(self):
-        results = run_selfcheck()
-        failed = [r for r in results if not r.passed]
-        assert not failed, failed
-
-    def test_detects_broken_configuration(self):
-        """Separate-die tags forfeit the tRCD latency hiding — the
-        selfcheck catches it."""
-        results = run_selfcheck(tag=separate_die_tag_timing())
-        names = {r.name: r.passed for r in results}
-        assert not names["internal tag result hides under tRCD (§III-C4)"]
-
-    def test_render_counts_passes(self):
-        results = run_selfcheck()
-        text = render_selfcheck(results)
-        assert f"{len(results)}/{len(results)} checks passed" in text
-        assert "[PASS]" in text
 
 
 class TestSuiteSummary:

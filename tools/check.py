@@ -21,9 +21,10 @@ Checks:
   (:mod:`check_links`);
 * **docstrings** — 100% public docstring coverage on ``repro.obs``,
   ``repro.ras``, ``repro.memory``, ``repro.dram``, ``repro.sim``,
-  ``repro.stats``, ``repro.core.probe``, the cache path's
-  ``controller``/``request``/``metrics``/``tagstore`` modules and
-  ``repro.experiments.campaign`` (:mod:`check_docstrings`);
+  ``repro.stats``, ``repro.core``, the cache path's
+  ``controller``/``request``/``metrics``/``tagstore`` modules,
+  ``repro.experiments.campaign`` and ``repro.experiments.cli``
+  (:mod:`check_docstrings`);
 * **metrics** — every counter name declared in
   ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
   ``docs/metrics.md``, so new backend counters cannot ship
@@ -61,12 +62,13 @@ LINK_PATHS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 #: Packages gated at 100% public docstring coverage.
 DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
                    "src/repro/dram", "src/repro/sim", "src/repro/stats",
-                   "src/repro/core/probe.py",
+                   "src/repro/core",
                    "src/repro/cache/controller.py",
                    "src/repro/cache/request.py",
                    "src/repro/cache/metrics.py",
                    "src/repro/cache/tagstore.py",
-                   "src/repro/experiments/campaign.py")
+                   "src/repro/experiments/campaign.py",
+                   "src/repro/experiments/cli.py")
 
 
 def run_lint() -> Tuple[bool, str]:
