@@ -1,8 +1,9 @@
 """Whole-run bit-identity against the committed golden table.
 
 ``tests/golden_runs.json`` holds a SHA-256 of the full ``RunResult`` for
-every design x backend x cache mode on a small configuration (see
-``tools/golden_runs.py``). Any change to simulated results, event count
+every design x backend x cache mode on ``ft.D``, and for every design on
+``bfs.22`` and ``write_storm`` over ``ddr5``, on a small configuration
+(see ``tools/golden_runs.py``). Any change to simulated results, event count
 included, fails here; regenerating the table needs a ``CACHE_VERSION``
 bump, which the version test below enforces.
 """
