@@ -35,20 +35,12 @@ class BearCache(CascadeLakeCache):
         super().__init__(sim, config, main_memory)
         self._bypass_rng = np.random.default_rng(0xBEA12)
 
-    def _on_fetch_return(self, block: int, time: int) -> None:
-        waiters = self._mshrs.pop(block, [])
-        self.metrics.ledger.move("mm_fetch", 64, useful=bool(waiters))
-        for demand in waiters:
-            self._complete_read(demand, time)
+    def _skip_fill(self) -> bool:
+        """Bandwidth-Aware Bypass: skip a seeded share of the fills."""
         if self._bypass_rng.random() < self.fill_bypass_probability:
             self.metrics.events.add("fill_bypass")
-            return
-        evicted = self.tags.fill(block)
-        if evicted is None and not self.tags.contains(block):
-            return
-        if evicted is not None and evicted[1]:
-            self._handle_fill_eviction(evicted[0], time)
-        self._enqueue_fill(block, time)
+            return True
+        return False
 
     def _enqueue(self, request: DemandRequest) -> None:
         if request.op is Op.WRITE:

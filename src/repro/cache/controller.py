@@ -368,12 +368,19 @@ class DramCacheController(abc.ABC):
             # holds nothing a writeback would not need anyway.
             self.metrics.events.add("read_fill_bypassed")
             return
+        if self._skip_fill():
+            return
         evicted = self.tags.fill(block)
         if evicted is None and not self.tags.contains(block):
             return  # fill dropped (newer data raced in) and nothing evicted
         if evicted is not None and evicted[1]:
             self._handle_fill_eviction(evicted[0], time)
         self._enqueue_fill(block, time)
+
+    def _skip_fill(self) -> bool:
+        """Whether to drop a fetched line instead of filling it; BEAR's
+        bandwidth-aware bypass overrides this."""
+        return False
 
     def _enqueue_fill(self, block: int, time: int) -> None:
         """Queue the DRAM write that installs the fetched line."""

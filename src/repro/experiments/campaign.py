@@ -55,7 +55,9 @@ from repro.workloads.suite import workload as lookup_workload
 #: 2: speculative fetches and prefetches carry their triggering demand's
 #: age at the backing store (runs with the MAP-I predictor or the
 #: prefetcher moved; default runs did not).
-CACHE_VERSION = 2
+#: 3: BEAR honours ``cache_mode="write_only"`` (its ``write_only`` runs
+#: moved; every other run did not).
+CACHE_VERSION = 3
 
 #: ``progress(done, total, label, source, eta_s)`` — ``source`` is one
 #: of "cached", "simulated", "retried" or "failed"; ``eta_s`` is the
