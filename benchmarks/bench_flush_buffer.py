@@ -5,16 +5,15 @@ entries TDRAM never stalls; mean occupancy ~5, max ~12; most unloads
 ride read-miss-clean DQ slots, with refresh windows as backup.
 """
 
-from benchmarks.conftest import bench_demands, run_and_render
+from benchmarks.conftest import run_and_render
 from repro.experiments.studies import flush_buffer_sensitivity
 
 
-def test_flush_buffer_sensitivity(benchmark, bench_config):
-    result = run_and_render(
-        benchmark, flush_buffer_sensitivity,
-        config=bench_config, sizes=(8, 16, 32, 64),
-        demands_per_core=bench_demands(), seed=7,
-    )
+def test_flush_buffer_sensitivity(benchmark, ctx):
+    # The session context: SystemConfig.small(), REPRO_BENCH_DEMANDS
+    # demands per core, seed 7; the study runs on ft.D alone.
+    result = run_and_render(benchmark, flush_buffer_sensitivity, ctx,
+                            sizes=(8, 16, 32, 64))
     rows = {row["entries"]: row for row in result.rows}
     assert rows[16]["stalls"] == 0
     assert rows[16]["max_occupancy"] <= 16

@@ -6,16 +6,16 @@ main-memory fetches (bandwidth bloat) on mispredictions.
 """
 
 from benchmarks.conftest import run_and_render
+from repro.experiments.figures import ExperimentContext
 from repro.experiments.studies import predictor_study
 from repro.workloads.suite import representative_suite
 
 
 def test_predictor_study(benchmark, bench_config):
-    result = run_and_render(
-        benchmark, predictor_study,
-        config=bench_config, specs=representative_suite()[:4],
-        demands_per_core=300, seed=7,
-    )
+    ctx = ExperimentContext(config=bench_config,
+                            specs=representative_suite()[:4],
+                            demands_per_core=300, seed=7)
+    result = run_and_render(benchmark, predictor_study, ctx)
     rows = result.rows[:-1]                 # the last row is the geomean
     speculating = [row for row in rows if row["speculative_fetches"]]
     assert speculating, "no workload made a speculative fetch"

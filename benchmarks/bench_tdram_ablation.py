@@ -7,15 +7,15 @@ benefit per feature, the analysis an artifact evaluation would run.
 
 from benchmarks.conftest import run_and_render
 from repro.experiments.ablations import tdram_ablation
+from repro.experiments.figures import ExperimentContext
 from repro.workloads.suite import representative_suite
 
 
 def test_tdram_ablation(benchmark, bench_config):
-    result = run_and_render(
-        benchmark, tdram_ablation,
-        config=bench_config, specs=representative_suite(),
-        demands_per_core=300, seed=7,
-    )
+    ctx = ExperimentContext(config=bench_config,
+                            specs=representative_suite(),
+                            demands_per_core=300, seed=7)
+    result = run_and_render(benchmark, tdram_ablation, ctx)
     by = {row["variant"]: row for row in result.rows}
     # Probing is the latency mechanism: removing it slows tag checks.
     assert by["no_probing"]["tag_check_ns"] > by["full"]["tag_check_ns"]

@@ -8,6 +8,8 @@ groups); set ``REPRO_FULL_SUITE=1`` for the complete 28-workload sweep
 Simulations are memoised in a session-scoped
 :class:`~repro.experiments.figures.ExperimentContext`, so one
 (design, workload) pair is simulated exactly once across all benches.
+Studies that run at their own work quantum or workload subset build
+their own context with the values they pass.
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the
 regenerated tables.
 """

@@ -19,6 +19,7 @@ Usage::
 import argparse
 
 from repro import MIB, SystemConfig, run_experiment
+from repro.experiments.figures import ExperimentContext
 from repro.experiments.studies import (
     flush_buffer_sensitivity,
     set_associativity_study,
@@ -56,18 +57,20 @@ def sweep_capacity(demands: int) -> None:
 
 def sweep_flush(demands: int) -> None:
     print("== flush-buffer sweep (§V-E) ==")
-    result = flush_buffer_sensitivity(config=SystemConfig.small(),
-                                      sizes=(4, 8, 16, 32, 64),
-                                      demands_per_core=demands)
+    result = flush_buffer_sensitivity(
+        ExperimentContext(config=SystemConfig.small(),
+                          demands_per_core=demands),
+        sizes=(4, 8, 16, 32, 64))
     print(result.render())
     print()
 
 
 def sweep_ways(demands: int) -> None:
     print("== associativity sweep (§V-F) ==")
-    result = set_associativity_study(config=SystemConfig.small(),
-                                     ways=(1, 2, 4, 8, 16),
-                                     demands_per_core=demands)
+    result = set_associativity_study(
+        ExperimentContext(config=SystemConfig.small(),
+                          demands_per_core=demands),
+        ways=(1, 2, 4, 8, 16))
     print(result.render())
     print()
 

@@ -43,7 +43,7 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.experiments.runner import RunResult, run_experiment, run_matrix
+from repro.experiments.runner import RunResult, run_experiment
 from repro.sim import Simulator, ns, to_ns
 from repro.workloads import (
     WorkloadSpec,
@@ -84,7 +84,6 @@ __all__ = [
     "WorkloadError",
     "RunResult",
     "run_experiment",
-    "run_matrix",
     "Simulator",
     "ns",
     "to_ns",

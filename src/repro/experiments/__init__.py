@@ -8,7 +8,7 @@ from repro.experiments.campaign import (
     run_campaign,
     tasks_for,
 )
-from repro.experiments.runner import RunResult, run_experiment, run_matrix
+from repro.experiments.runner import RunResult, run_experiment
 from repro.experiments.sweeps import channel_sweep, config_sweep, mlp_sweep
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "mlp_sweep",
     "run_campaign",
     "run_experiment",
-    "run_matrix",
     "tasks_for",
 ]

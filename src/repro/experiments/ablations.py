@@ -15,13 +15,9 @@ end-to-end benefit, the way an artifact evaluation would:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.config.system import SystemConfig
-from repro.experiments.campaign import CampaignTask, run_campaign
 from repro.experiments.figures import ExperimentContext, FigureResult, geomean
-from repro.workloads.base import WorkloadSpec
-from repro.workloads.suite import representative_suite
 
 #: variant name -> SystemConfig overrides
 ABLATION_VARIANTS: Dict[str, Dict[str, object]] = {
@@ -33,52 +29,25 @@ ABLATION_VARIANTS: Dict[str, Dict[str, object]] = {
 }
 
 
-def tdram_ablation(
-    config: Optional[SystemConfig] = None,
-    specs: Optional[List[WorkloadSpec]] = None,
-    demands_per_core: int = 500,
-    seed: int = 7,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-) -> FigureResult:
+def tdram_ablation(ctx: ExperimentContext) -> FigureResult:
     """Run every ablation variant and report geomean deltas vs full.
 
-    The variants x workloads matrix runs as one campaign: ``jobs`` fans
-    it out over worker processes, ``cache`` persists the results (each
-    variant's modified ``SystemConfig`` is part of the cache key).
+    The variants x workloads matrix runs as one campaign through
+    ``ctx`` (each variant's modified ``SystemConfig`` is part of the
+    cache key).
     """
-    config = config or SystemConfig.small()
-    specs = specs if specs is not None else representative_suite()
-    variant_tasks: Dict[str, List[CampaignTask]] = {
-        variant: [
-            CampaignTask(design="tdram", workload=spec,
-                         config=config.with_(**overrides),
-                         demands_per_core=demands_per_core, seed=seed)
-            for spec in specs
-        ]
-        for variant, overrides in ABLATION_VARIANTS.items()
-    }
-    all_tasks = [task for tasks in variant_tasks.values() for task in tasks]
-    outcome = run_campaign(all_tasks, jobs=jobs, cache=cache,
-                           progress=progress)
+    ctx.warm([cell for overrides in ABLATION_VARIANTS.values()
+              for cell in ctx.cells(["tdram"], **overrides)])
     per_variant: Dict[str, Dict[str, float]] = {}
-    for variant, tasks in variant_tasks.items():
-        runtimes = []
-        tag_checks = []
-        queue_delays = []
-        forced = 0
-        for task in tasks:
-            result = outcome.by_key[task.key]
-            runtimes.append(result.runtime_ps)
-            tag_checks.append(result.tag_check_ns)
-            queue_delays.append(result.queue_delay_ns)
-            forced += result.flush_unloads.get("unload_forced", 0)
+    for variant, overrides in ABLATION_VARIANTS.items():
+        results = [ctx.result("tdram", spec, **overrides)
+                   for spec in ctx.specs]
         per_variant[variant] = {
-            "runtime": geomean(runtimes),
-            "tag": geomean(tag_checks),
-            "queue": geomean(queue_delays),
-            "forced_unloads": forced,
+            "runtime": geomean([r.runtime_ps for r in results]),
+            "tag": geomean([r.tag_check_ns for r in results]),
+            "queue": geomean([r.queue_delay_ns for r in results]),
+            "forced_unloads": sum(r.flush_unloads.get("unload_forced", 0)
+                                  for r in results),
         }
     full = per_variant["full"]
     rows = []

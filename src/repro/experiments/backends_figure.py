@@ -17,13 +17,14 @@ contribution. Exposed as ``tdram-repro backends``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.config.system import SystemConfig
-from repro.experiments.campaign import CampaignTask, run_campaign
-from repro.experiments.figures import FigureResult, geomean
-from repro.workloads.base import WorkloadSpec
-from repro.workloads.suite import representative_suite
+from repro.experiments.figures import (
+    Cell,
+    ExperimentContext,
+    FigureResult,
+    geomean,
+)
 
 #: Backends the comparison sweeps (order = figure row order).
 COMPARED_BACKENDS = ("ddr5", "pcm_like", "cxl_like")
@@ -37,57 +38,31 @@ _VARIANTS: Tuple[Tuple[str, str, Dict[str, object]], ...] = (
 )
 
 
-def backends_comparison(
-    config: Optional[SystemConfig] = None,
-    specs: Optional[List[WorkloadSpec]] = None,
-    demands_per_core: int = 400,
-    seed: int = 7,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-) -> FigureResult:
+def backends_comparison(ctx: ExperimentContext) -> FigureResult:
     """Speedup-vs-no_cache per backend, with per-mechanism deltas.
 
-    The backends x variants x workloads matrix runs as one campaign:
-    ``jobs`` fans it out over worker processes and ``cache`` persists
-    results (the backend knobs are ``SystemConfig`` fields, so every
-    point has a distinct cache key).
+    The backends x variants x workloads matrix runs as one campaign
+    through ``ctx`` (the backend knobs are ``SystemConfig`` fields, so
+    every point has a distinct cache key).
     """
-    base = config or SystemConfig.small()
-    specs = specs if specs is not None else representative_suite()[:4]
-
-    tasks: List[CampaignTask] = []
-    index: Dict[Tuple[str, str, str], CampaignTask] = {}
+    cells: List[Cell] = []
     for backend in COMPARED_BACKENDS:
-        backend_config = base.with_(memory_backend=backend)
-        for spec in specs:
-            baseline = CampaignTask(
-                design="no_cache", workload=spec, config=backend_config,
-                demands_per_core=demands_per_core, seed=seed)
-            tasks.append(baseline)
-            index[(backend, "no_cache", spec.name)] = baseline
-        for column, design, overrides in _VARIANTS:
-            variant_config = (backend_config.with_(**overrides)
-                              if overrides else backend_config)
-            for spec in specs:
-                task = CampaignTask(
-                    design=design, workload=spec, config=variant_config,
-                    demands_per_core=demands_per_core, seed=seed)
-                tasks.append(task)
-                index[(backend, column, spec.name)] = task
-
-    outcome = run_campaign(tasks, jobs=jobs, cache=cache, progress=progress)
+        cells += ctx.cells(["no_cache"], memory_backend=backend)
+        for _column, design, overrides in _VARIANTS:
+            cells += ctx.cells([design], memory_backend=backend, **overrides)
+    ctx.warm(cells)
 
     rows: List[Dict[str, object]] = []
     for backend in COMPARED_BACKENDS:
         row: Dict[str, object] = {"backend": backend}
         mm_lat: List[float] = []
-        for column, _design, _overrides in _VARIANTS:
+        for column, design, overrides in _VARIANTS:
             speedups = []
-            for spec in specs:
-                result = outcome.by_key[index[(backend, column, spec.name)].key]
-                baseline = outcome.by_key[
-                    index[(backend, "no_cache", spec.name)].key]
+            for spec in ctx.specs:
+                result = ctx.result(design, spec, memory_backend=backend,
+                                    **overrides)
+                baseline = ctx.result("no_cache", spec,
+                                      memory_backend=backend)
                 speedups.append(result.speedup_over(baseline))
                 if column == "tdram":
                     mm_lat.append(result.mm_read_latency_ns)

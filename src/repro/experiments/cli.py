@@ -6,6 +6,8 @@ Installed as ``tdram-repro``::
     tdram-repro fig9                 # representative workload subset
     tdram-repro fig9 --jobs 4        # same, simulations fanned out
     tdram-repro fig11 --full-suite   # all 28 workloads (slow)
+    tdram-repro predictor --demands 300 --workloads lu.C,ft.D
+                                     # a §V study on two workloads
     tdram-repro run tdram ft.D       # one simulation, all metrics
     tdram-repro campaign --jobs 4    # designs x workloads sweep, cached
     tdram-repro campaign --resume    # serve finished tasks from the cache
@@ -17,6 +19,13 @@ Installed as ``tdram-repro``::
     tdram-repro backends --jobs 4    # DDR5 vs PCM vs CXL speedup figure
     tdram-repro trace --workload synthetic --out trace.json
                                      # Perfetto-loadable lifecycle trace
+
+Every figure, study and ablation target (everything but ``run``,
+``trace``, ``ras`` and the analytic ``fig4``/``table1``/``ways``) runs
+its matrix through one :class:`ExperimentContext` built from the
+flags: ``--full-suite`` or ``--workloads`` pick the workloads,
+``--demands`` and ``--seed`` the work quantum and seed, ``--jobs`` the
+worker processes, and ``--cache-dir``/``--no-cache`` the result cache.
 
 Simulation-backed targets share a content-addressed on-disk result
 cache (``--cache-dir``, default ``.tdram_cache``; ``--no-cache``
@@ -33,15 +42,17 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.config.system import SystemConfig
+from repro.experiments.ablations import tdram_ablation
+from repro.experiments.backends_figure import backends_comparison
 from repro.experiments.campaign import ResultCache, run_campaign, tasks_for
 from repro.sim.sampling import SamplingConfig
 from repro.experiments.figures import (
     EVALUATED_DESIGNS,
-    FIGURE_DESIGNS,
     ExperimentContext,
+    FigureResult,
     fig01_hit_miss_breakdown,
     fig02_queueing_baselines,
     fig03_wasted_movement,
@@ -64,6 +75,7 @@ from repro.experiments.studies import (
     way_select_study,
 )
 from repro.experiments.tables import table1_comparison
+from repro.workloads.base import WorkloadSpec
 from repro.workloads.suite import (
     any_workload,
     demand_stream,
@@ -73,19 +85,8 @@ from repro.workloads.suite import (
 )
 from repro.workloads.trace import capture_trace, trace_stats
 
-
-def _tdram_ablation_lazy(**kwargs):
-    from repro.experiments.ablations import tdram_ablation
-
-    return tdram_ablation(**kwargs)
-
-
-def _backends_lazy(**kwargs):
-    from repro.experiments.backends_figure import backends_comparison
-
-    return backends_comparison(**kwargs)
-
-_CONTEXT_FIGURES: Dict[str, Callable] = {
+#: Targets that simulate: each runs its matrix through one context.
+_CONTEXT_TARGETS: Dict[str, Callable[[ExperimentContext], FigureResult]] = {
     "fig1": fig01_hit_miss_breakdown,
     "fig2": fig02_queueing_baselines,
     "fig3": fig03_wasted_movement,
@@ -96,6 +97,20 @@ _CONTEXT_FIGURES: Dict[str, Callable] = {
     "fig13": fig13_energy,
     "table4": table4_bloat,
     "frontier": frontier_design_zoo,
+    "predictor": predictor_study,
+    "prefetcher": prefetcher_study,
+    "flush": flush_buffer_sensitivity,
+    "setassoc": set_associativity_study,
+    "ablation": probing_ablation,
+    "tdram-ablation": tdram_ablation,
+    "backends": backends_comparison,
+}
+
+#: Analytic targets: tables computed without a simulation.
+_ANALYTIC: Dict[str, Callable[[], FigureResult]] = {
+    "fig4": fig04_overheads,
+    "table1": table1_comparison,
+    "ways": way_select_study,
 }
 
 #: One-line summary per registered design, shown by ``tdram-repro list``.
@@ -112,19 +127,6 @@ _DESIGN_SUMMARIES: Dict[str, str] = {
     "no_cache": "main memory only (no DRAM cache)",
     "gemini_hybrid": "hot lines direct-mapped, cold lines set-associative",
     "tictoc": "SRAM tag cache + dirty-region list deciding probe-vs-bypass",
-}
-
-_STANDALONE: Dict[str, Callable] = {
-    "fig4": fig04_overheads,
-    "table1": table1_comparison,
-    "predictor": predictor_study,
-    "prefetcher": prefetcher_study,
-    "flush": flush_buffer_sensitivity,
-    "setassoc": set_associativity_study,
-    "ways": way_select_study,
-    "ablation": probing_ablation,
-    "tdram-ablation": _tdram_ablation_lazy,
-    "backends": _backends_lazy,
 }
 
 
@@ -160,8 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="campaign: comma-separated designs "
                              "(default: the five evaluated designs)")
     parser.add_argument("--workloads", default=None,
-                        help="campaign: comma-separated workload names "
-                             "(default: representative suite)")
+                        help="campaign, figures and studies: "
+                             "comma-separated workload names (default: "
+                             "representative suite)")
     parser.add_argument("--retries", type=int, default=2,
                         help="campaign: extra attempts per task that "
                              "raised or lost its worker (default 2)")
@@ -231,6 +234,21 @@ def _progress(done: int, total: int, label: str, source: str,
     print(f"[{done}/{total}] {label} {source}{eta}", file=sys.stderr)
 
 
+def _specs(args) -> List[WorkloadSpec]:
+    """The workloads ``--workloads`` or ``--full-suite`` pick."""
+    if args.workloads:
+        return [workload(name) for name in args.workloads.split(",")]
+    return full_suite() if args.full_suite else representative_suite()
+
+
+def _context(args) -> ExperimentContext:
+    """The one context every simulating figure/study target runs in."""
+    return ExperimentContext(specs=_specs(args),
+                             demands_per_core=args.demands, seed=args.seed,
+                             jobs=args.jobs, cache=_cache(args),
+                             progress=_progress)
+
+
 def main(argv=None) -> int:
     """Run one ``tdram-repro`` target; returns the process exit code."""
     if argv is None:
@@ -244,7 +262,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     target = args.target.lower()
     if target == "list":
-        names = sorted(list(_CONTEXT_FIGURES) + list(_STANDALONE)
+        names = sorted(list(_CONTEXT_TARGETS) + list(_ANALYTIC)
                        + ["campaign", "lint", "ras", "run",
                           "report", "suite", "trace",
                           "trace-capture", "trace-stats"])
@@ -264,15 +282,7 @@ def main(argv=None) -> int:
             return 2
         from repro.experiments.report_gen import generate_report
 
-        specs = full_suite() if args.full_suite else None
-        ctx = ExperimentContext(specs=specs, demands_per_core=args.demands,
-                                seed=args.seed, jobs=args.jobs,
-                                cache=_cache(args))
-        if args.jobs > 1:
-            needed = sorted({design for designs in FIGURE_DESIGNS.values()
-                             for design in designs})
-            ctx.warm(needed, jobs=args.jobs, progress=_progress)
-        titles = generate_report(args.args[0], ctx)
+        titles = generate_report(args.args[0], _context(args))
         print(f"wrote {len(titles)} sections to {args.args[0]}")
         return 0
     if target == "trace":
@@ -302,12 +312,7 @@ def main(argv=None) -> int:
     if target == "campaign":
         designs = (args.designs.split(",") if args.designs
                    else list(EVALUATED_DESIGNS))
-        if args.workloads:
-            specs = [workload(name) for name in args.workloads.split(",")]
-        elif args.full_suite:
-            specs = full_suite()
-        else:
-            specs = representative_suite()
+        specs = _specs(args)
         config = _speed_config(
             SystemConfig.small().with_(memory_backend=args.backend), args)
         cache = _cache(args)
@@ -392,25 +397,11 @@ def main(argv=None) -> int:
         for key, value in sorted(vars(result).items()):
             print(f"{key}: {value}")
         return 0
-    if target in _STANDALONE:
-        kwargs = {}
-        if target in ("tdram-ablation", "backends"):
-            kwargs = {"jobs": args.jobs, "cache": _cache(args)}
-            if args.jobs > 1:
-                kwargs["progress"] = _progress
-            if target == "backends":
-                kwargs["demands_per_core"] = args.demands
-        print(_STANDALONE[target](**kwargs).render())
+    if target in _ANALYTIC:
+        print(_ANALYTIC[target]().render())
         return 0
-    if target in _CONTEXT_FIGURES:
-        specs = full_suite() if args.full_suite else None
-        ctx = ExperimentContext(specs=specs, demands_per_core=args.demands,
-                                seed=args.seed, jobs=args.jobs,
-                                cache=_cache(args))
-        if args.jobs > 1 and target in FIGURE_DESIGNS:
-            ctx.warm(FIGURE_DESIGNS[target], jobs=args.jobs,
-                     progress=_progress)
-        print(_CONTEXT_FIGURES[target](ctx).render())
+    if target in _CONTEXT_TARGETS:
+        print(_CONTEXT_TARGETS[target](_context(args)).render())
         return 0
     print(f"unknown target {target!r}; try 'tdram-repro list'", file=sys.stderr)
     return 2

@@ -1,9 +1,10 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
-Each ``figNN_*`` / ``tableN_*`` function runs (or reuses) the needed
-(design, workload) simulations through an :class:`ExperimentContext`
-and returns a :class:`FigureResult` — the same rows/series the paper
-reports, printable with :meth:`FigureResult.render`.
+Each ``figNN_*`` / ``tableN_*`` function warms the (design, workload)
+simulations it reads through an :class:`ExperimentContext` and returns
+a :class:`FigureResult` — the same rows/series the paper reports,
+printable with :meth:`FigureResult.render`. The §V studies, the sweeps
+and the ablations run their matrices through the same context.
 
 The default workload set is :func:`repro.workloads.representative_suite`
 (six workloads spanning both miss groups); pass
@@ -13,16 +14,20 @@ sweep the paper uses.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.cache.metrics import BREAKDOWN_CATEGORIES
 from repro.config.system import SystemConfig
 from repro.core.area import die_area_report, signal_report
 from repro.experiments.campaign import (
+    CampaignOutcome,
     CampaignTask,
+    ProgressFn,
     ResultCache,
     run_campaign,
 )
@@ -37,20 +42,9 @@ EVALUATED_DESIGNS = ("cascade_lake", "alloy", "bear", "ndc", "tdram")
 #: organizations riding the pluggable seam, bounded by Ideal.
 FRONTIER_DESIGNS = EVALUATED_DESIGNS + ("gemini_hybrid", "tictoc", "ideal")
 
-#: Designs each context figure/table needs — lets the CLI warm the
-#: context with one parallel campaign before generating a figure.
-FIGURE_DESIGNS: Dict[str, Sequence[str]] = {
-    "fig1": ("cascade_lake",),
-    "fig2": ("no_cache", "cascade_lake", "alloy", "bear"),
-    "fig3": ("cascade_lake", "alloy", "bear"),
-    "fig9": EVALUATED_DESIGNS,
-    "fig10": EVALUATED_DESIGNS,
-    "fig11": EVALUATED_DESIGNS + ("ideal",),
-    "fig12": EVALUATED_DESIGNS + ("ideal", "no_cache"),
-    "fig13": EVALUATED_DESIGNS,
-    "table4": EVALUATED_DESIGNS,
-    "frontier": FRONTIER_DESIGNS,
-}
+#: One simulation a figure reads: ``(design, spec, overrides)``, run
+#: under ``ctx.config.with_(**overrides)``.
+Cell = Tuple[str, WorkloadSpec, Mapping[str, object]]
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -97,15 +91,21 @@ class FigureResult:
 
 
 class ExperimentContext:
-    """Runs and memoises (design, workload) simulations for the figures.
+    """Runs and memoises the simulations of every figure and study.
+
+    A context fixes what a run depends on besides its design and
+    workload: the ``SystemConfig``, the work quantum and the seed. It
+    also fixes how the runs execute: ``jobs`` worker processes, an
+    optional on-disk ``cache`` (a :class:`ResultCache` or a directory
+    path) and a ``progress`` callback. Each figure and study passes the
+    cells it reads to :meth:`warm`, which runs the ones not yet
+    memoised as one campaign, then reads them with :meth:`result`.
 
     Memoisation keys on the full campaign :func:`cache_key` — design,
-    workload spec, ``SystemConfig``, work quantum, and seed — so a
-    context whose configuration changes (or two contexts sharing one
-    on-disk cache with different configs) can never return a stale
-    :class:`RunResult`. Pass ``cache`` (a :class:`ResultCache` or a
-    directory path) to persist results across processes, and ``jobs``
-    plus :meth:`warm` to fan simulations out over worker processes.
+    workload spec, ``SystemConfig`` with the cell's overrides, work
+    quantum, and seed — so a context whose configuration changes (or
+    two contexts sharing one on-disk cache with different configs) can
+    never return a stale :class:`RunResult`.
     """
 
     def __init__(
@@ -116,6 +116,7 @@ class ExperimentContext:
         seed: int = 7,
         jobs: int = 1,
         cache: Optional[Union[ResultCache, str, Path]] = None,
+        progress: Optional[ProgressFn] = None,
     ) -> None:
         self.config = config or SystemConfig.small()
         self.specs = specs if specs is not None else representative_suite()
@@ -125,36 +126,59 @@ class ExperimentContext:
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self._cache: Dict[str, RunResult] = {}
+        self.progress = progress
+        self._memo: Dict[str, RunResult] = {}
 
-    def task(self, design: str, spec: WorkloadSpec) -> CampaignTask:
-        return CampaignTask(design=design, workload=spec, config=self.config,
+    def with_specs(self, specs: Sequence[WorkloadSpec]) -> "ExperimentContext":
+        """This context over ``specs``; the two share one memo."""
+        view = copy.copy(self)
+        view.specs = list(specs)
+        return view
+
+    def cells(self, designs: Iterable[str],
+              specs: Optional[Sequence[WorkloadSpec]] = None,
+              **overrides: object) -> List[Cell]:
+        """``designs`` x ``specs`` (default: the context's workloads),
+        each under the same config ``overrides``."""
+        specs = self.specs if specs is None else specs
+        return [(design, spec, overrides)
+                for design in designs for spec in specs]
+
+    def task(self, design: str, spec: WorkloadSpec,
+             **overrides: object) -> CampaignTask:
+        """The campaign task of one cell."""
+        config = self.config.with_(**overrides) if overrides else self.config
+        return CampaignTask(design=design, workload=spec, config=config,
                             demands_per_core=self.demands_per_core,
                             seed=self.seed)
 
-    def result(self, design: str, spec: WorkloadSpec) -> RunResult:
-        """One memoised simulation, run as a one-task campaign so cache
-        hits and failed cache writes are handled as in :meth:`warm`."""
-        task = self.task(design, spec)
-        if task.key not in self._cache:
-            outcome = run_campaign([task], cache=self.cache, retries=0)
-            self._cache[task.key] = outcome.results[0]
-        return self._cache[task.key]
+    def result(self, design: str, spec: WorkloadSpec,
+               **overrides: object) -> RunResult:
+        """One memoised simulation under ``config.with_(**overrides)``;
+        a cell not yet warmed runs as a one-cell campaign."""
+        key = self.task(design, spec, **overrides).key
+        if key not in self._memo:
+            self.warm([(design, spec, overrides)])
+        return self._memo[key]
 
-    def warm(self, designs: Sequence[str], jobs: Optional[int] = None,
-             progress=None):
-        """Populate the memo for ``designs`` x ``self.specs`` with one
-        (optionally parallel) campaign; returns its outcome."""
-        tasks = [self.task(design, spec)
-                 for design in designs for spec in self.specs]
-        outcome = run_campaign(tasks, jobs=jobs if jobs is not None
-                               else self.jobs, cache=self.cache,
-                               progress=progress)
-        for task, result in zip(tasks, outcome.results):
-            self._cache[task.key] = result
+    def warm(self, cells: Iterable[Cell]) -> CampaignOutcome:
+        """Run every cell not yet memoised as one campaign, with the
+        context's ``jobs``, ``cache`` and ``progress``; returns its
+        outcome."""
+        pending: Dict[str, CampaignTask] = {}
+        for design, spec, overrides in cells:
+            task = self.task(design, spec, **overrides)
+            if task.key not in self._memo:
+                pending.setdefault(task.key, task)
+        # One cell gains nothing from a worker pool but its start-up.
+        jobs = self.jobs if len(pending) > 1 else 1
+        outcome = run_campaign(list(pending.values()), jobs=jobs,
+                               cache=self.cache, progress=self.progress)
+        self._memo.update(outcome.by_key)
         return outcome
 
     def by_group(self, group: MissClass) -> List[WorkloadSpec]:
+        """The context's workloads in one Fig. 1 miss-ratio group."""
         return [s for s in self.specs if s.miss_class is group]
 
 
@@ -164,6 +188,7 @@ class ExperimentContext:
 def fig01_hit_miss_breakdown(ctx: ExperimentContext) -> FigureResult:
     """Fig. 1: per-workload breakdown into the six Table II categories."""
     columns = ["workload", "group"] + list(BREAKDOWN_CATEGORIES) + ["miss_ratio"]
+    ctx.warm(ctx.cells(["cascade_lake"]))
     rows = []
     for spec in ctx.specs:
         result = ctx.result("cascade_lake", spec)
@@ -190,6 +215,7 @@ def fig02_queueing_baselines(ctx: ExperimentContext) -> FigureResult:
     """Fig. 2: existing caches queue reads far longer than plain DDR5."""
     designs = ["no_cache", "cascade_lake", "alloy", "bear"]
     columns = ["workload"] + designs
+    ctx.warm(ctx.cells(designs))
     rows = []
     for spec in ctx.specs:
         row: Dict[str, object] = {"workload": spec.name}
@@ -214,6 +240,7 @@ def fig03_wasted_movement(ctx: ExperimentContext) -> FigureResult:
     """Fig. 3: share of moved bytes that served no purpose."""
     designs = ["cascade_lake", "alloy", "bear"]
     columns = ["workload"] + [f"{d}_unuseful" for d in designs]
+    ctx.warm(ctx.cells(designs))
     rows = []
     for spec in ctx.specs:
         row: Dict[str, object] = {"workload": spec.name}
@@ -267,6 +294,7 @@ def fig04_overheads() -> FigureResult:
 def fig09_tag_check(ctx: ExperimentContext) -> FigureResult:
     """Fig. 9: TDRAM's tag check is 2.6x/2.65x/2x/1.82x faster."""
     columns = ["workload"] + list(EVALUATED_DESIGNS)
+    ctx.warm(ctx.cells(EVALUATED_DESIGNS))
     rows = []
     for spec in ctx.specs:
         row: Dict[str, object] = {"workload": spec.name}
@@ -293,6 +321,7 @@ def fig09_tag_check(ctx: ExperimentContext) -> FigureResult:
 def fig10_queueing(ctx: ExperimentContext) -> FigureResult:
     """Fig. 10: TDRAM's queueing delay is the shortest of all designs."""
     columns = ["workload"] + list(EVALUATED_DESIGNS)
+    ctx.warm(ctx.cells(EVALUATED_DESIGNS))
     rows = []
     for spec in ctx.specs:
         row: Dict[str, object] = {"workload": spec.name}
@@ -317,13 +346,13 @@ def fig11_speedup_vs_cl(ctx: ExperimentContext) -> FigureResult:
     """Fig. 11: speedup normalised to Cascade Lake (higher is better)."""
     designs = ["alloy", "bear", "ndc", "tdram", "ideal"]
     columns = ["workload"] + designs
+    ctx.warm(ctx.cells(["cascade_lake"] + designs))
     rows = []
     for spec in ctx.specs:
         baseline = ctx.result("cascade_lake", spec)
         row: Dict[str, object] = {"workload": spec.name}
         for design in designs:
-            row[design] = ctx.result(design, spec).speedup_over(baseline) \
-                if design != "cascade_lake" else 1.0
+            row[design] = ctx.result(design, spec).speedup_over(baseline)
         rows.append(row)
     means = {d: geomean([r[d] for r in rows]) for d in designs}
     rows.append({"workload": "geomean", **means})
@@ -341,6 +370,7 @@ def fig12_speedup_vs_nocache(ctx: ExperimentContext) -> FigureResult:
     """Fig. 12: speedup normalised to a system with main memory only."""
     designs = ["cascade_lake", "alloy", "bear", "ndc", "tdram", "ideal"]
     columns = ["workload"] + designs
+    ctx.warm(ctx.cells(["no_cache"] + designs))
     rows = []
     for spec in ctx.specs:
         baseline = ctx.result("no_cache", spec)
@@ -371,6 +401,7 @@ def fig13_energy(ctx: ExperimentContext) -> FigureResult:
     """
     designs = ["bear", "ndc", "tdram"]
     columns = ["workload", "alloy"] + designs
+    ctx.warm(ctx.cells(["cascade_lake", "alloy"] + designs))
     rows = []
     for spec in ctx.specs:
         baseline = ctx.result("cascade_lake", spec).cache_energy_pj
@@ -432,6 +463,7 @@ def frontier_design_zoo(ctx: ExperimentContext) -> FigureResult:
     """
     columns = ["design", "tag_check_ns", "read_latency_ns", "bloat_factor",
                "miss_ratio", "capacity_overhead"]
+    ctx.warm(ctx.cells(FRONTIER_DESIGNS))
     rows: List[Dict[str, object]] = []
     for design in FRONTIER_DESIGNS:
         results = [ctx.result(design, spec) for spec in ctx.specs]
@@ -472,6 +504,8 @@ def table4_bloat(ctx: ExperimentContext) -> FigureResult:
         "low": ctx.by_group(MissClass.LOW),
         "high": ctx.by_group(MissClass.HIGH),
     }
+    ctx.warm(ctx.cells(EVALUATED_DESIGNS,
+                       group_specs["low"] + group_specs["high"]))
     measured: Dict[str, Dict[str, float]] = {}
     for design in EVALUATED_DESIGNS:
         measured[design] = {}

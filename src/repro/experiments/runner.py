@@ -119,6 +119,7 @@ class RunResult:
 
     @property
     def runtime_ns(self) -> float:
+        """The measured runtime in nanoseconds."""
         return to_ns(self.runtime_ps)
 
     def speedup_over(self, baseline: "RunResult") -> float:
@@ -193,6 +194,7 @@ def _run(
     measure_start = 0
 
     def on_warm() -> None:
+        """Start the measured region once every core is warm."""
         nonlocal measure_start
         measure_start = sim.now
         _reset_measurement(sink, mm_meter, main_memory)
@@ -539,22 +541,3 @@ def run_trace_experiment(
     return _run(design, surrogate, config, streams, demands_per_core, seed,
                 prewarm_blocks=touched)
 
-
-def run_matrix(
-    designs: List[str],
-    specs: List[WorkloadSpec],
-    config: Optional[SystemConfig] = None,
-    demands_per_core: int = 2000,
-    seed: int = 42,
-) -> Dict[str, Dict[str, RunResult]]:
-    """Run a designs x workloads sweep: ``results[workload][design]``."""
-    results: Dict[str, Dict[str, RunResult]] = {}
-    for spec in specs:
-        row: Dict[str, RunResult] = {}
-        for design in designs:
-            row[design] = run_experiment(
-                design, spec, config=config,
-                demands_per_core=demands_per_core, seed=seed,
-            )
-        results[spec.name] = row
-    return results

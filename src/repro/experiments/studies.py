@@ -7,37 +7,31 @@
   on these workloads.
 * :func:`probing_ablation` — §V-A/V-B: TDRAM without early tag probing
   behaves like NDC.
+
+Each simulating study runs its matrix through the
+:class:`~repro.experiments.figures.ExperimentContext` it is given, so
+the context's config, workloads, work quantum, seed, worker processes
+and result cache apply to it as to every figure.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.config.system import SystemConfig
 from repro.experiments.figures import ExperimentContext, FigureResult, geomean
-from repro.experiments.runner import run_experiment
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.suite import representative_suite
-from repro.workloads.synthetic import write_storm_spec
+from repro.workloads.suite import workload
 
 
-def predictor_study(
-    config: Optional[SystemConfig] = None,
-    specs: Optional[List[WorkloadSpec]] = None,
-    demands_per_core: int = 600,
-    seed: int = 7,
-) -> FigureResult:
+def predictor_study(ctx: ExperimentContext) -> FigureResult:
     """§V-D: Cascade Lake with and without the MAP-I predictor."""
-    config = config or SystemConfig.small()
-    specs = specs if specs is not None else representative_suite()
+    ctx.warm(ctx.cells(["cascade_lake"])
+             + ctx.cells(["cascade_lake"], use_predictor=True))
     rows = []
     speedups = []
-    for spec in specs:
-        base = run_experiment("cascade_lake", spec, config=config,
-                              demands_per_core=demands_per_core, seed=seed)
-        pred = run_experiment("cascade_lake", spec,
-                              config=config.with_(use_predictor=True),
-                              demands_per_core=demands_per_core, seed=seed)
+    for spec in ctx.specs:
+        base = ctx.result("cascade_lake", spec)
+        pred = ctx.result("cascade_lake", spec, use_predictor=True)
         speedup = pred.speedup_over(base)
         speedups.append(speedup)
         rows.append({
@@ -58,31 +52,20 @@ def predictor_study(
     )
 
 
-def prefetcher_study(
-    config: Optional[SystemConfig] = None,
-    specs: Optional[List[WorkloadSpec]] = None,
-    demands_per_core: int = 600,
-    seed: int = 7,
-    degree: int = 2,
-) -> FigureResult:
+def prefetcher_study(ctx: ExperimentContext, degree: int = 2) -> FigureResult:
     """§V-D (prefetchers): TDRAM with and without a stride prefetcher.
 
     The paper's preliminary analysis: prefetchers give only incremental
     gains at the DRAM-cache level because they interfere with demands
     and consume bandwidth, especially at low accuracy.
     """
-    config = config or SystemConfig.small()
-    specs = specs if specs is not None else representative_suite()
+    prefetch = {"use_prefetcher": True, "prefetch_degree": degree}
+    ctx.warm(ctx.cells(["tdram"]) + ctx.cells(["tdram"], **prefetch))
     rows = []
     speedups = []
-    for spec in specs:
-        base = run_experiment("tdram", spec, config=config,
-                              demands_per_core=demands_per_core, seed=seed)
-        pref = run_experiment(
-            "tdram", spec,
-            config=config.with_(use_prefetcher=True, prefetch_degree=degree),
-            demands_per_core=demands_per_core, seed=seed,
-        )
+    for spec in ctx.specs:
+        base = ctx.result("tdram", spec)
+        pref = ctx.result("tdram", spec, **prefetch)
         speedup = pref.speedup_over(base)
         speedups.append(speedup)
         rows.append({
@@ -103,29 +86,24 @@ def prefetcher_study(
 
 
 def flush_buffer_sensitivity(
-    config: Optional[SystemConfig] = None,
+    ctx: ExperimentContext,
     sizes: tuple = (8, 16, 32, 64),
     spec: Optional[WorkloadSpec] = None,
-    demands_per_core: int = 800,
-    seed: int = 7,
 ) -> FigureResult:
     """§V-E: flush-buffer occupancy/stalls across buffer sizes.
 
-    Defaults to ft.D — a write-heavy high-miss workload that exercises
+    Runs on ``spec`` alone, not the context's workloads. It defaults to
+    ft.D — a write-heavy high-miss workload that exercises
     write-miss-dirty traffic the way the paper's stressors (lu.D, bc)
     do. ``repro.workloads.write_storm_spec()`` provides an adversarial
     stressor well beyond anything in the suite.
     """
-    config = config or SystemConfig.small()
-    if spec is None:
-        from repro.workloads.suite import workload
-        spec = workload("ft.D")
+    spec = spec if spec is not None else workload("ft.D")
+    ctx.warm([("tdram", spec, {"flush_buffer_entries": size})
+              for size in sizes])
     rows = []
     for size in sizes:
-        result = run_experiment(
-            "tdram", spec, config=config.with_(flush_buffer_entries=size),
-            demands_per_core=demands_per_core, seed=seed,
-        )
+        result = ctx.result("tdram", spec, flush_buffer_entries=size)
         rows.append({
             "entries": size,
             "stalls": result.flush_stalls,
@@ -150,31 +128,24 @@ def flush_buffer_sensitivity(
 
 
 def set_associativity_study(
-    config: Optional[SystemConfig] = None,
+    ctx: ExperimentContext,
     ways: tuple = (1, 2, 4, 8, 16),
-    specs: Optional[List[WorkloadSpec]] = None,
-    demands_per_core: int = 600,
-    seed: int = 7,
 ) -> FigureResult:
     """§V-F: direct-mapped vs set-associative TDRAM.
 
     The paper finds the HPC workloads have negligible conflict misses,
     so all associativities achieve similar speedups over main memory.
     """
-    config = config or SystemConfig.small()
-    specs = specs if specs is not None else representative_suite()
+    ctx.warm([cell for n_ways in ways
+              for cell in ctx.cells(["no_cache", "tdram"],
+                                    cache_ways=n_ways)])
     rows = []
     for n_ways in ways:
-        cfg = config.with_(cache_ways=n_ways)
         speedups = []
         miss_ratios = []
-        for spec in specs:
-            baseline = run_experiment("no_cache", spec, config=cfg,
-                                      demands_per_core=demands_per_core,
-                                      seed=seed)
-            result = run_experiment("tdram", spec, config=cfg,
-                                    demands_per_core=demands_per_core,
-                                    seed=seed)
+        for spec in ctx.specs:
+            baseline = ctx.result("no_cache", spec, cache_ways=n_ways)
+            result = ctx.result("tdram", spec, cache_ways=n_ways)
             speedups.append(result.speedup_over(baseline))
             miss_ratios.append(result.miss_ratio)
         rows.append({
@@ -214,24 +185,15 @@ def way_select_study(ways_list=(1, 2, 4, 8, 16)) -> FigureResult:
     )
 
 
-def probing_ablation(
-    config: Optional[SystemConfig] = None,
-    specs: Optional[List[WorkloadSpec]] = None,
-    demands_per_core: int = 600,
-    seed: int = 7,
-) -> FigureResult:
+def probing_ablation(ctx: ExperimentContext) -> FigureResult:
     """§V-A/V-B: TDRAM without early tag probing ~ NDC."""
-    config = config or SystemConfig.small()
-    specs = specs if specs is not None else representative_suite()
+    ctx.warm(ctx.cells(["tdram", "ndc"])
+             + ctx.cells(["tdram"], enable_probing=False))
     rows = []
-    for spec in specs:
-        tdram = run_experiment("tdram", spec, config=config,
-                               demands_per_core=demands_per_core, seed=seed)
-        no_probe = run_experiment("tdram", spec,
-                                  config=config.with_(enable_probing=False),
-                                  demands_per_core=demands_per_core, seed=seed)
-        ndc = run_experiment("ndc", spec, config=config,
-                             demands_per_core=demands_per_core, seed=seed)
+    for spec in ctx.specs:
+        tdram = ctx.result("tdram", spec)
+        no_probe = ctx.result("tdram", spec, enable_probing=False)
+        ndc = ctx.result("ndc", spec)
         rows.append({
             "workload": spec.name,
             "tdram_tag_ns": tdram.tag_check_ns,

@@ -5,45 +5,47 @@ let a user sweep *any* configuration axis — cache capacity, channel
 count, MLP, buffer sizes — and get a :class:`FigureResult` back. Used
 by ``examples/design_space.py`` and the ablation benches.
 
-Every sweep point is an independent simulation, so the whole sweep is
-executed as one campaign (:mod:`repro.experiments.campaign`): pass
-``jobs=N`` to fan the points out over worker processes and ``cache``
-(a :class:`~repro.experiments.campaign.ResultCache` or directory) to
-persist results — the campaign key covers the swept ``SystemConfig``,
-so distinct points can never alias.
+Every sweep point is an independent simulation, so the whole sweep runs
+as one campaign through the
+:class:`~repro.experiments.figures.ExperimentContext` it is given: the
+context's ``jobs`` fan the points out over worker processes and its
+``cache`` persists results. The campaign key covers the swept
+``SystemConfig``, so distinct points can never alias.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterable, List, Optional, Sequence
 
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
-from repro.experiments.campaign import CampaignTask, run_campaign
-from repro.experiments.figures import FigureResult, geomean
-from repro.workloads.base import WorkloadSpec
-from repro.workloads.suite import representative_suite
+from repro.experiments.figures import (
+    Cell,
+    ExperimentContext,
+    FigureResult,
+    geomean,
+)
+
+#: The names ``config_sweep`` can sweep: fields, not derived properties.
+_FIELDS = frozenset(spec.name for spec in fields(SystemConfig))
 
 
 def config_sweep(
+    ctx: ExperimentContext,
     parameter: str,
     values: Sequence,
     design: str = "tdram",
-    config: Optional[SystemConfig] = None,
-    specs: Optional[List[WorkloadSpec]] = None,
     baseline_design: Optional[str] = "no_cache",
-    demands_per_core: int = 400,
-    seed: int = 7,
     hold_footprint: bool = False,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
 ) -> FigureResult:
     """Sweep one ``SystemConfig`` field and report per-point geomeans.
 
     Parameters
     ----------
+    ctx:
+        The context whose config, workloads, work quantum and seed each
+        point starts from; only ``parameter`` changes between points.
     parameter:
         Field name of :class:`SystemConfig` (e.g. ``cache_capacity_bytes``,
         ``max_outstanding_reads_per_core``, ``flush_buffer_entries``).
@@ -51,60 +53,37 @@ def config_sweep(
         When sweeping the cache capacity, keep the *absolute* workload
         footprint fixed (workload footprints otherwise scale with the
         configured capacity).
-    jobs / cache / progress:
-        Campaign execution knobs (worker processes, on-disk result
-        cache, progress callback); see :func:`run_campaign`.
     """
-    base_config = config or SystemConfig.small()
-    if not hasattr(base_config, parameter):
+    if parameter not in _FIELDS:
         raise ConfigError(f"SystemConfig has no field {parameter!r}")
-    specs = specs if specs is not None else representative_suite()[:4]
 
-    # Enumerate every (point, spec) simulation up front so the whole
-    # sweep runs as one campaign.
+    designs = [design] if baseline_design is None else [baseline_design,
+                                                        design]
     points = []
-    tasks: List[CampaignTask] = []
+    cells: List[Cell] = []
     for value in values:
-        point = base_config.with_(**{parameter: value})
-        point_tasks = []
-        for spec in specs:
-            run_spec = spec
-            if hold_footprint and parameter == "cache_capacity_bytes":
-                run_spec = replace(
-                    spec,
-                    paper_footprint_bytes=int(
-                        spec.paper_footprint_bytes
-                        * base_config.cache_capacity_bytes / value
-                    ),
-                )
-            design_task = CampaignTask(
-                design=design, workload=run_spec, config=point,
-                demands_per_core=demands_per_core, seed=seed,
-            )
-            baseline_task = None
-            if baseline_design is not None:
-                baseline_task = CampaignTask(
-                    design=baseline_design, workload=run_spec, config=point,
-                    demands_per_core=demands_per_core, seed=seed,
-                )
-                tasks.append(baseline_task)
-            tasks.append(design_task)
-            point_tasks.append((design_task, baseline_task))
-        points.append((value, point_tasks))
-
-    outcome = run_campaign(tasks, jobs=jobs, cache=cache, progress=progress)
+        specs = ctx.specs
+        if hold_footprint and parameter == "cache_capacity_bytes":
+            specs = [replace(spec, paper_footprint_bytes=int(
+                spec.paper_footprint_bytes
+                * ctx.config.cache_capacity_bytes / value))
+                for spec in specs]
+        points.append((value, specs))
+        cells += ctx.cells(designs, specs, **{parameter: value})
+    ctx.warm(cells)
 
     rows = []
-    for value, point_tasks in points:
+    for value, specs in points:
         speedups = []
         tag_checks = []
         miss_ratios = []
-        for design_task, baseline_task in point_tasks:
-            result = outcome.by_key[design_task.key]
+        for spec in specs:
+            result = ctx.result(design, spec, **{parameter: value})
             tag_checks.append(result.tag_check_ns)
             miss_ratios.append(result.miss_ratio)
-            if baseline_task is not None:
-                baseline = outcome.by_key[baseline_task.key]
+            if baseline_design is not None:
+                baseline = ctx.result(baseline_design, spec,
+                                      **{parameter: value})
                 speedups.append(result.speedup_over(baseline))
         row = {
             parameter: value,
@@ -123,18 +102,23 @@ def config_sweep(
     )
 
 
-def mlp_sweep(values: Iterable[int] = (1, 2, 4, 8, 16), **kwargs) -> FigureResult:
+def mlp_sweep(ctx: ExperimentContext,
+              values: Iterable[int] = (1, 2, 4, 8, 16),
+              **kwargs) -> FigureResult:
     """How sensitive are the results to the front end's per-core MLP?"""
-    return config_sweep("max_outstanding_reads_per_core", list(values),
+    return config_sweep(ctx, "max_outstanding_reads_per_core", list(values),
                         **kwargs)
 
 
-def channel_sweep(values: Iterable[int] = (2, 4, 8), **kwargs) -> FigureResult:
+def channel_sweep(ctx: ExperimentContext,
+                  values: Iterable[int] = (2, 4, 8),
+                  **kwargs) -> FigureResult:
     """DRAM-cache channel-count sweep (bandwidth scaling)."""
-    return config_sweep("cache_channels", list(values), **kwargs)
+    return config_sweep(ctx, "cache_channels", list(values), **kwargs)
 
 
 def backend_sweep(
+    ctx: ExperimentContext,
     values: Iterable[str] = ("ddr5", "pcm_like", "cxl_like"), **kwargs
 ) -> FigureResult:
     """Swap the backing-store media model behind the cache.
@@ -144,20 +128,24 @@ def backend_sweep(
     richer per-mechanism comparison is ``tdram-repro backends``
     (:func:`repro.experiments.backends_figure.backends_comparison`).
     """
-    return config_sweep("memory_backend", list(values), **kwargs)
+    return config_sweep(ctx, "memory_backend", list(values), **kwargs)
 
 
 def gemini_fraction_sweep(
+    ctx: ExperimentContext,
     values: Iterable[float] = (0.25, 0.5, 0.75), **kwargs
 ) -> FigureResult:
     """Gemini hybrid: sweep the direct-mapped region's share of frames."""
     kwargs.setdefault("design", "gemini_hybrid")
-    return config_sweep("gemini_direct_fraction", list(values), **kwargs)
+    return config_sweep(ctx, "gemini_direct_fraction", list(values),
+                        **kwargs)
 
 
 def tictoc_tag_cache_sweep(
+    ctx: ExperimentContext,
     values: Iterable[int] = (256, 1024, 4096, 16384), **kwargs
 ) -> FigureResult:
     """TicToc: sweep the SRAM tag-cache size (probe-avoidance reach)."""
     kwargs.setdefault("design", "tictoc")
-    return config_sweep("tictoc_tag_cache_entries", list(values), **kwargs)
+    return config_sweep(ctx, "tictoc_tag_cache_entries", list(values),
+                        **kwargs)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config.system import MIB, SystemConfig
 from repro.experiments.ablations import ABLATION_VARIANTS, tdram_ablation
+from repro.experiments.figures import ExperimentContext
 from repro.workloads import workload
 
 FAST = SystemConfig(cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
@@ -13,9 +14,9 @@ FAST = SystemConfig(cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
 class TestAblationMatrix:
     @pytest.fixture(scope="class")
     def table(self):
-        return tdram_ablation(config=FAST,
-                              specs=[workload("is.D"), workload("pr.25")],
-                              demands_per_core=250, seed=7)
+        return tdram_ablation(ExperimentContext(
+            config=FAST, specs=[workload("is.D"), workload("pr.25")],
+            demands_per_core=250, seed=7))
 
     def test_all_variants_present(self, table):
         assert {row["variant"] for row in table.rows} == \

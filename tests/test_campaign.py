@@ -553,7 +553,40 @@ class TestExperimentContextKeying:
     def test_warm_populates_memo(self):
         ctx = ExperimentContext(config=FAST, specs=[workload("cg.C")],
                                 demands_per_core=DEMANDS, seed=SEED)
-        outcome = ctx.warm(["tdram", "no_cache"], jobs=1)
+        outcome = ctx.warm(ctx.cells(["tdram", "no_cache"]))
         assert outcome.simulated == 2
         warmed = ctx.result("tdram", ctx.specs[0])
-        assert warmed is ctx._cache[ctx.task("tdram", ctx.specs[0]).key]
+        assert warmed is ctx._memo[ctx.task("tdram", ctx.specs[0]).key]
+
+    def test_warm_skips_memoised_cells(self):
+        """Without a disk cache, warming a cell the memo holds must not
+        simulate it again."""
+        ctx = ExperimentContext(config=FAST, specs=[workload("cg.C")],
+                                demands_per_core=DEMANDS, seed=SEED)
+        first = ctx.result("tdram", ctx.specs[0])
+        outcome = ctx.warm(ctx.cells(["tdram", "no_cache"]))
+        assert outcome.simulated == 1 and len(outcome.results) == 1
+        assert ctx.result("tdram", ctx.specs[0]) is first
+
+    def test_overrides_run_under_the_modified_config(self):
+        ctx = ExperimentContext(config=FAST, specs=[workload("is.D")],
+                                demands_per_core=DEMANDS, seed=SEED)
+        spec = ctx.specs[0]
+        outcome = ctx.warm(ctx.cells(["tdram"])
+                           + ctx.cells(["tdram"], enable_probing=False))
+        assert outcome.simulated == 2
+        probed = ctx.result("tdram", spec)
+        unprobed = ctx.result("tdram", spec, enable_probing=False)
+        assert dataclasses.asdict(unprobed) == dataclasses.asdict(
+            run_experiment("tdram", spec, FAST.with_(enable_probing=False),
+                           demands_per_core=DEMANDS, seed=SEED))
+        assert unprobed.probes == 0 < probed.probes
+
+    def test_with_specs_shares_the_memo(self):
+        ctx = ExperimentContext(config=FAST, specs=[workload("cg.C"),
+                                                    workload("is.D")],
+                                demands_per_core=DEMANDS, seed=SEED)
+        view = ctx.with_specs(ctx.specs[:1])
+        assert view.specs == ctx.specs[:1]
+        assert view.result("ideal", ctx.specs[0]) is \
+            ctx.result("ideal", ctx.specs[0])

@@ -1,8 +1,31 @@
 """Tests for the ``tdram-repro`` command-line interface."""
 
+import functools
+import json
+import os
+from pathlib import Path
+
 import pytest
 
+import repro.experiments.figures as figures_mod
+from repro.experiments.campaign import _execute_task, run_campaign
 from repro.experiments.cli import main
+from tests.conftest import MARKERS
+
+
+def counting_runner(task):
+    """Run ``task`` as a campaign does, appending one line per run to
+    its marker file in the ``REPRO_TEST_MARKERS`` directory (pool
+    workers included)."""
+    with open(Path(os.environ[MARKERS]) / task.key, "a") as handle:
+        handle.write(task.design + "\n")
+    return _execute_task(task)
+
+
+def cache_entries(root):
+    """The task metadata of every entry in a result-cache directory."""
+    return [json.loads(path.read_text())["task"]
+            for path in Path(root).glob("*/*.json")]
 
 
 class TestCli:
@@ -113,3 +136,46 @@ class TestCampaignCli:
         assert "Figure 1" in capsys.readouterr().out
         assert (tmp_path / "cache").exists()
 
+
+#: Every target that simulates, one context figure among them.
+SIMULATING_TARGETS = ("predictor", "prefetcher", "flush", "setassoc",
+                      "ablation", "tdram-ablation", "backends", "fig1")
+
+
+class TestContextTargets:
+    @pytest.mark.parametrize("target", SIMULATING_TARGETS)
+    def test_target_honours_run_flags(self, capsys, tmp_path, target):
+        """Each simulating target runs every cell at ``--demands`` and
+        ``--seed`` through the ``--cache-dir`` cache."""
+        cache_dir = tmp_path / "cache"
+        argv = [target, "--demands", "40", "--seed", "3",
+                "--workloads", "bfs.22", "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        entries = cache_entries(cache_dir)
+        assert entries, f"{target} wrote no cache entry"
+        assert {(e["demands_per_core"], e["seed"]) for e in entries} == \
+            {(40, 3)}
+
+    def test_report_simulates_each_cell_once(self, tmp_path, monkeypatch):
+        """``report --jobs 2`` runs every cell it reads exactly once, and
+        no cell of a design no section reads."""
+        markers = tmp_path / "runs"
+        markers.mkdir()
+        monkeypatch.setenv(MARKERS, str(markers))
+        monkeypatch.setattr(figures_mod, "run_campaign", functools.partial(
+            run_campaign, runner=counting_runner))
+        cache_dir = tmp_path / "cache"
+        argv = ["report", str(tmp_path / "report.md"), "--jobs", "2",
+                "--demands", "40", "--workloads", "bfs.22,ft.D",
+                "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        runs = {path.name: path.read_text().splitlines()
+                for path in markers.iterdir()}
+        # 7 designs x 2 figure workloads, 3 more flush-buffer sizes,
+        # 4 more associativities x 2 designs x 2 workloads, and 2
+        # no-probing TDRAM runs
+        assert len(runs) == 14 + 3 + 16 + 2
+        assert all(len(lines) == 1 for lines in runs.values())
+        designs = {e["design"] for e in cache_entries(cache_dir)}
+        assert len(cache_entries(cache_dir)) == len(runs)
+        assert not designs & {"gemini_hybrid", "tictoc"}

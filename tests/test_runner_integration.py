@@ -5,7 +5,7 @@ import pytest
 from repro.cache import DESIGNS
 from repro.config.system import MIB, SystemConfig
 from repro.errors import ConfigError
-from repro.experiments.runner import run_experiment, run_matrix
+from repro.experiments.runner import run_experiment
 from repro.workloads import uniform_spec, workload
 from repro.workloads.synthetic import stream_spec
 
@@ -108,13 +108,6 @@ class TestRunnerMechanics:
         result = run_experiment("ideal", spec, FAST, demands_per_core=100,
                                 seed=2)
         assert result.workload == "uniform"
-
-    def test_run_matrix_shape(self):
-        spec = stream_spec()
-        results = run_matrix(["ideal", "no_cache"], [spec], FAST,
-                             demands_per_core=100, seed=2)
-        assert set(results) == {"stream"}
-        assert set(results["stream"]) == {"ideal", "no_cache"}
 
     def test_warmup_excluded_from_stats(self):
         spec = uniform_spec(footprint_gib=0.5)

@@ -23,8 +23,7 @@ Checks:
   ``repro.ras``, ``repro.memory``, ``repro.dram``, ``repro.sim``,
   ``repro.stats``, ``repro.core``, the cache path's
   ``controller``/``request``/``metrics``/``tagstore`` modules,
-  ``repro.experiments.campaign`` and ``repro.experiments.cli``
-  (:mod:`check_docstrings`);
+  and ``repro.experiments`` (:mod:`check_docstrings`);
 * **metrics** — every counter name declared in
   ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
   ``docs/metrics.md``, so new backend counters cannot ship
@@ -67,8 +66,7 @@ DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
                    "src/repro/cache/request.py",
                    "src/repro/cache/metrics.py",
                    "src/repro/cache/tagstore.py",
-                   "src/repro/experiments/campaign.py",
-                   "src/repro/experiments/cli.py")
+                   "src/repro/experiments")
 
 
 def run_lint() -> Tuple[bool, str]:
