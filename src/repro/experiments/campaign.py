@@ -10,11 +10,13 @@ batch into a *campaign*:
   its outcome (design, workload spec, full :class:`SystemConfig`,
   work quantum, seed);
 * :func:`run_campaign` fans tasks out over one process pool per
-  campaign, one round-robin shard per worker. A task that raised, or
-  whose worker died, runs again in the next round, up to ``retries``
-  extra attempts; the pool is replaced only after a worker died.
-  Results are bit-identical to the serial path because every
-  simulation is seeded explicitly per task;
+  campaign, one pool submission per task, and caches and reports each
+  task as soon as it finishes. A task that raised, or whose worker
+  died, runs again in the next round, up to ``retries`` extra attempts;
+  the pool is replaced only after a worker died. A campaign with one
+  task left to simulate runs it in-process. Results are bit-identical
+  to the serial path because every simulation is seeded explicitly per
+  task;
 * a :class:`ResultCache` persists each :class:`RunResult` as JSON
   under its key. It is the campaign's only checkpoint: writes are
   fsynced and atomic, corrupt entries are quarantined and counted, and
@@ -213,41 +215,6 @@ def _attempt(runner: Callable[[CampaignTask], RunResult],
         return None, repr(error)
 
 
-#: Per-process tables installed by :func:`_pool_init`; task payloads
-#: reference configs/specs by index so the (identical, often large)
-#: objects are pickled once per worker instead of once per task.
-_POOL_CONFIGS: List[SystemConfig] = []
-_POOL_SPECS: List[WorkloadSpec] = []
-
-
-def _pool_init(configs: List[SystemConfig], specs: List[WorkloadSpec]) -> None:
-    """Worker initializer: install the campaign's shared config and
-    workload-spec tables once per process."""
-    global _POOL_CONFIGS, _POOL_SPECS
-    _POOL_CONFIGS = configs
-    _POOL_SPECS = specs
-
-
-def _execute_shard(runner: Callable[[CampaignTask], RunResult],
-                   rows: List[tuple]) -> List[tuple]:
-    """Worker entry for one shard of ``(key, payload)`` rows.
-
-    Rebuilds each task from the per-process tables and runs it. Each
-    task gets its own ``(key, result, error)`` row, so one bad task
-    cannot poison the rest of its shard.
-    """
-    out: List[tuple] = []
-    for key, payload in rows:
-        design, config_idx, spec_idx, demands, seed, trace_dir = payload
-        task = CampaignTask(
-            design=design, workload=_POOL_SPECS[spec_idx],
-            config=_POOL_CONFIGS[config_idx], demands_per_core=demands,
-            seed=seed, trace_dir=trace_dir,
-        )
-        out.append((key, *_attempt(runner, task)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # On-disk result cache
 # ---------------------------------------------------------------------------
@@ -284,18 +251,11 @@ class ResultCache:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
         self.corrupt = 0
 
     def path(self, key: str) -> Path:
         """Where the entry for ``key`` lives."""
         return self.root / key[:2] / f"{key}.json"
-
-    def trace_path(self, key: str) -> Path:
-        """Where a Chrome trace for ``key`` lands when a campaign runs
-        with tracing on (see :func:`trace_artifact_path`)."""
-        return trace_artifact_path(self.root, key)
 
     def get(self, key: str) -> Optional[RunResult]:
         """The stored result for ``key``, or ``None`` on a miss.
@@ -307,7 +267,6 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except OSError:
-            self.misses += 1
             return None
         except ValueError:
             payload = None
@@ -315,15 +274,9 @@ class ResultCache:
             # Undecodable bytes under a complete file: quarantine the
             # entry where an operator can inspect it and count it.
             self.corrupt += 1
-            self.misses += 1
             quarantine_entry(path)
             return None
-        result = result_from_dict(payload.get("result", {}))
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
+        return result_from_dict(payload.get("result", {}))
 
     def put(self, key: str, result: RunResult,
             task: Optional[CampaignTask] = None) -> Path:
@@ -363,7 +316,10 @@ class ResultCache:
         return self.path(key).exists()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """The number of result entries; the Chrome trace artifacts a
+        traced campaign writes beside them are not results."""
+        return sum(1 for path in self.root.glob("*/*.json")
+                   if not path.name.endswith(".trace.json"))
 
 
 def result_from_dict(data: Dict[str, object]) -> Optional[RunResult]:
@@ -401,8 +357,8 @@ class CampaignOutcome:
     #: results are unaffected
     store_errors: int = 0
     wall_s: float = 0.0
-    #: worker count actually used (after the cpu_count clamp); 0 until
-    #: run_campaign fills it in
+    #: ``jobs`` after the cpu_count clamp; 0 until run_campaign fills
+    #: it in
     jobs: int = 0
 
     @property
@@ -420,67 +376,42 @@ class CampaignOutcome:
                 f"wall={self.wall_s:.1f}s jobs={self.jobs}")
 
 
-def _run_pool(pending: Dict[str, CampaignTask], jobs: int,
+def _run_pool(pending: Dict[str, CampaignTask], workers: int,
               runner: Callable[[CampaignTask], RunResult],
               record: Callable[[str, RunResult], None],
               retry: Callable[[str, str], bool]) -> None:
-    """Simulate ``pending`` on one process pool, in rounds.
+    """Simulate ``pending`` on one process pool of ``workers``, in rounds.
 
-    Each round shards the tasks still to run round-robin into one batch
-    per worker, submitted once, so pool IPC is paid per shard rather
-    than per task. The shared config and workload-spec objects ride the
-    pool initializer as tables, so each worker unpickles them once. A
-    task whose row carries an error, or whose worker died, runs again
-    in the next round while ``retry`` allows it. A dead worker breaks
-    the whole pool, so that round's pool is shut down and the next
-    round starts a new one; otherwise one pool serves every round.
+    Each task is its own future: a free worker takes the next task, and
+    ``record`` (cache write, then progress line) or ``retry`` runs for
+    each task as soon as its future completes, so a campaign killed
+    part-way keeps every task that had finished. A task that raised, or
+    whose worker died, runs again in the next round while ``retry``
+    allows it. A dead worker breaks the whole pool, so that round's pool
+    is shut down and the next round starts a new one; otherwise one pool
+    serves every round.
     """
-    configs: List[SystemConfig] = []
-    config_index: Dict[int, int] = {}
-    specs: List[WorkloadSpec] = []
-    spec_index: Dict[int, int] = {}
-    payloads: Dict[str, tuple] = {}
-    for key, task in pending.items():
-        ci = config_index.get(id(task.config))
-        if ci is None:
-            ci = config_index[id(task.config)] = len(configs)
-            configs.append(task.config)
-        si = spec_index.get(id(task.workload))
-        if si is None:
-            si = spec_index[id(task.workload)] = len(specs)
-            specs.append(task.workload)
-        payloads[key] = (task.design, ci, si, task.demands_per_core,
-                         task.seed, task.trace_dir)
-
-    workers = min(jobs, len(pending))
     remaining = list(pending)
     pool: Optional[ProcessPoolExecutor] = None
     try:
         while remaining:
             if pool is None:
-                pool = ProcessPoolExecutor(max_workers=workers,
-                                           initializer=_pool_init,
-                                           initargs=(configs, specs))
-            shards = [remaining[i::workers] for i in range(workers)]
-            futures = {
-                pool.submit(_execute_shard, runner,
-                            [(key, payloads[key]) for key in shard]): shard
-                for shard in shards if shard
-            }
+                pool = ProcessPoolExecutor(max_workers=workers)
+            futures = {pool.submit(_attempt, runner, pending[key]): key
+                       for key in remaining}
             again = set()
             lost_worker = False
             for future in as_completed(futures):
+                key = futures[future]
                 try:
-                    rows = future.result()
+                    result, detail = future.result()
                 except Exception as error:  # noqa: BLE001 - charged per task
                     lost_worker |= isinstance(error, BrokenProcessPool)
-                    rows = [(key, None, repr(error))
-                            for key in futures[future]]
-                for key, result, detail in rows:
-                    if detail is None:
-                        record(key, result)
-                    elif retry(key, detail):
-                        again.add(key)
+                    result, detail = None, repr(error)
+                if detail is None:
+                    record(key, result)
+                elif retry(key, detail):
+                    again.add(key)
             if lost_worker:
                 pool.shutdown()
                 pool = None
@@ -499,19 +430,19 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     strict: bool = True,
     runner: Callable[[CampaignTask], RunResult] = _execute_task,
-    clamp_jobs: bool = True,
 ) -> CampaignOutcome:
     """Execute a batch of simulations, in parallel, resumably.
 
     Parameters
     ----------
     jobs:
-        Worker processes. ``1`` runs everything in-process (no pool,
-        no pickling) and is bit-identical to calling
+        Worker processes. Values above ``os.cpu_count()`` are clamped:
+        oversubscribed workers only add pickling and context-switch
+        cost, they cannot add parallelism. The pool gets at most one
+        worker per task left after the cache pass; with one worker or
+        fewer everything runs in-process (no pool, no pickling), which
+        is bit-identical to calling
         :func:`~repro.experiments.runner.run_experiment` in a loop.
-        Values above ``os.cpu_count()`` are clamped (see
-        ``clamp_jobs``): oversubscribed workers only add pickling and
-        context-switch cost, they cannot add parallelism.
     cache:
         Optional :class:`ResultCache`. Fresh results are always written
         to it; existing entries are only *read* when ``reuse_cache``.
@@ -531,14 +462,9 @@ def run_campaign(
     runner:
         Task executor (module-level for process pools); injectable for
         tests.
-    clamp_jobs:
-        Clamp ``jobs`` to the host's CPU count (default). Pass
-        ``False`` to force the pool path regardless — used by tests
-        that must exercise the parallel machinery on small hosts.
     """
     tasks = list(tasks)
-    if clamp_jobs:
-        jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     start = time.monotonic()
     outcome = CampaignOutcome(results=[None] * len(tasks), by_key={},
                               jobs=jobs)
@@ -602,15 +528,16 @@ def run_campaign(
         report(task.label, "failed")
         return False
 
-    if jobs <= 1:
+    workers = min(jobs, len(pending))
+    if workers <= 1:
         for key, task in pending.items():
             result, detail = _attempt(runner, task)
             while detail is not None and retry(key, detail):
                 result, detail = _attempt(runner, task)
             if detail is None:
                 record(key, result)
-    elif pending:
-        _run_pool(pending, jobs, runner, record, retry)
+    else:
+        _run_pool(pending, workers, runner, record, retry)
 
     outcome.results = [outcome.by_key.get(task.key) for task in tasks]
     if cache is not None:

@@ -170,9 +170,7 @@ class ExperimentContext:
             task = self.task(design, spec, **overrides)
             if task.key not in self._memo:
                 pending.setdefault(task.key, task)
-        # One cell gains nothing from a worker pool but its start-up.
-        jobs = self.jobs if len(pending) > 1 else 1
-        outcome = run_campaign(list(pending.values()), jobs=jobs,
+        outcome = run_campaign(list(pending.values()), jobs=self.jobs,
                                cache=self.cache, progress=self.progress)
         self._memo.update(outcome.by_key)
         return outcome

@@ -91,6 +91,15 @@ def pools(monkeypatch):
     return created
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A host the campaign engine sees as two-core, so ``jobs=2`` runs
+    the real process pool on any machine."""
+    import repro.experiments.campaign as campaign_mod
+
+    monkeypatch.setattr(campaign_mod.os, "cpu_count", lambda: 2)
+
+
 #: Marker directory of :func:`first_attempt`; an environment variable, so
 #: forked pool workers see it.
 MARKERS = "REPRO_TEST_MARKERS"

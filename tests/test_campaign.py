@@ -18,6 +18,7 @@ import errno
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,13 @@ from repro.experiments.campaign import (
     quarantine_entry,
     run_campaign,
     tasks_for,
+    trace_artifact_path,
 )
 from repro.experiments.figures import ExperimentContext
 from repro.experiments.runner import RunResult, run_experiment
+from repro.obs import ObsConfig
 from repro.workloads.suite import representative_suite, workload
-from tests.conftest import first_attempt
+from tests.conftest import MARKERS, first_attempt
 
 FAST = SystemConfig(cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
                     cores=4)
@@ -115,6 +118,21 @@ def fail_first_attempt(task: CampaignTask) -> RunResult:
     Module-level so it pickles into pool workers."""
     if first_attempt(task):
         raise RuntimeError("first attempt fails")
+    return run_experiment(task.design, task.workload, config=task.config,
+                          demands_per_core=task.demands_per_core,
+                          seed=task.seed)
+
+
+def wait_for_the_others(task: CampaignTask) -> RunResult:
+    """Runner for a five-task campaign cached in the ``markers``
+    directory: the task seeded ``SEED`` waits, up to 10 s, until the
+    other four are cached, then simulates; the others simulate at once.
+    Module-level so it pickles into pool workers."""
+    if task.seed == SEED:
+        cache = ResultCache(os.environ[MARKERS])
+        deadline = time.monotonic() + 10
+        while len(cache) < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
     return run_experiment(task.design, task.workload, config=task.config,
                           demands_per_core=task.demands_per_core,
                           seed=task.seed)
@@ -336,6 +354,19 @@ class TestResultCache:
         assert payload["task"]["seed"] == SEED
         assert len(cache) == 1
 
+    def test_len_counts_results_not_trace_artifacts(self, tmp_path):
+        """A traced campaign writes its Chrome trace beside the result
+        entry (as ``tdram-repro campaign --trace`` does); only the
+        result counts."""
+        tasks = tasks_for(["tdram"], ["bfs.22"],
+                          config=FAST.with_(obs=ObsConfig(trace=True)),
+                          demands_per_core=40, seeds=[SEED],
+                          trace_dir=str(tmp_path))
+        cache = ResultCache(tmp_path)
+        assert run_campaign(tasks, jobs=1, cache=cache).ok
+        assert trace_artifact_path(tmp_path, tasks[0].key).exists()
+        assert len(cache) == 1
+
 
 class TestQuarantine:
     def test_quarantine_entry_moves_the_file(self, tmp_path):
@@ -358,14 +389,14 @@ class TestCampaignExecution:
         assert dataclasses.asdict(outcome.results[0]) == \
             dataclasses.asdict(direct)
 
-    def test_parallel_bit_identical_to_serial_representative_suite(self):
+    def test_parallel_bit_identical_to_serial_representative_suite(
+            self, two_cpus):
         """Satellite: the parallel campaign over the representative
         suite is field-by-field identical to the serial path."""
         tasks = tasks_for(["tdram", "no_cache"], representative_suite(),
                           config=FAST, demands_per_core=50, seeds=[SEED])
         serial = run_campaign(tasks, jobs=1)
-        # clamp_jobs=False: exercise the real pool even on 1-core hosts.
-        parallel = run_campaign(tasks, jobs=2, clamp_jobs=False)
+        parallel = run_campaign(tasks, jobs=2)
         assert parallel.simulated == len(tasks)
         for left, right in zip(serial.results, parallel.results):
             assert dataclasses.asdict(left) == dataclasses.asdict(right)
@@ -376,12 +407,13 @@ class TestCampaignExecution:
         assert outcome.simulated == 1
         assert outcome.results[0] is outcome.results[1] is outcome.results[2]
 
-    def test_resumed_campaign_performs_zero_new_simulations(self, tmp_path):
+    def test_resumed_campaign_performs_zero_new_simulations(
+            self, tmp_path, two_cpus):
         tasks = fast_tasks()
         cache = ResultCache(tmp_path)
         first = run_campaign(tasks, jobs=1, cache=cache)
         assert first.simulated == len(tasks) and first.cached == 0
-        resumed = run_campaign(tasks, jobs=2, cache=cache, clamp_jobs=False)
+        resumed = run_campaign(tasks, jobs=2, cache=cache)
         assert resumed.simulated == 0
         assert resumed.cached == len(tasks)
         for left, right in zip(first.results, resumed.results):
@@ -444,14 +476,13 @@ class TestCampaignExecution:
         outcome = run_campaign(tasks, jobs=64)
         assert outcome.simulated == len(tasks)
 
-    def test_pool_recovers_from_worker_error(self):
-        """A task that raises inside a shard is retried in a fresh
-        round without poisoning its shard-mates."""
+    def test_pool_recovers_from_worker_error(self, two_cpus):
+        """A task that raises inside a pool worker is retried in the
+        next round, and the other task's result stands."""
         good = fast_tasks(designs=("tdram",), specs=("cg.C",))[0]
         bad = CampaignTask(design="not_a_design", workload=workload("bfs.22"),
                            config=FAST, demands_per_core=DEMANDS, seed=SEED)
-        outcome = run_campaign([good, bad], jobs=2, retries=1, strict=False,
-                               clamp_jobs=False)
+        outcome = run_campaign([good, bad], jobs=2, retries=1, strict=False)
         assert outcome.results[0] is not None
         assert outcome.results[1] is None
         assert outcome.retried == 1 and len(outcome.failures) == 1
@@ -475,21 +506,49 @@ class TestCampaignExecution:
 
 
 class TestPoolLifecycle:
-    def test_clean_run_uses_exactly_one_pool(self, pools):
+    def test_clean_run_uses_exactly_one_pool(self, pools, two_cpus):
         tasks = fast_tasks()
-        outcome = run_campaign(tasks, jobs=2, clamp_jobs=False)
+        outcome = run_campaign(tasks, jobs=2)
         assert outcome.ok and outcome.simulated == len(tasks)
         assert len(pools) == 1
 
-    def test_error_retries_reuse_the_pool(self, pools, markers):
+    def test_error_retries_reuse_the_pool(self, pools, markers, two_cpus):
         """A task that raises inside a healthy worker runs again on the
         same pool: only a dead worker replaces it."""
         tasks = fast_tasks(designs=("tdram", "no_cache"), specs=("cg.C",))
-        outcome = run_campaign(tasks, jobs=2, clamp_jobs=False, retries=1,
+        outcome = run_campaign(tasks, jobs=2, retries=1,
                                runner=fail_first_attempt)
         assert outcome.ok and outcome.simulated == len(tasks)
         assert outcome.retried == len(tasks)
         assert len(pools) == 1
+
+    def test_one_task_left_runs_in_process(self, pools, two_cpus, tmp_path):
+        """A campaign with one task left after the cache pass starts no
+        pool, whatever ``jobs`` asks for."""
+        tasks = fast_tasks(designs=("tdram",))
+        cache = ResultCache(tmp_path)
+        run_campaign(tasks[:1], jobs=1, cache=cache)
+        outcome = run_campaign(tasks, jobs=2, cache=cache)
+        assert outcome.cached == 1 and outcome.simulated == 1
+        assert pools == []
+
+    def test_finished_tasks_are_cached_while_others_run(self, markers,
+                                                        two_cpus):
+        """Each task is cached and reported when it finishes, not when a
+        batch of tasks does: while task 0 holds one worker, the other
+        worker runs tasks 1-4 and each lands in the cache at once."""
+        tasks = tasks_for(["tdram"], ["cg.C"], config=FAST,
+                          demands_per_core=DEMANDS,
+                          seeds=range(SEED, SEED + 5))
+        labels = []
+        outcome = run_campaign(
+            tasks, jobs=2, cache=ResultCache(markers),
+            runner=wait_for_the_others,
+            progress=lambda done, total, label, source, eta: labels.append(
+                label))
+        assert outcome.ok and outcome.simulated == len(tasks)
+        assert set(labels[:4]) == {task.label for task in tasks[1:]}
+        assert labels[4] == tasks[0].label
 
 
 class TestExperimentContextKeying:

@@ -127,7 +127,7 @@ def die_first_time(task):
 
 class TestWorkerCrashRecovery:
     def test_worker_killed_on_first_attempt_succeeds_on_second(
-            self, pools, markers):
+            self, pools, markers, two_cpus):
         """Satellite: every task's worker dies on its first attempt
         under a real pool; the broken pool is replaced, the retries run
         clean, and the campaign completes with correct results."""
@@ -135,10 +135,10 @@ class TestWorkerCrashRecovery:
 
         tasks = tasks_for(["tdram", "no_cache"], ["cg.C"], config=FAST,
                           demands_per_core=60, seeds=[13])
-        clean = run_campaign(tasks, jobs=2, clamp_jobs=False)
+        clean = run_campaign(tasks, jobs=2)
         pools.clear()
-        outcome = run_campaign(tasks, jobs=2, clamp_jobs=False,
-                               runner=die_first_time, retries=3)
+        outcome = run_campaign(tasks, jobs=2, runner=die_first_time,
+                               retries=3)
         assert outcome.ok and outcome.simulated == len(tasks)
         assert outcome.retried >= 1
         assert len(pools) >= 2  # the broken pool was replaced
