@@ -93,10 +93,11 @@ def flush_buffer_sensitivity(
     """§V-E: flush-buffer occupancy/stalls across buffer sizes.
 
     Runs on ``spec`` alone, not the context's workloads. It defaults to
-    ft.D — a write-heavy high-miss workload that exercises
-    write-miss-dirty traffic the way the paper's stressors (lu.D, bc)
-    do. ``repro.workloads.write_storm_spec()`` provides an adversarial
-    stressor well beyond anything in the suite.
+    ft.D, a high-miss suite workload on which the paper's "16 entries
+    never stall" can be checked; at ``SystemConfig.small()`` scale its
+    buffer holds at most a few entries, so no size stalls.
+    ``repro.workloads.write_storm_spec()`` is the adversarial stressor
+    that fills the buffer and shows stalls falling with its size.
     """
     spec = spec if spec is not None else workload("ft.D")
     ctx.warm([("tdram", spec, {"flush_buffer_entries": size})
