@@ -3,13 +3,15 @@
 ``tests/golden_runs.json`` holds a SHA-256 of the full ``RunResult`` for
 every design x backend x cache mode on ``ft.D``, and for every design on
 ``bfs.22`` and ``write_storm`` over ``ddr5``, on a small configuration
-(see ``tools/golden_runs.py``). Any change to simulated results, event count
-included, fails here; regenerating the table needs a ``CACHE_VERSION``
-bump, which the version test below enforces.
+(see ``tools/golden_runs.py``), plus a short hash of each top-level
+field. Any change to simulated results, event count included, fails
+here and names the fields that moved; regenerating the table needs a
+``CACHE_VERSION`` bump, which the version test below enforces.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import golden_runs  # noqa: E402
 
 from repro.experiments.campaign import CACHE_VERSION  # noqa: E402
+from repro.experiments.runner import RunResult  # noqa: E402
 
 GOLDEN = golden_runs.load()
 #: test_backends.py's TestBitIdentity checks each design's
@@ -48,6 +51,25 @@ def test_rewrite_refuses_moved_digest_without_version_bump(tmp_path):
     assert golden_runs.rewrite({key: {"sha256": "new"}}, path) == 0
     assert golden_runs.load(path) == {"cache_version": CACHE_VERSION,
                                       "cells": {key: {"sha256": "new"}}}
+
+
+def test_drift_names_the_moved_field():
+    fields = {"runtime_ps": 1000, "miss_ratio": 0.5, "sim_events": 40,
+              "events": {"probe_hit": 3}, "backend": {}}
+    moved = dict(fields, events={"probe_hit": 4})
+    expected, actual = golden_runs.row_for(fields), golden_runs.row_for(moved)
+    assert expected["sha256"] != actual["sha256"]
+    assert golden_runs.moved_fields(expected, actual) == ["events"]
+    line = golden_runs.describe_drift("tdram/ft.D/ddr5/write_allocate",
+                                      expected, actual)
+    assert "fields moved: events" in line
+    assert "runtime_ps" not in line
+
+
+def test_every_row_hashes_every_result_field():
+    names = {spec.name for spec in dataclasses.fields(RunResult)}
+    for key, row in GOLDEN["cells"].items():
+        assert set(row["fields"]) == names, key
 
 
 def test_table_has_every_cell():

@@ -4,8 +4,10 @@
 ``tests/golden_runs.json`` pins the simulator's output bit for bit. Each
 cell is one :func:`repro.experiments.runner.run_experiment` call on
 ``SystemConfig.small()`` (150 demands per core, seed 11). It records
-the SHA-256 of ``json.dumps(dataclasses.asdict(result), sort_keys=True)``
-plus a few headline fields a reader can compare by eye. The cells are:
+the SHA-256 of ``json.dumps(dataclasses.asdict(result), sort_keys=True)``,
+a short hash of each top-level ``RunResult`` field (so a moved cell
+names the fields that moved), and a few headline fields a reader can
+compare by eye. The cells are:
 
 * every design x ``ddr5``/``pcm_like``/``cxl_like`` x every
   ``cache_mode`` on ``ft.D``, a high-miss workload on which the cache
@@ -50,6 +52,8 @@ BACKENDS = ("ddr5", "pcm_like", "cxl_like")
 CACHE_MODES = ("write_allocate", "write_only", "write_around")
 #: RunResult fields stored next to the digest, shown when a cell moves
 HEADLINE = ("runtime_ps", "miss_ratio", "sim_events")
+#: hex digits kept of each field's own SHA-256
+FIELD_HASH_CHARS = 12
 
 #: (design, workload, memory_backend, cache_mode)
 Cell = Tuple[str, str, str, str]
@@ -72,18 +76,31 @@ def cell_key(cell: Cell) -> str:
     return "/".join(cell)
 
 
+def _sha256(value: object) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def row_for(fields: Dict[str, object]) -> Dict[str, object]:
+    """A cell's row from its ``asdict(RunResult)``: the whole-result
+    digest, a short hash per top-level field, and the headline fields."""
+    row: Dict[str, object] = {
+        "sha256": _sha256(fields),
+        "fields": {name: _sha256(value)[:FIELD_HASH_CHARS]
+                   for name, value in fields.items()},
+    }
+    row.update((name, fields[name]) for name in HEADLINE)
+    return row
+
+
 def run_cell(cell: Cell) -> Dict[str, object]:
-    """Simulate one cell; return its digest and headline fields."""
+    """Simulate one cell; return its row (see :func:`row_for`)."""
     design, workload, backend, mode = cell
     config = SystemConfig.small().with_(memory_backend=backend,
                                         cache_mode=mode)
     result = run_experiment(design, any_workload(workload), config=config,
                             demands_per_core=DEMANDS_PER_CORE, seed=SEED)
-    fields = dataclasses.asdict(result)
-    canonical = json.dumps(fields, sort_keys=True).encode()
-    row: Dict[str, object] = {"sha256": hashlib.sha256(canonical).hexdigest()}
-    row.update((name, fields[name]) for name in HEADLINE)
-    return row
+    return row_for(dataclasses.asdict(result))
 
 
 def load(path: Path = GOLDEN_PATH) -> Dict[str, Any]:
@@ -93,13 +110,26 @@ def load(path: Path = GOLDEN_PATH) -> Dict[str, Any]:
     return table
 
 
+def moved_fields(expected: Dict[str, object],
+                 actual: Dict[str, object]) -> List[str]:
+    """The ``RunResult`` fields whose hash differs between two rows, a
+    field present in only one of them included."""
+    old: Any = expected.get("fields", {})
+    new: Any = actual.get("fields", {})
+    return sorted(name for name in set(old) | set(new)
+                  if old.get(name) != new.get(name))
+
+
 def describe_drift(key: str, expected: Dict[str, object],
                    actual: Dict[str, object]) -> str:
-    """One line naming the headline fields that moved in a cell."""
-    moved = [f"{name} {expected.get(name)!r} -> {actual.get(name)!r}"
-             for name in HEADLINE if expected.get(name) != actual.get(name)]
-    return f"{key}: digest changed; " + (
-        ", ".join(moved) if moved else "headline fields unchanged")
+    """One line naming the fields that moved in a cell, with the old and
+    new values of the headline fields among them."""
+    moved = moved_fields(expected, actual)
+    headline = [f"{name} {expected.get(name)!r} -> {actual.get(name)!r}"
+                for name in HEADLINE if expected.get(name) != actual.get(name)]
+    return (f"{key}: digest changed; fields moved: "
+            + (", ".join(moved) if moved else "none")
+            + ("; " + ", ".join(headline) if headline else ""))
 
 
 def rewrite(fresh: Dict[str, Dict[str, object]],
