@@ -18,10 +18,6 @@ reach. Scenarios, all with empty callbacks:
     event has its own instant and all are scheduled up front, so the
     whole window is pending as distinct instants at once: the worst
     case of the time-slot heap, and not the shape of any simulated run.
-``sampled``
-    The one end-to-end scenario: a small tdram run exact vs SMARTS
-    sampled (``config.sampling``), recording the wall-clock speedup
-    and the sampled run's measured-demand coverage.
 
 Every timed scenario is preceded by an untimed warm-up pass at a
 reduced event count, so allocator warm-up and first-touch effects land
@@ -123,40 +119,8 @@ def _bench_cancel(events: int) -> float:
     return (events + len(handles[::2])) / wall if wall else 0.0
 
 
-def _bench_sampled(demands: int) -> dict:
-    """End-to-end exact vs sampled wall clock on one small tdram run."""
-    from repro.config.system import SystemConfig
-    from repro.experiments.runner import run_experiment
-    from repro.sim.sampling import SamplingConfig
-
-    exact_cfg = SystemConfig.small()
-    sampled_cfg = exact_cfg.with_(sampling=SamplingConfig(enabled=True))
-
-    # warm-up pass (imports, workload generator, numpy first-touch)
-    run_experiment("tdram", "bfs.22", config=exact_cfg,
-                   demands_per_core=max(100, demands // 10), seed=7)
-
-    start = time.perf_counter()
-    run_experiment("tdram", "bfs.22", config=exact_cfg,
-                   demands_per_core=demands, seed=7)
-    exact_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sampled = run_experiment("tdram", "bfs.22", config=sampled_cfg,
-                             demands_per_core=demands, seed=7)
-    sampled_wall = time.perf_counter() - start
-    return {
-        "demands_per_core": demands,
-        "exact_wall_s": round(exact_wall, 3),
-        "sampled_wall_s": round(sampled_wall, 3),
-        "speedup": round(exact_wall / sampled_wall, 3) if sampled_wall else 0.0,
-        "coverage": sampled.sampling["coverage"],
-    }
-
-
 def bench_kernel(events: int = 200_000,
-                 out: Optional[str] = "BENCH_kernel.json",
-                 sampled_demands: int = 2_000) -> dict:
+                 out: Optional[str] = "BENCH_kernel.json") -> dict:
     """Measure scheduler-only event throughput; write ``out``."""
     warm = _warmup_events(events)
     cpu_count = os.cpu_count() or 1
@@ -187,7 +151,6 @@ def bench_kernel(events: int = 200_000,
             "cancel": {
                 "ops_per_sec": round(cancel),
             },
-            "sampled": _bench_sampled(sampled_demands),
         },
     }
     if out:
@@ -199,14 +162,12 @@ def bench_kernel(events: int = 200_000,
 def test_bench_kernel(tmp_path):
     """Pytest entry: tiny event count, asserts every scenario ran."""
     out = tmp_path / "BENCH_kernel.json"
-    record = bench_kernel(events=5_000, out=str(out), sampled_demands=600)
+    record = bench_kernel(events=5_000, out=str(out))
     print()
     print(json.dumps(record, indent=1, sort_keys=True))
     assert record["scenarios"]["stream"]["events_per_sec"] > 0
     assert record["scenarios"]["mixed_horizon"]["events_per_sec"] > 0
     assert record["scenarios"]["cancel"]["ops_per_sec"] > 0
-    assert record["scenarios"]["sampled"]["speedup"] > 0
-    assert 0.0 < record["scenarios"]["sampled"]["coverage"] <= 1.0
     assert record["cpu_count"] >= 1
     assert json.loads(out.read_text()) == record
 
@@ -214,16 +175,12 @@ def test_bench_kernel(tmp_path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--events", type=int, default=200_000)
-    parser.add_argument("--sampled-demands", type=int, default=2_000,
-                        help="work quantum of the end-to-end sampled "
-                             "scenario (default 2000)")
     parser.add_argument("--out", default="BENCH_kernel.json")
     parser.add_argument("--min-events-per-sec", type=float, default=None,
                         help="exit nonzero if the stream scenario falls "
                              "below this floor")
     args = parser.parse_args(argv)
-    record = bench_kernel(events=args.events, out=args.out,
-                          sampled_demands=args.sampled_demands)
+    record = bench_kernel(events=args.events, out=args.out)
     print(json.dumps(record, indent=1, sort_keys=True))
     stream = record["scenarios"]["stream"]["events_per_sec"]
     if args.min_events_per_sec and stream < args.min_events_per_sec:

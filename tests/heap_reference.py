@@ -6,8 +6,9 @@ comparison (``seq`` is unique). :class:`HeapSimulator` has the clock
 contract of :class:`repro.sim.kernel.Simulator` and every method the
 simulator's components, the runner and the tests call, and shares none
 of its code, so the equivalence tests in ``tests/test_sim_kernel.py``
-and ``tests/test_sampling.py`` compare the production time-slot queue
-against an independent implementation.
+(random op streams, and whole runs with it swapped in for the runner's
+``Simulator``) compare the production time-slot queue against an
+independent implementation.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
 """Unit tests for the event-driven simulation kernel."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config.system import SystemConfig
 from repro.errors import SimulationError
+from repro.experiments import runner
+from repro.experiments.runner import run_experiment
 from repro.sim.kernel import PS_PER_NS, Simulator, ns, to_ns
 from tests.heap_reference import HeapSimulator
 
@@ -367,6 +372,22 @@ def test_split_runs_match_reference_heap_exactly(seed):
     heap does: same dispatches, same counts, same clock, same backlog."""
     assert (_run_script(Simulator, seed, _DENSE_DELAYS, split=True)
             == _run_script(HeapSimulator, seed, _DENSE_DELAYS, split=True))
+
+
+class TestHeapOracleBitIdentity:
+    """A whole-run ``asdict`` A/B of the production time-slot queue
+    against the reference binary heap, swapped in for the runner's
+    ``Simulator``: every RunResult field, recursively, for the paper's
+    headline designs."""
+
+    @pytest.mark.parametrize("design", ["tdram", "cascade_lake", "alloy"])
+    def test_whole_run_asdict_identical(self, design, monkeypatch):
+        kwargs = dict(config=SystemConfig.small(), demands_per_core=150,
+                      seed=11)
+        slots = run_experiment(design, "bfs.22", **kwargs)
+        monkeypatch.setattr(runner, "Simulator", HeapSimulator)
+        heap = run_experiment(design, "bfs.22", **kwargs)
+        assert dataclasses.asdict(slots) == dataclasses.asdict(heap)
 
 
 class TestBatchedClockSemantics:

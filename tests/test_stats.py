@@ -1,12 +1,17 @@
-"""Unit tests for counters, latency stats, and the bandwidth ledger."""
+"""Unit tests for counters, latency stats, the bandwidth ledger, and the
+confidence-interval estimator."""
+
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cache.metrics import BREAKDOWN_CATEGORIES, CacheMetrics
 from repro.cache.request import Op, Outcome
+from repro.errors import ConfigError
 from repro.stats.bandwidth import BandwidthLedger
 from repro.stats.counters import CounterSet, LatencyStat, OccupancyStat
+from repro.stats.estimator import estimate, t_critical
 
 
 class TestCounterSet:
@@ -154,3 +159,33 @@ class TestCacheMetrics:
         assert metrics.demands == 0
         assert metrics.tag_check.count == 0
         assert metrics.ledger.total_bytes == 0
+
+
+class TestEstimator:
+    def test_t_critical_known_values(self):
+        assert t_critical(0.95, 1) == pytest.approx(12.706)
+        assert t_critical(0.95, 10) == pytest.approx(2.228)
+        assert t_critical(0.99, 5) == pytest.approx(4.032)
+        # beyond the table: the normal z value
+        assert t_critical(0.95, 500) == pytest.approx(1.960)
+
+    def test_t_critical_rejects_bad_inputs(self):
+        with pytest.raises(ConfigError):
+            t_critical(0.95, 0)
+        with pytest.raises(ConfigError):
+            t_critical(0.42, 5)
+
+    def test_estimate_mean_and_half_width(self):
+        ci = estimate({"x": [10.0, 12.0, 14.0]}, 0.95)["x"]
+        assert ci["mean"] == pytest.approx(12.0)
+        # s = 2, n = 3: t(0.95, 2) * 2 / sqrt(3)
+        assert ci["half_width"] == pytest.approx(4.303 * 2 / math.sqrt(3))
+        assert ci["n"] == 3
+
+    def test_single_window_reports_infinite_half_width(self):
+        ci = estimate({"x": [5.0]}, 0.95)["x"]
+        assert ci["mean"] == 5.0
+        assert math.isinf(ci["half_width"])
+
+    def test_empty_metric_omitted(self):
+        assert estimate({"x": []}, 0.95) == {}
