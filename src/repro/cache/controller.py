@@ -198,13 +198,6 @@ class DramCacheController(abc.ABC):
             StridePrefetcher(degree=config.prefetch_degree)
             if config.use_prefetcher else None
         )
-        #: reliability subsystem (fault injection, ECC recovery,
-        #: scrubbing, degradation) — None unless config.ras.enabled
-        self.ras = None
-        if config.ras.enabled:
-            from repro.ras.manager import RasManager
-
-            self.ras = RasManager(self)
         #: observability layer (lifecycle tracing, epoch series, kernel
         #: profiling) — None unless any config.obs instrument is on
         self.obs = None
@@ -299,10 +292,6 @@ class DramCacheController(abc.ABC):
     # ------------------------------------------------------------------
     def _record_tag_result(self, demand: DemandRequest, time: int,
                            outcome: Outcome) -> None:
-        if self.ras is not None and self.has_tag_path:
-            # A corrupt HM result packet is detected by its packet ECC
-            # and retransferred; the recovered result lands later.
-            time += self.ras.hm_result_read()
         demand.tag_result_time = time
         demand.outcome = outcome
         self.metrics.record_outcome(demand.op, outcome)

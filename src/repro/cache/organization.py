@@ -170,7 +170,7 @@ class ReplacementPolicy(abc.ABC):
         """A new line entered the set (must add it to ``lines``)."""
 
     def on_evict(self, line: "_Line") -> None:
-        """A line left the store (eviction, invalidate, RAS drop)."""
+        """A line left the store (eviction or invalidate)."""
 
     def on_dirty(self, line: "_Line") -> None:
         """A resident clean line just became dirty."""

@@ -16,20 +16,6 @@ golden digests (``tests/golden_runs.json``) and by the unit tests in
 configuration; ``ways > 1`` gives the set-associative variant of §V-F.
 Only frames that have ever been touched are materialised (a dict), so a
 64 GiB cache costs memory proportional to the trace, not the device.
-
-When a RAS hook is attached (``SystemConfig.ras.enabled``), every line
-additionally carries the SECDED codeword the tag mats would store
-(§III-C3), every probe decodes it, and the hook decides recovery:
-corrected errors add a latency penalty, uncorrectable ones drop the
-line so the access degrades to a clean miss-and-refetch. Every line
-that *leaves* the store is decoded exactly once: a probe that named a
-victim marks it ``probed`` and the ensuing install consumes the mark
-instead of decoding again, while an unpaired eviction (a fill racing
-in) decodes at eviction time — so ECC events are neither double- nor
-under-counted across the probe→install pair. Fused-off banks force
-misses and reject installs, so the controller keeps serving traffic at
-reduced capacity. Without a hook the store behaves exactly as before —
-the codeword fields are inert.
 """
 
 from __future__ import annotations
@@ -52,31 +38,24 @@ from repro.cache.organization import (
     SetAssociativeOrganization,
 )
 from repro.cache.request import Outcome
-from repro.errors import ConfigError, RasError
+from repro.errors import ConfigError
 
 
 class _Line:
     """One resident tag line (``__slots__``: allocated per cached block)."""
 
-    __slots__ = ("block", "dirty", "codeword", "soft", "probed")
+    __slots__ = ("block", "dirty")
 
-    def __init__(self, block: int, dirty: bool, codeword: int = 0) -> None:
+    def __init__(self, block: int, dirty: bool) -> None:
         self.block = block
         self.dirty = dirty
-        #: stored SECDED codeword (meaningful only with a RAS hook attached)
-        self.codeword = codeword
-        #: transient read-disturb overlay, XORed onto the next read
-        self.soft = 0
-        #: a miss probe already decoded this line as its would-be victim
-        #: (the next eviction consumes the mark instead of re-decoding)
-        self.probed = False
 
 
 class LookupResult(NamedTuple):
     """Outcome of probing the tag store, plus the would-be victim.
 
-    Immutable, so a hit without ECC penalty and every empty-frame miss
-    return a shared constant (:data:`_HIT_CLEAN`, :data:`_HIT_DIRTY`,
+    Immutable, so every hit and every empty-frame miss return a shared
+    constant (:data:`_HIT_CLEAN`, :data:`_HIT_DIRTY`,
     :data:`_MISS_INVALID`) instead of one new object per probe; a result
     naming a victim is built with ``tuple.__new__``, skipping the
     generated Python ``__new__``.
@@ -86,12 +65,9 @@ class LookupResult(NamedTuple):
     #: conflicting resident block (on miss)
     victim_block: Optional[int] = None
     victim_dirty: bool = False
-    #: added latency from ECC corrections/retries on this tag read (ps)
-    ecc_penalty_ps: int = 0
 
 
-#: the results that name no victim and carry no ECC penalty, shared by
-#: every probe
+#: the results that name no victim, shared by every probe
 _HIT_CLEAN = LookupResult(Outcome.HIT_CLEAN)
 _HIT_DIRTY = LookupResult(Outcome.HIT_DIRTY)
 _MISS_INVALID = LookupResult(Outcome.MISS_INVALID)
@@ -131,15 +107,6 @@ class TagStore:
         #: materialised on first touch (see ``bulk_install``)
         self._lazy_n = 0
         self._lazy_dirty: Optional[List[bool]] = None
-        #: RAS hook (repro.ras.manager.RasManager) — None = ECC disabled
-        self.ras = None
-        #: ways fused off by the degradation manager (never all of them)
-        self.disabled_ways = 0
-
-    @property
-    def available_ways(self) -> int:
-        """Ways per set still in service (not fused off)."""
-        return self.ways - self.disabled_ways
 
     def set_index(self, block: int) -> int:
         """The set ``block`` maps to."""
@@ -154,8 +121,8 @@ class TagStore:
 
     def _capacity(self, idx: int) -> int:
         if self._mod_sets is not None:
-            return self.ways - self.disabled_ways
-        return max(1, self.organization.ways_of(idx) - self.disabled_ways)
+            return self.ways
+        return self.organization.ways_of(idx)
 
     def _locate(self, block: int) -> Tuple[int, List[_Line], Optional[_Line]]:
         mod = self._mod_sets
@@ -194,45 +161,17 @@ class TagStore:
     # ------------------------------------------------------------------
     def probe(self, block: int, touch: bool = True) -> LookupResult:
         """Look up ``block``; on a hit optionally touch its recency."""
-        ras = self.ras
-        if ras is not None and ras.block_disabled(block):
-            # The bank's tag mat is fused off: served as a forced miss.
-            return _MISS_INVALID
         idx, lines, line = self._locate(block)
         if line is not None:
-            penalty = 0 if ras is None else ras.on_tag_read(line, block)
-            if penalty is not None:
-                if touch:
-                    self.policy.on_hit(lines, line)
-                if penalty:
-                    outcome = (Outcome.HIT_DIRTY if line.dirty
-                               else Outcome.HIT_CLEAN)
-                    return LookupResult(outcome, ecc_penalty_ps=penalty)
-                return _HIT_DIRTY if line.dirty else _HIT_CLEAN
-            # Uncorrectable after retries: the line is lost and the
-            # access degrades to a miss (clean refetch / counted data
-            # loss — the hook already accounted it).
-            lines.remove(line)
-            self.policy.on_evict(line)
+            if touch:
+                self.policy.on_hit(lines, line)
+            return _HIT_DIRTY if line.dirty else _HIT_CLEAN
         if len(lines) < self._capacity(idx):
             return _MISS_INVALID
         victim = self.policy.victim(lines)
-        victim_penalty = 0
-        if ras is not None:
-            # The set read also decoded the victim's tag word; mark it
-            # so the eviction this probe leads to does not decode (and
-            # count) the same physical read again.
-            verdict = ras.on_tag_read(victim, victim.block)
-            if verdict is None:
-                lines.remove(victim)
-                self.policy.on_evict(victim)
-                return _MISS_INVALID
-            victim_penalty = verdict
-            victim.probed = True
         dirty = victim.dirty
         return _new_tuple(LookupResult, (
-            _MISS_DIRTY if dirty else _MISS_CLEAN, victim.block, dirty,
-            victim_penalty))
+            _MISS_DIRTY if dirty else _MISS_CLEAN, victim.block, dirty))
 
     def contains(self, block: int) -> bool:
         """Whether ``block`` is resident (no recency update)."""
@@ -248,28 +187,12 @@ class TagStore:
     # ------------------------------------------------------------------
     def _evict_for(self, idx: int, lines: List[_Line]) \
             -> Optional[Tuple[int, bool]]:
-        """Make room in a full set: pop and account the policy's victim.
-
-        With RAS attached, leaving the store requires the victim's tag
-        word to have been read: a probe→install pair decoded it at
-        probe time (``probed`` set, consumed here); an unpaired
-        eviction — e.g. a fill whose victim was installed after the
-        miss probe — decodes it now. An uncorrectable word at that
-        point means the victim's content is unrecoverable: nothing can
-        be written back, so the eviction reports no victim (the hook
-        already counted the loss).
-        """
+        """Make room in a full set: pop and account the policy's victim."""
         if len(lines) < self._capacity(idx):
             return None
         victim = self.policy.victim(lines)
         lines.remove(victim)
         self.policy.on_evict(victim)
-        ras = self.ras
-        if ras is not None:
-            if victim.probed:
-                victim.probed = False
-            elif ras.on_tag_read(victim, victim.block) is None:
-                return None
         return (victim.block, victim.dirty)
 
     def install(self, block: int, dirty: bool) -> Optional[Tuple[int, bool]]:
@@ -277,43 +200,18 @@ class TagStore:
 
         A resident block is updated in place (writes re-dirty it); an
         absent block evicts the policy's victim if the set is full.
-        Installs routed to a fused-off bank are rejected: dirty data is
-        written through to main memory by the RAS hook, clean fills are
-        dropped.
         """
-        ras = self.ras
-        if ras is not None and ras.block_disabled(block):
-            if dirty:
-                ras.write_through(block)
-            else:
-                ras.dropped_fill()
-            return None
         idx, lines, line = self._locate(block)
         if line is not None:
             became_dirty = dirty and not line.dirty
             line.dirty = line.dirty or dirty
-            if ras is not None:
-                # Rewriting the word stores a fresh codeword (and clears
-                # any latent fault in the old one — counted so campaign
-                # books balance). Any earlier probe's victim decode
-                # referred to the stale word, so the pairing mark resets.
-                ras.note_rewrite(line)
-                line.codeword = ras.encode_line(block, line.dirty)
-                line.soft = 0
-                line.probed = False
             self.policy.on_hit(lines, line)
             if became_dirty:
                 self.policy.on_dirty(line)
             return None
         evicted = self._evict_for(idx, lines)
-        self.policy.on_install(lines, self._new_line(block, dirty))
+        self.policy.on_install(lines, _Line(block, dirty))
         return evicted
-
-    def _new_line(self, block: int, dirty: bool) -> _Line:
-        codeword = 0
-        if self.ras is not None:
-            codeword = self.ras.encode_line(block, dirty)
-        return _Line(block=block, dirty=dirty, codeword=codeword)
 
     def fill(self, block: int) -> Optional[Tuple[int, bool]]:
         """Install a clean copy fetched from main memory (one set walk).
@@ -322,15 +220,11 @@ class TagStore:
         while the fetch was in flight), the fill is dropped so a stale
         clean copy never overwrites newer dirty data.
         """
-        ras = self.ras
-        if ras is not None and ras.block_disabled(block):
-            ras.dropped_fill()
-            return None
         idx, lines, line = self._locate(block)
         if line is not None:
             return None
         evicted = self._evict_for(idx, lines)
-        self.policy.on_install(lines, self._new_line(block, dirty=False))
+        self.policy.on_install(lines, _Line(block, False))
         return evicted
 
     def bulk_install(self, blocks: Iterable[int],
@@ -353,8 +247,7 @@ class TagStore:
         mod = self._mod_sets
         org = self.organization
         policy = self.policy
-        ras = self.ras
-        if (ras is None and not sets and not self._lazy_n
+        if (not sets and not self._lazy_n
                 and mod is not None and not policy.tracks_residency
                 and isinstance(blocks, range)
                 and blocks.step == 1 and blocks.start == 0
@@ -371,7 +264,7 @@ class TagStore:
             self._lazy_dirty = dirty_flags
             return
         self._materialize_all()
-        uniform_capacity = self.available_ways if mod is not None else None
+        uniform_capacity = self.ways if mod is not None else None
         for block, dirty in zip(blocks, dirty_flags):
             idx = block % mod if mod is not None else org.set_index(block)
             lines = sets.setdefault(idx, [])
@@ -379,9 +272,6 @@ class TagStore:
                 if line.block == block:
                     became_dirty = bool(dirty) and not line.dirty
                     line.dirty = line.dirty or bool(dirty)
-                    if ras is not None:
-                        line.codeword = ras.encode_line(line.block,
-                                                        line.dirty)
                     if became_dirty:
                         policy.on_dirty(line)
                     break
@@ -390,11 +280,7 @@ class TagStore:
                             else self._capacity(idx))
                 if len(lines) >= capacity:
                     policy.on_evict(lines.pop(0))
-                if ras is None:
-                    new_line = _Line(block, bool(dirty))
-                else:
-                    new_line = self._new_line(int(block), bool(dirty))
-                policy.on_install(lines, new_line)
+                policy.on_install(lines, _Line(block, bool(dirty)))
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if resident; returns whether it was present."""
@@ -412,40 +298,3 @@ class TagStore:
             count += self._lazy_n - sum(
                 1 for idx in self._sets if idx < self._lazy_n)
         return count
-
-    # ------------------------------------------------------------------
-    # Degradation support (repro.ras.degrade)
-    # ------------------------------------------------------------------
-    def disable_way(self) -> List[Tuple[int, bool]]:
-        """Fuse off one way store-wide; returns the (block, dirty) lines
-        evicted when materialised sets shrink to the new capacity.
-        Non-uniform organizations clamp every set to at least one way."""
-        if self.available_ways <= 1:
-            raise RasError("cannot disable the last remaining way")
-        self._materialize_all()
-        self.disabled_ways += 1
-        evicted: List[Tuple[int, bool]] = []
-        for idx, lines in self._sets.items():
-            capacity = self._capacity(idx)
-            while len(lines) > capacity:
-                victim = lines.pop(0)
-                self.policy.on_evict(victim)
-                evicted.append((victim.block, victim.dirty))
-        return evicted
-
-    def evict_matching(
-        self, predicate: Callable[[int], bool]
-    ) -> List[Tuple[int, bool]]:
-        """Drop every resident line whose block satisfies ``predicate``
-        (bank fuse-off); returns the evicted (block, dirty) pairs."""
-        self._materialize_all()
-        evicted: List[Tuple[int, bool]] = []
-        for lines in self._sets.values():
-            keep = [line for line in lines if not predicate(line.block)]
-            if len(keep) != len(lines):
-                for line in lines:
-                    if predicate(line.block):
-                        self.policy.on_evict(line)
-                        evicted.append((line.block, line.dirty))
-                lines[:] = keep
-        return evicted

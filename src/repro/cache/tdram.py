@@ -55,8 +55,6 @@ class TdramCache(DramCacheController):
                  main_memory: MemoryBackend) -> None:
         super().__init__(sim, config, main_memory)
         self.flush = FlushBuffer(config.flush_buffer_entries)
-        if self.ras is not None:
-            self.ras.attach_flush(self.flush)
         if self.obs is not None:
             self.obs.attach_flush(self.flush)
         self.probe_engine = ProbeEngine()
@@ -169,11 +167,6 @@ class TdramCache(DramCacheController):
         )
         assert grant.hm_at is not None and grant.data_end is not None
         hm_at, data_start, data_end = grant.hm_at, grant.data_start, grant.data_end
-        # ECC corrections/retries on the tag read delay both the HM
-        # result and the gated data (§III-C3's on-die correction path).
-        if result.ecc_penalty_ps:
-            hm_at += result.ecc_penalty_ps
-            data_end += result.ecc_penalty_ps
         already_recorded = demand.tag_result_time >= 0
         if not already_recorded:
             self._record_tag_result(demand, hm_at, outcome)
@@ -246,8 +239,7 @@ class TdramCache(DramCacheController):
         if self.obs is not None:
             self.obs.on_issue(demand, now)
         result = self.tags.probe(demand.block_addr, touch=False)
-        self._record_tag_result(demand, grant.hm_at + result.ecc_penalty_ps,
-                                result.outcome)
+        self._record_tag_result(demand, grant.hm_at, result.outcome)
         if (self.obs is not None and grant.data_start is not None
                 and grant.data_end is not None):
             self.obs.on_dq_window(demand, grant.data_start, grant.data_end)
@@ -356,7 +348,7 @@ class TdramCache(DramCacheController):
             return
         result = self.tags.probe(demand.block_addr, touch=False)
         outcome = result.outcome
-        self._record_tag_result(demand, time + result.ecc_penalty_ps, outcome)
+        self._record_tag_result(demand, time, outcome)
         scheduler = self.schedulers[channel_idx]
         if outcome.is_hit:
             self.metrics.events.add("probe_hit")

@@ -19,7 +19,7 @@ unchanged). The mirrors ride the replacement-policy seam
 (:class:`~repro.cache.organization.TictocPolicy`): every install,
 touch, dirty transition and eviction in the tag store updates them, so
 a present tag-cache entry is always accurate and the dirty counts are
-exact — including under RAS line drops.
+exact.
 """
 
 from __future__ import annotations
@@ -93,22 +93,15 @@ class TicTocCache(CascadeLakeCache):
         super()._enqueue(request)
 
     def _known_read(self, demand: DemandRequest) -> None:
-        """SRAM tag-cache hit: outcome known, go straight to data."""
+        """SRAM tag-cache hit: outcome known, go straight to data.
+
+        The mirror is kept coherent on every tag-store change, so the
+        probe below is always a hit.
+        """
         result = self.tags.probe(demand.block_addr, touch=True)
         now = self.sim.now
-        if not result.outcome.is_hit:
-            # The mirror is kept coherent eagerly, so this only happens
-            # when the probe itself just dropped the line (RAS
-            # uncorrectable): fall through to a refetch.
-            self.metrics.events.add("tictoc_tag_cache_stale")
-            self._record_tag_result(demand, now + self._sram_ps,
-                                    result.outcome)
-            self._fetch(demand.block_addr, demand)
-            return
         self.metrics.events.add("tictoc_tag_cache_hits")
-        self._record_tag_result(
-            demand, now + self._sram_ps + result.ecc_penalty_ps,
-            result.outcome)
+        self._record_tag_result(demand, now + self._sram_ps, result.outcome)
         channel, bank = self.route(demand.block_addr)
         op = CacheOp(OpKind.DATA_READ, demand.block_addr, bank, now,
                      demand=demand)
@@ -144,9 +137,8 @@ class TicTocCache(CascadeLakeCache):
         """Write without the CL tag-read: SRAM already rules the victim."""
         block = demand.block_addr
         result = self.tags.probe(block, touch=False)
-        self._record_tag_result(
-            demand, self.sim.now + self._sram_ps + result.ecc_penalty_ps,
-            result.outcome)
+        self._record_tag_result(demand, self.sim.now + self._sram_ps,
+                                result.outcome)
         evicted = self.tags.install(block, dirty=True)
         if evicted is not None and evicted[1]:
             # Only reachable when a stale region went dirty between the

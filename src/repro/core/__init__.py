@@ -13,7 +13,7 @@ from repro.core.commands import (
     walk_read,
     walk_write,
 )
-from repro.core.ecc import EccOutcome, EccResult, SecdedCode, tag_ecc_code
+from repro.core.ecc import secded_check_bits, tag_ecc_fits_budget
 from repro.core.flush_buffer import FlushBuffer
 from repro.core.hm_bus import HmPacket, packet_beats, tag_bits_for
 from repro.core.probe import ProbeEngine
@@ -42,10 +42,8 @@ __all__ = [
     "walk_probe",
     "walk_read",
     "walk_write",
-    "EccOutcome",
-    "EccResult",
-    "SecdedCode",
-    "tag_ecc_code",
+    "secded_check_bits",
+    "tag_ecc_fits_budget",
     "FlushBuffer",
     "HmPacket",
     "packet_beats",

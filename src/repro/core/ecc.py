@@ -1,165 +1,39 @@
-"""On-die ECC for TDRAM's tag/metadata words (§III-C3).
+"""On-die ECC budget for TDRAM's tag/metadata words (§III-C3).
 
 The paper: "TDRAM has separate ECCs for tag and data. ECCs for tags are
 analyzed and corrected if needed by on-DRAM-die circuitry … For a 1 PB
 address space, a direct-mapped TDRAM has 14-bit tag + Valid + Dirty =
 16 bits which leaves 8 bits ECC to cover the 16 bits."
 
-This module implements a SECDED (single-error-correct, double-error-
-detect) Hamming code for arbitrary word widths. A 16-bit word needs
-5 parity bits + 1 overall-parity bit = 6; the paper's 8-bit budget
-leaves two spare bits (or room for the stronger symbol-based
-Reed-Solomon code the paper suggests). The code here is the functional
-model the tag-mat datapath would implement.
+A SECDED (single-error-correct, double-error-detect) Hamming code over
+``k`` data bits needs ``r`` Hamming check bits, the smallest ``r`` with
+``2**r >= k + r + 1``, plus one overall-parity bit. A 16-bit word needs
+5 + 1 = 6, so the paper's 8-bit budget leaves two spare bits (or room
+for the stronger symbol-based Reed-Solomon code the paper suggests).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Tuple
-
 from repro.errors import ConfigError
 
-
-class EccOutcome(enum.Enum):
-    """Result of decoding a protected word."""
-
-    CLEAN = "clean"                  #: no error detected
-    CORRECTED = "corrected"          #: single bit error fixed
-    DETECTED = "detected"            #: uncorrectable (double) error
+#: The paper's tag word: 14-bit tag + valid + dirty.
+TAG_WORD_BITS = 16
 
 
-@dataclass(frozen=True)
-class EccResult:
-    """Decoded word plus what the checker observed."""
+def secded_check_bits(data_bits: int) -> int:
+    """Check bits of a SECDED Hamming code over ``data_bits`` of data.
 
-    data: int
-    outcome: EccOutcome
-
-
-def _parity_bit_count(data_bits: int) -> int:
-    """Number of Hamming parity bits for ``data_bits`` of payload."""
-    r = 0
-    while (1 << r) < data_bits + r + 1:
-        r += 1
-    return r
-
-
-class SecdedCode:
-    """SECDED Hamming code over a fixed-width data word.
-
-    Codeword layout: Hamming positions 1..n with parity bits at powers
-    of two, plus an overall parity bit appended at the top.
-
-    >>> code = SecdedCode(16)
-    >>> code.parity_bits
+    >>> secded_check_bits(16)
     6
-    >>> word = code.encode(0xBEEF & 0xFFFF)
-    >>> code.decode(word).outcome
-    <EccOutcome.CLEAN: 'clean'>
     """
-
-    def __init__(self, data_bits: int) -> None:
-        if data_bits <= 0:
-            raise ConfigError("data_bits must be positive")
-        self.data_bits = data_bits
-        self.hamming_bits = _parity_bit_count(data_bits)
-        #: including the extra overall-parity (SECDED) bit
-        self.parity_bits = self.hamming_bits + 1
-        self.codeword_bits = data_bits + self.parity_bits
-        # Codeword positions (1-based) that hold data: everything that
-        # is not a power of two (those hold Hamming parity).
-        self._data_positions = [
-            pos for pos in range(1, data_bits + self.hamming_bits + 1)
-            if not _is_power_of_two(pos)
-        ]
-
-    # ------------------------------------------------------------------
-    def encode(self, data: int) -> int:
-        """Encode ``data`` into a SECDED codeword."""
-        if data < 0 or data >= (1 << self.data_bits):
-            raise ConfigError(
-                f"data {data:#x} does not fit in {self.data_bits} bits"
-            )
-        n = self.data_bits + self.hamming_bits
-        bits = [0] * (n + 1)  # 1-based
-        for i, pos in enumerate(self._data_positions):
-            bits[pos] = (data >> i) & 1
-        for p in range(self.hamming_bits):
-            parity_pos = 1 << p
-            parity = 0
-            for pos in range(1, n + 1):
-                if pos & parity_pos and pos != parity_pos:
-                    parity ^= bits[pos]
-            bits[parity_pos] = parity
-        codeword = 0
-        for pos in range(1, n + 1):
-            codeword |= bits[pos] << (pos - 1)
-        overall = bin(codeword).count("1") & 1
-        return codeword | (overall << n)
-
-    # ------------------------------------------------------------------
-    def decode(self, codeword: int) -> EccResult:
-        """Decode, correcting a single-bit error if present."""
-        n = self.data_bits + self.hamming_bits
-        if codeword < 0 or codeword >= (1 << self.codeword_bits):
-            raise ConfigError("codeword out of range")
-        overall_stored = (codeword >> n) & 1
-        body = codeword & ((1 << n) - 1)
-        syndrome = 0
-        for p in range(self.hamming_bits):
-            parity_pos = 1 << p
-            parity = 0
-            for pos in range(1, n + 1):
-                if pos & parity_pos:
-                    parity ^= (body >> (pos - 1)) & 1
-            if parity:
-                syndrome |= parity_pos
-        overall_computed = (bin(body).count("1") & 1) ^ overall_stored
-        if syndrome == 0 and overall_computed == 0:
-            return EccResult(self._extract(body), EccOutcome.CLEAN)
-        if overall_computed == 1:
-            # Odd number of flipped bits: a single error, correctable.
-            if syndrome == 0:
-                # The overall parity bit itself flipped.
-                return EccResult(self._extract(body), EccOutcome.CORRECTED)
-            if syndrome <= n:
-                body ^= 1 << (syndrome - 1)
-                return EccResult(self._extract(body), EccOutcome.CORRECTED)
-            return EccResult(self._extract(body), EccOutcome.DETECTED)
-        # Even parity but non-zero syndrome: double error, uncorrectable.
-        return EccResult(self._extract(body), EccOutcome.DETECTED)
-
-    def _extract(self, body: int) -> int:
-        data = 0
-        for i, pos in enumerate(self._data_positions):
-            data |= ((body >> (pos - 1)) & 1) << i
-        return data
-
-    # ------------------------------------------------------------------
-    def inject(self, codeword: int, bit_positions: Tuple[int, ...]) -> int:
-        """Flip the given 0-based codeword bits (fault injection)."""
-        for bit in bit_positions:
-            if not 0 <= bit < self.codeword_bits:
-                raise ConfigError(f"bit {bit} outside codeword")
-            codeword ^= 1 << bit
-        return codeword
-
-
-def _is_power_of_two(value: int) -> bool:
-    return value > 0 and value & (value - 1) == 0
-
-
-def tag_ecc_code() -> SecdedCode:
-    """The paper's tag word: 14-bit tag + valid + dirty = 16 bits.
-
-    SECDED needs 6 check bits; the 8-bit budget of §III-C3 covers it
-    with margin.
-    """
-    return SecdedCode(16)
+    if data_bits <= 0:
+        raise ConfigError("data_bits must be positive")
+    hamming = 0
+    while (1 << hamming) < data_bits + hamming + 1:
+        hamming += 1
+    return hamming + 1
 
 
 def tag_ecc_fits_budget(budget_bits: int = 8) -> bool:
     """Whether SECDED over the 16-bit tag word fits the stated budget."""
-    return tag_ecc_code().parity_bits <= budget_bits
+    return secded_check_bits(TAG_WORD_BITS) <= budget_bits

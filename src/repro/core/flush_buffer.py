@@ -19,7 +19,7 @@ knowledge"), so demands to buffered lines are serviced coherently.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigError
 from repro.stats.counters import CounterSet, OccupancyStat
@@ -36,12 +36,6 @@ class FlushBuffer:
         self.events = CounterSet()
         self.occupancy = OccupancyStat("flush_buffer")
         self.stalls = 0
-        #: block -> flipped-bit count from a fault campaign (repro.ras);
-        #: entries are SECDED-protected like any SRAM queue, so one bit
-        #: corrects on the way out and two or more drop the writeback.
-        self._faults: Dict[int, int] = {}
-        #: RAS counter sink (a CounterSet), attached by RasManager
-        self.ras_counters: Optional[CounterSet] = None
         #: observability sink called with the occupancy after every
         #: mutation (attached by ObsSession when tracing is on)
         self.obs_sink = None
@@ -75,52 +69,26 @@ class FlushBuffer:
             self.events.add("stall_full")
             return False
         self._entries.append(block)
-        self._faults.pop(block, None)
         self.events.add("insert")
         self._notify_obs()
         return True
 
     def pop(self) -> Optional[int]:
-        """Remove the oldest *intact* entry (None when empty).
-
-        Entries carrying an injected double-bit fault are detected on
-        readout and dropped — the writeback is lost (counted as RAS
-        data loss) and the next entry is tried. A single-bit fault is
-        corrected in flight and the entry leaves normally.
-        """
-        while self._entries:
-            block = self._entries.pop(0)
-            self._notify_obs()
-            bits = self._faults.pop(block, 0)
-            if bits == 0:
-                return block
-            if bits == 1:
-                self.events.add("ecc_corrected")
-                if self.ras_counters is not None:
-                    self.ras_counters.add("flush_corrected")
-                return block
-            # >= 2 flipped bits: detected, uncorrectable — the dirty
-            # data never reaches main memory.
-            self.events.add("ecc_dropped")
-            if self.ras_counters is not None:
-                self.ras_counters.add("flush_uncorrectable")
-                self.ras_counters.add("flush_data_loss")
-        return None
+        """Remove and return the oldest entry (None when empty)."""
+        if not self._entries:
+            return None
+        block = self._entries.pop(0)
+        self._notify_obs()
+        return block
 
     def remove(self, block: int) -> bool:
         """Drop a superseded entry (a newer write to the same block)."""
         if block in self._entries:
             self._entries.remove(block)
-            self._faults.pop(block, None)
             self.events.add("superseded")
             self._notify_obs()
             return True
         return False
-
-    def inject_fault(self, index: int, bits: int) -> None:
-        """Flip ``bits`` bits in the entry at ``index`` (fault campaign)."""
-        block = self._entries[index]
-        self._faults[block] = self._faults.get(block, 0) + bits
 
     def note_unload(self, reason: str) -> None:
         """Account an entry leaving over DQ (`read_miss_clean`,

@@ -37,18 +37,6 @@ class WorkloadError(ReproError):
     """A workload generator was misconfigured or produced an invalid record."""
 
 
-class RasError(ReproError):
-    """A reliability/availability/serviceability operation was invalid
-    (e.g. disabling the last remaining way of a tag store)."""
-
-
-class RetryExhaustedError(RasError):
-    """An uncorrectable error survived every configured re-read attempt.
-
-    Only raised in strict mode (:attr:`RasConfig.strict`); the default
-    policy degrades gracefully and counts the event instead."""
-
-
 class CampaignError(SimulationError):
     """A campaign finished with tasks that exhausted their retries.
 

@@ -13,8 +13,8 @@ first-class output of every run:
   JSON (``chrome://tracing`` or https://ui.perfetto.dev load it
   directly);
 * :class:`~repro.obs.epochs.EpochRecorder` — a columnar time series of
-  hit/miss, bandwidth, queue/flush occupancy, and RAS counters sampled
-  every N µs of simulated time, included in
+  hit/miss, bandwidth, queue/flush occupancy, and backing-store counters
+  sampled every N µs of simulated time, included in
   :class:`~repro.experiments.runner.RunResult`;
 * :class:`~repro.obs.profiler.KernelProfiler` — events/sec and
   per-handler dispatch counts / wall time for the simulation kernel,

@@ -6,7 +6,7 @@ lists — ``pandas.DataFrame(result.epochs)`` away from analysis). Two
 kinds of columns exist:
 
 * **delta columns** — per-epoch increments of cumulative counters
-  (demands, hits, bytes moved, writebacks, RAS events). Their sums
+  (demands, hits, bytes moved, writebacks, backend events). Their sums
   reconcile exactly with the run's final aggregates, which a tier-1
   test asserts;
 * **level columns** — instantaneous occupancies sampled at the epoch
@@ -26,8 +26,7 @@ from typing import Dict, List
 DELTA_COLUMNS = (
     "demands", "hits", "misses", "reads", "writes",
     "useful_bytes", "total_bytes", "bytes_read", "bytes_written",
-    "writebacks", "ras_corrected", "ras_uncorrectable",
-    "backend_coalesced", "backend_wq_stalls", "backend_wear",
+    "writebacks", "backend_coalesced", "backend_wq_stalls", "backend_wear",
 )
 
 #: Instantaneous occupancies sampled at each epoch boundary.
@@ -64,13 +63,7 @@ class EpochRecorder:
             "bytes_read": sum(ch.bytes_read for ch in controller.channels),
             "bytes_written": sum(ch.bytes_written for ch in controller.channels),
             "writebacks": controller.writebacks,
-            "ras_corrected": 0,
-            "ras_uncorrectable": 0,
         })
-        ras = getattr(controller, "ras", None)
-        if ras is not None:
-            snap["ras_corrected"] = ras.counters.corrected
-            snap["ras_uncorrectable"] = ras.counters.uncorrectable
         backend = controller.main_memory.counters
         snap["backend_coalesced"] = backend["mshr_coalesced"]
         snap["backend_wq_stalls"] = backend["wq_stalls"]

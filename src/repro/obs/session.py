@@ -2,8 +2,8 @@
 
 ``DramCacheController`` instantiates one :class:`ObsSession` when
 ``config.obs.any_enabled`` and calls its hooks at lifecycle points
-(guarded by a single ``if self.obs is not None`` on the hot path, the
-same pattern as the RAS subsystem). The session fans each hook out to
+(guarded by a single ``if self.obs is not None`` on the hot path).
+The session fans each hook out to
 whichever instruments are actually on, so a trace-only run pays
 nothing for epochs and vice versa.
 """

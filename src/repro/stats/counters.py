@@ -46,51 +46,6 @@ class CounterSet:
         return dict(self._counts)
 
 
-class RasCounters(CounterSet):
-    """Reliability event counters with well-known names.
-
-    Populated by the RAS subsystem (:mod:`repro.ras`); every name below
-    appears in ``dump_stats`` output under ``cache.ras.*`` and in
-    :attr:`RunResult.ras`:
-
-    * ``injected_tag`` / ``injected_tag_bits`` / ``injected_transient``
-      / ``injected_hm`` / ``injected_flush`` — fault-injector activity;
-    * ``tag_corrected`` / ``tag_detected`` — per-read SECDED outcomes;
-    * ``tag_retries`` / ``tag_retry_success`` / ``tag_retry_exhausted``
-      — bounded re-read recovery;
-    * ``tag_uncorrectable`` / ``tag_clean_refetch`` / ``tag_data_loss``
-      — post-retry policy (clean lines refetch, dirty lines are lost);
-    * ``hm_packet_errors`` / ``hm_retries`` — HM-bus packet faults;
-    * ``flush_corrected`` / ``flush_uncorrectable`` / ``flush_data_loss``
-      — flush-buffer entry faults surfacing at unload;
-    * ``scrub_passes`` / ``scrub_scanned`` / ``scrub_repaired`` /
-      ``scrub_uncorrectable`` / ``scrub_data_loss`` — patrol scrubber;
-    * ``degraded_ways`` / ``degraded_banks`` / ``degraded_evictions`` /
-      ``degraded_writebacks`` / ``write_through_degraded`` /
-      ``dropped_fill_degraded`` — graceful capacity degradation;
-    * ``corrected_penalty_ps`` / ``retry_penalty_ps`` — summed added
-      latency.
-    """
-
-    @property
-    def corrected(self) -> int:
-        """Errors repaired anywhere (demand reads, scrub, flush path)."""
-        return self.total(("tag_corrected", "scrub_repaired",
-                           "flush_corrected"))
-
-    @property
-    def uncorrectable(self) -> int:
-        """Errors no retry or scrub could repair."""
-        return self.total(("tag_uncorrectable", "scrub_uncorrectable",
-                           "flush_uncorrectable"))
-
-    @property
-    def data_loss(self) -> int:
-        """Dirty lines whose only copy was destroyed (counted, not fatal)."""
-        return self.total(("tag_data_loss", "scrub_data_loss",
-                           "flush_data_loss"))
-
-
 class LatencyStat:
     """Streaming latency accumulator (picoseconds in, nanoseconds out)."""
 

@@ -90,11 +90,6 @@ def collect_stats(sink) -> Dict[str, object]:
         for name, value in sorted(flush.events.as_dict().items()):
             stats.append((f"cache.flush.{name}", value))
 
-    ras = getattr(sink, "ras", None)
-    if ras is not None:
-        for name, value in sorted(ras.snapshot().items()):
-            stats.append((f"cache.ras.{name}", value))
-
     main_memory = getattr(sink, "main_memory", None)
     if main_memory is not None:
         # Channelled backends (DDR5) expose per-channel bus/bank stats;

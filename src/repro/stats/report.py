@@ -79,53 +79,6 @@ def comparison_table(results: Sequence, columns=DEFAULT_COLUMNS,
     return "\n".join(lines)
 
 
-#: Display order for :func:`ras_report` — injection first, then the
-#: recovery ladder, then the damage/degradation tallies.
-_RAS_GROUPS = (
-    ("injected", ("injected_tag", "injected_tag_bits", "injected_transient",
-                  "injected_hm", "injected_flush")),
-    ("recovery", ("tag_reads_checked", "tag_corrected", "tag_detected",
-                  "tag_retries", "tag_retry_success", "tag_retry_exhausted",
-                  "hm_packet_errors", "hm_retries", "scrub_passes",
-                  "scrub_scanned", "scrub_repaired", "flush_corrected",
-                  "tag_rewrite_cleared")),
-    ("latency", ("corrected_penalty_ps", "retry_penalty_ps")),
-    ("damage", ("tag_uncorrectable", "tag_clean_refetch", "tag_data_loss",
-                "scrub_uncorrectable", "scrub_data_loss",
-                "flush_uncorrectable", "flush_data_loss")),
-    ("degradation", ("degraded_ways", "degraded_evictions",
-                     "degraded_writebacks", "write_through_degraded",
-                     "dropped_fill_degraded", "effective_ways", "dead_banks",
-                     "capacity_fraction_pct")),
-)
-
-
-def ras_report(ras: Dict[str, int]) -> str:
-    """Render a RAS counter snapshot as grouped ``name = value`` lines.
-
-    Counters absent from the snapshot are skipped; snapshot entries not
-    covered by a group (new counters) land in a trailing ``other``
-    section, so nothing is silently dropped.
-    """
-    if not ras:
-        return "ras: disabled (no campaign configured)"
-    lines: List[str] = []
-    shown = set()
-    for title, names in _RAS_GROUPS:
-        present = [name for name in names if name in ras]
-        if not present:
-            continue
-        lines.append(f"[{title}]")
-        for name in present:
-            lines.append(f"  {name} = {ras[name]}")
-            shown.add(name)
-    leftover = sorted(set(ras) - shown)
-    if leftover:
-        lines.append("[other]")
-        lines.extend(f"  {name} = {ras[name]}" for name in leftover)
-    return "\n".join(lines)
-
-
 def breakdown_bar(breakdown: Dict[str, float], width: int = 50) -> str:
     """A Figure 1-style ASCII stacked bar of hit/miss categories.
 

@@ -237,9 +237,9 @@ class TestCountersDeclared:
 
     def test_total_tuple_in_counter_class_checked(self, tmp_path):
         report = lint(tmp_path, {"counters.py": """\
-            class RasCounters(CounterSet):
-                def corrected(self):
-                    return self.total(("tag_corrected",))
+            class HitCounters(CounterSet):
+                def hits(self):
+                    return self.total(("tag_hits",))
             """}, select=["SIM006"])
         assert rules_of(report) == ["SIM006"]
 

@@ -1,4 +1,4 @@
-"""Design-zoo seam tests: default pairing, policy fixtures, RAS books.
+"""Design-zoo seam tests: default pairing, policy fixtures, accounting.
 
 Every pre-existing design runs on the seamed :class:`TagStore` with
 :class:`LruPolicy`; the committed golden digests
@@ -9,8 +9,8 @@ checks that the plugin bases refuse a half-implemented subclass at
 construction. The remaining classes pin the seam pieces in isolation
 (LRU order, hybrid set math, SRAM tag cache, dirty-region list, TicToc
 mirrors) and the hot-path/accounting fixes that rode along: ``fill``'s
-single-walk stale-drop semantics, ECC decode counts balancing across
-the probe→install pair, and the zero-demand breakdown convention.
+single-walk stale-drop semantics and the zero-demand breakdown
+convention.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.config.system import SystemConfig
 from repro.dram.monitor import ChannelObserver
 from repro.errors import ConfigError
 from repro.experiments.runner import run_experiment
-from repro.stats.counters import RasCounters
 
 
 # ---------------------------------------------------------------------------
@@ -275,91 +274,6 @@ class TestFillSemantics:
         tags.install(2, dirty=True)
         assert tags.fill(6) == (2, True)
         assert tags.contains(6) and not tags.contains(2)
-
-
-# ---------------------------------------------------------------------------
-# Satellite: ECC decode counts balance across the probe→install pair
-# ---------------------------------------------------------------------------
-class _CountingRasHook:
-    """Minimal tag-store RAS hook backed by a real :class:`RasCounters`.
-
-    Decodes always succeed (penalty 0) unless the block is listed in
-    ``uncorrectable``, mirroring the manager's contract: ``None`` means
-    the word is lost after retries.
-    """
-
-    def __init__(self):
-        self.counters = RasCounters()
-        self.uncorrectable = set()
-
-    def block_disabled(self, block):
-        return False
-
-    def encode_line(self, block, dirty):
-        return 0
-
-    def note_rewrite(self, line):
-        pass
-
-    def write_through(self, block):
-        self.counters.add("write_through_degraded")
-
-    def dropped_fill(self):
-        self.counters.add("dropped_fill_degraded")
-
-    def on_tag_read(self, line, block):
-        self.counters.add("tag_reads_checked")
-        if block in self.uncorrectable:
-            self.counters.add("tag_uncorrectable")
-            return None
-        return 0
-
-
-class TestRasDecodeAccounting:
-    def _tags(self):
-        tags = TagStore(4, ways=1)
-        tags.ras = _CountingRasHook()
-        return tags, tags.ras
-
-    def test_probe_install_pair_decodes_victim_once(self):
-        tags, ras = self._tags()
-        tags.install(1, dirty=True)
-        result = tags.probe(5)  # miss: decodes the victim's word
-        assert result.victim_block == 1
-        checked_after_probe = ras.counters["tag_reads_checked"]
-        assert checked_after_probe == 1
-        # The install this probe leads to consumes the mark — the same
-        # physical read must not be counted twice.
-        assert tags.install(5, dirty=False) == (1, True)
-        assert ras.counters["tag_reads_checked"] == checked_after_probe
-
-    def test_unpaired_eviction_decodes_exactly_once(self):
-        tags, ras = self._tags()
-        tags.install(1, dirty=True)
-        # No preceding miss probe (e.g. a fill racing a later install):
-        # the victim's word was never read, so eviction reads it now.
-        assert tags.fill(5) == (1, True)
-        assert ras.counters["tag_reads_checked"] == 1
-
-    def test_rewrite_clears_pairing_mark(self):
-        tags, ras = self._tags()
-        tags.install(1, dirty=False)
-        tags.probe(5)  # marks line 1 probed
-        tags.install(1, dirty=True)  # rewrite stores a fresh word
-        # The fresh word has never been read: eviction decodes it again
-        # (probe-time victim decode + post-rewrite eviction decode).
-        tags.fill(5)
-        assert ras.counters["tag_reads_checked"] == 2
-
-    def test_uncorrectable_victim_yields_no_writeback(self):
-        tags, ras = self._tags()
-        tags.install(1, dirty=True)
-        ras.uncorrectable.add(1)
-        # The victim's content is unrecoverable — nothing to write back,
-        # but the incoming fill still lands.
-        assert tags.fill(5) is None
-        assert tags.contains(5) and not tags.contains(1)
-        assert ras.counters["tag_uncorrectable"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.cache.cascade_lake import CascadeLakeCache
 from repro.cache.controller import CacheOp, OpKind
 from repro.cache.ideal import IdealCache
 from repro.cache.ndc import NdcCache
+from repro.cache.request import DemandRequest, Op
 from repro.cache.tdram import TdramCache
 from repro.config.system import MIB, SystemConfig
 from repro.dram.bus import Direction
@@ -85,14 +86,37 @@ class TestChannelSchedulerMechanics:
         assert scheduler._select([first, second], at=0) is first
 
     def test_mshr_bound_gates_read_acceptance(self, make_system):
-        from repro.cache.request import Op
-
         system = make_system(TdramCache)
         system.cache.mshr_limit = 2
         system.cache._mshrs = {1: [], 2: []}
         assert not system.cache.can_accept(Op.READ, 0)
         system.cache._mshrs.clear()
         assert system.cache.can_accept(Op.READ, 0)
+
+
+class TestWriteBackpressure:
+    def test_unforced_overflow_is_counted_and_raised(self, make_system):
+        system = make_system(IdealCache)
+        scheduler = system.cache.schedulers[0]
+        events = system.cache.metrics.events
+        scheduler.write_capacity = 1
+        scheduler.write_q.append(CacheOp(OpKind.DATA_WRITE, 0, 0, 0))
+        with pytest.raises(CapacityError):
+            scheduler.push_write(CacheOp(OpKind.DATA_WRITE, 8, 1, 0))
+        assert events["write_q_rejected"] == 1
+        scheduler.push_write(CacheOp(OpKind.DATA_WRITE, 8, 1, 0),
+                             forced=True)
+        assert events["write_q_forced_over_capacity"] == 1
+
+    def test_tdram_absorbs_demand_overflow_gracefully(self, make_system):
+        system = make_system(TdramCache)
+        for scheduler in system.cache.schedulers:
+            scheduler.write_capacity = 0
+        request = DemandRequest(op=Op.WRITE, block_addr=24)
+        system.cache._enqueue(request)    # must not raise
+        events = system.cache.metrics.events
+        assert events["write_backpressure_forced"] == 1
+        assert events["write_q_forced_over_capacity"] == 1
 
 
 @settings(max_examples=10, deadline=None)

@@ -20,7 +20,7 @@ Checks:
 * **links** — relative-link check over the markdown docs
   (:mod:`check_links`);
 * **docstrings** — 100% public docstring coverage on ``repro.obs``,
-  ``repro.ras``, ``repro.memory``, ``repro.dram``, ``repro.sim``,
+  ``repro.memory``, ``repro.dram``, ``repro.sim``,
   ``repro.stats``, ``repro.core``, the cache path's
   ``controller``/``request``/``metrics``/``tagstore`` modules,
   and ``repro.experiments`` (:mod:`check_docstrings`);
@@ -59,7 +59,7 @@ TYPED_PACKAGES = ("src/repro/sim", "src/repro/dram", "src/repro/cache",
 #: Markdown roots for the link check.
 LINK_PATHS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 #: Packages gated at 100% public docstring coverage.
-DOCSTRING_PATHS = ("src/repro/obs", "src/repro/ras", "src/repro/memory",
+DOCSTRING_PATHS = ("src/repro/obs", "src/repro/memory",
                    "src/repro/dram", "src/repro/sim", "src/repro/stats",
                    "src/repro/core",
                    "src/repro/cache/controller.py",
