@@ -15,7 +15,7 @@ from repro.cache.cascade_lake import CascadeLakeCache
 from repro.cache.controller import CacheOp, OpKind
 from repro.cache.request import DemandRequest, Op
 from repro.config.system import SystemConfig
-from repro.memory.backend import MemoryBackend
+from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator
 
 
@@ -31,7 +31,7 @@ class BearCache(CascadeLakeCache):
     fill_bypass_probability = 0.5
 
     def __init__(self, sim: Simulator, config: SystemConfig,
-                 main_memory: MemoryBackend) -> None:
+                 main_memory: MainMemory) -> None:
         super().__init__(sim, config, main_memory)
         self._bypass_rng = np.random.default_rng(0xBEA12)
 

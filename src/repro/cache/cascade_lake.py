@@ -27,7 +27,7 @@ from repro.cache.controller import (
 from repro.cache.predictor import MapIPredictor
 from repro.cache.request import DemandRequest, Op, Outcome
 from repro.config.system import SystemConfig
-from repro.memory.backend import MemoryBackend
+from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator
 
 # Enum members read per access, as module globals (see controller.py).
@@ -45,7 +45,7 @@ class CascadeLakeCache(DramCacheController):
     has_tag_path = False
 
     def __init__(self, sim: Simulator, config: SystemConfig,
-                 main_memory: MemoryBackend) -> None:
+                 main_memory: MainMemory) -> None:
         super().__init__(sim, config, main_memory)
         self.predictor: Optional[MapIPredictor] = (
             MapIPredictor() if config.use_predictor else None

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from repro.cache.tdram import TdramCache
 from repro.config.system import SystemConfig
 from repro.dram.bus import Direction
-from repro.memory.backend import MemoryBackend
+from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator
 
 
@@ -33,7 +33,7 @@ class NdcCache(TdramCache):
     design_name = "ndc"
 
     def __init__(self, sim: Simulator, config: SystemConfig,
-                 main_memory: MemoryBackend) -> None:
+                 main_memory: MainMemory) -> None:
         super().__init__(sim, config, main_memory)
         self.unload_on_refresh = False
         self.unload_on_read_miss_clean = False

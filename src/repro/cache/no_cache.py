@@ -12,7 +12,7 @@ from functools import partial
 from repro.cache.metrics import CacheMetrics
 from repro.cache.request import DemandRequest, Op
 from repro.config.system import SystemConfig
-from repro.memory.backend import MemoryBackend
+from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator
 
 # Read per demand, as a module global (see repro.cache.controller).
@@ -26,7 +26,7 @@ class NoCacheSystem:
     has_tag_path = False
 
     def __init__(self, sim: Simulator, config: SystemConfig,
-                 main_memory: MemoryBackend) -> None:
+                 main_memory: MainMemory) -> None:
         self.sim = sim
         self.config = config
         self.main_memory = main_memory

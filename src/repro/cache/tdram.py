@@ -31,7 +31,7 @@ from repro.core.flush_buffer import FlushBuffer
 from repro.core.probe import ProbeEngine
 from repro.errors import CapacityError
 from repro.dram.bus import Direction
-from repro.memory.backend import MemoryBackend
+from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator, ns
 
 #: Controller-side latency to recognise and serve a flush-buffer hit.
@@ -52,7 +52,7 @@ class TdramCache(DramCacheController):
     has_tag_path = True
 
     def __init__(self, sim: Simulator, config: SystemConfig,
-                 main_memory: MemoryBackend) -> None:
+                 main_memory: MainMemory) -> None:
         super().__init__(sim, config, main_memory)
         self.flush = FlushBuffer(config.flush_buffer_entries)
         if self.obs is not None:

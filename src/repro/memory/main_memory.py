@@ -1,10 +1,8 @@
-"""DDR5 backing-store model — the default ``ddr5`` memory backend.
+"""DDR5 backing-store model.
 
 The backing store serves read-miss fetches and dirty writebacks from the
-DRAM cache (or all demands in the no-cache baseline). This module holds
-the default implementation of the :class:`~repro.memory.backend.
-MemoryBackend` seam: Table III's 128 GiB / 2-channel DDR5, where each
-channel runs an independent **open-page** FR-FCFS scheduler (row hits
+DRAM cache (or all demands in the no-cache baseline). It models
+Table III's 128 GiB / 2-channel DDR5, where each channel runs an independent **open-page** FR-FCFS scheduler (row hits
 first) with a write-drain watermark policy — the page policy gem5
 defaults to for DDR5, which gives streaming writebacks realistic
 row-buffer locality (the DRAM cache itself is close-page, per
@@ -15,9 +13,6 @@ The paper bounds its main-memory buffers at 64 entries; this DDR5
 model keeps its queues unbounded with occupancy tracked instead — the
 DRAM-cache controller's own bounded buffers (where the paper locates
 the contention effects, §II-B) provide the system back-pressure.
-Bounded MSHRs and a bounded deferred write queue are properties of the
-hybrid-media backends (:mod:`repro.memory.pcm`,
-:mod:`repro.memory.cxl`); see ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from repro.dram.device import DramChannel
 from repro.dram.scheduler import ChannelScheduler
 from repro.dram.timing import DramTiming
 from repro.energy.power_model import EnergyMeter
-from repro.memory.backend import MemoryBackend
 from repro.sim.kernel import Simulator
 from repro.stats.counters import LatencyStat
 
@@ -117,10 +111,8 @@ class _Ddr5Scheduler(ChannelScheduler[_Request]):
             self.sim.at(finish, op.callback, finish)
 
 
-class MainMemory(MemoryBackend):
+class MainMemory:
     """The DDR5 backing store: address-interleaved independent channels."""
-
-    backend_name = "ddr5"
 
     def __init__(
         self,
@@ -130,7 +122,10 @@ class MainMemory(MemoryBackend):
         meter: Optional[EnergyMeter] = None,
         name: str = "mm",
     ) -> None:
-        super().__init__(sim, meter)
+        self.sim = sim
+        #: read()/write() calls over the whole run (never reset)
+        self.reads_issued = 0
+        self.writes_issued = 0
         self.mapper = AddressMapper(geometry, scheme="RoRaBaChCo")
         self.channels = [
             DramChannel(sim, timing, geometry.banks_per_channel, f"{name}{i}",
@@ -189,6 +184,5 @@ class MainMemory(MemoryBackend):
 
     def reset_measurement(self) -> None:
         """Drop warm-up latency statistics at the measurement boundary."""
-        super().reset_measurement()
         self.read_queue_delay.reset()
         self.read_latency.reset()

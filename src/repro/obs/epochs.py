@@ -6,7 +6,7 @@ lists — ``pandas.DataFrame(result.epochs)`` away from analysis). Two
 kinds of columns exist:
 
 * **delta columns** — per-epoch increments of cumulative counters
-  (demands, hits, bytes moved, writebacks, backend events). Their sums
+  (demands, hits, bytes moved, writebacks). Their sums
   reconcile exactly with the run's final aggregates, which a tier-1
   test asserts;
 * **level columns** — instantaneous occupancies sampled at the epoch
@@ -26,12 +26,11 @@ from typing import Dict, List
 DELTA_COLUMNS = (
     "demands", "hits", "misses", "reads", "writes",
     "useful_bytes", "total_bytes", "bytes_read", "bytes_written",
-    "writebacks", "backend_coalesced", "backend_wq_stalls", "backend_wear",
+    "writebacks",
 )
 
 #: Instantaneous occupancies sampled at each epoch boundary.
-LEVEL_COLUMNS = ("read_q", "write_q", "mshr", "flush_occupancy",
-                 "backend_mshr", "backend_wq")
+LEVEL_COLUMNS = ("read_q", "write_q", "mshr", "flush_occupancy")
 
 #: Every column of the series, in export order.
 COLUMNS = ("t_us",) + DELTA_COLUMNS + LEVEL_COLUMNS
@@ -64,24 +63,17 @@ class EpochRecorder:
             "bytes_written": sum(ch.bytes_written for ch in controller.channels),
             "writebacks": controller.writebacks,
         })
-        backend = controller.main_memory.counters
-        snap["backend_coalesced"] = backend["mshr_coalesced"]
-        snap["backend_wq_stalls"] = backend["wq_stalls"]
-        snap["backend_wear"] = backend["wear_writes"]
         return snap
 
     def _levels(self) -> Dict[str, int]:
         """Current values of every occupancy (level) column."""
         controller = self.controller
         flush = getattr(controller, "flush", None)
-        backend = controller.main_memory
         return {
             "read_q": sum(len(s.read_q) for s in controller.schedulers),
             "write_q": sum(len(s.write_q) for s in controller.schedulers),
             "mshr": len(controller._mshrs),
             "flush_occupancy": len(flush) if flush is not None else 0,
-            "backend_mshr": backend.mshr_occupancy(),
-            "backend_wq": backend.write_queue_len(),
         }
 
     # ------------------------------------------------------------------

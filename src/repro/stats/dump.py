@@ -92,19 +92,11 @@ def collect_stats(sink) -> Dict[str, object]:
 
     main_memory = getattr(sink, "main_memory", None)
     if main_memory is not None:
-        # Channelled backends (DDR5) expose per-channel bus/bank stats;
-        # flat backends (pcm_like, cxl_like) have none to walk.
-        for index, channel in enumerate(getattr(main_memory, "channels", [])):
+        for index, channel in enumerate(main_memory.channels):
             stats.extend(_channel_stats(f"mm.ch{index}", channel, now))
-        stats.append(("mm.backend", getattr(main_memory, "backend_name",
-                                            "ddr5")))
         stats.append(("mm.reads_issued", main_memory.reads_issued))
         stats.append(("mm.writes_issued", main_memory.writes_issued))
         stats.append(("mm.pending", main_memory.pending()))
-        snapshot = getattr(main_memory, "snapshot", None)
-        if snapshot is not None:
-            for name, value in sorted(snapshot().items()):
-                stats.append((f"mm.backend.{name}", value))
 
     return dict(stats)
 

@@ -12,7 +12,7 @@ import pytest
 from repro.cache.request import DemandRequest, Op
 from repro.config.system import MIB, SystemConfig
 from repro.energy.power_model import EnergyMeter
-from repro.memory.backend import build_backend
+from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator, ns
 
 
@@ -40,8 +40,9 @@ class System:
         self.config = config
         self.mm_meter = EnergyMeter(config.energy_model, config.mm_channels,
                                     False)
-        self.main_memory = build_backend(self.sim, config,
-                                         meter=self.mm_meter)
+        self.main_memory = MainMemory(self.sim, config.mm_timing,
+                                      config.mm_geometry(),
+                                      meter=self.mm_meter)
         self.cache = design_cls(self.sim, config, self.main_memory)
         self.completed = []
 

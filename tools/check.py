@@ -23,11 +23,7 @@ Checks:
   ``repro.memory``, ``repro.dram``, ``repro.sim``,
   ``repro.stats``, ``repro.core``, the cache path's
   ``controller``/``request``/``metrics``/``tagstore`` modules,
-  and ``repro.experiments`` (:mod:`check_docstrings`);
-* **metrics** — every counter name declared in
-  ``repro.memory.backend.BACKEND_COUNTERS`` has a documentation row in
-  ``docs/metrics.md``, so new backend counters cannot ship
-  undocumented.
+  and ``repro.experiments`` (:mod:`check_docstrings`).
 
 Exit code is non-zero if any selected check fails.
 """
@@ -138,30 +134,12 @@ def run_docstrings() -> Tuple[bool, str]:
     return ok, f"100% coverage on {', '.join(DOCSTRING_PATHS)}"
 
 
-def run_metrics() -> Tuple[bool, str]:
-    """Every declared backend counter has a ``docs/metrics.md`` row.
-
-    The declaration registry is ``BACKEND_COUNTERS`` (an ALL-CAPS
-    ``_COUNTERS`` constant, which SIM006 accepts as a counter-name
-    declaration), so adding a counter without documenting it fails CI.
-    """
-    from repro.memory.backend import BACKEND_COUNTERS
-
-    text = (ROOT / "docs" / "metrics.md").read_text(encoding="utf-8")
-    missing = [name for name in BACKEND_COUNTERS if f"`{name}`" not in text]
-    for name in missing:
-        print(f"docs/metrics.md: no row documenting backend counter "
-              f"`{name}` (declared in repro.memory.backend)")
-    return not missing, (f"{len(BACKEND_COUNTERS)} backend counters "
-                         "documented in docs/metrics.md")
-
-
 def main(argv: List[str] | None = None) -> int:
     """Run the selected checks and report a one-line verdict each."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", default=None,
                         help="comma-separated subset: lint,typing,links,"
-                             "docstrings,metrics")
+                             "docstrings")
     parser.add_argument("--require-mypy", action="store_true",
                         help="fail the typing check if mypy is missing "
                              "instead of falling back to the stdlib gate")
@@ -172,7 +150,6 @@ def main(argv: List[str] | None = None) -> int:
         ("typing", lambda: run_typing(require_mypy=args.require_mypy)),
         ("links", run_links),
         ("docstrings", run_docstrings),
-        ("metrics", run_metrics),
     ]
     if args.only:
         wanted = {name.strip() for name in args.only.split(",")}
