@@ -48,7 +48,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -439,24 +438,29 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
     tasks it had not submitted carry over uncharged, and the next round
     starts a new pool; otherwise one pool serves every round.
 
-    On ``KeyboardInterrupt`` (Ctrl-C) nothing more is submitted: the
-    tasks already running finish and are recorded, then the interrupt
-    is re-raised. No task waits in the pool's own queue, so there is
-    nothing to cancel. A second Ctrl-C while they run terminates the
-    workers and drops their tasks.
+    On Ctrl-C (SIGINT) nothing more is submitted: the tasks already
+    running finish and are recorded, then ``KeyboardInterrupt`` is
+    raised. No task waits in the pool's own queue, so there is nothing
+    to cancel. A second Ctrl-C while they run terminates the workers and
+    drops their tasks. While the pool runs, SIGINT only sets a flag that
+    the loop reads between its steps: raised as an exception at any
+    bytecode it could leave a future's lock held part-way through
+    ``concurrent.futures.wait``, and the pool's result thread would then
+    block on that future for good. Off the main thread, where no signal
+    handler can be set and no ``KeyboardInterrupt`` arrives, the flag
+    stays unset.
     """
     remaining = list(pending)
     pool: Optional[ProcessPoolExecutor] = None
     running: Dict[Future, str] = {}
     again: Set[str] = set()
     lost_worker = False
+    interrupts = 0
 
     def settle(future: Future) -> None:
-        """Record, or charge a retry to, one finished task. Its future
-        leaves ``running`` only then, so an interrupt that lands part-way
-        leaves it to be settled again."""
+        """Record, or charge a retry to, one finished task."""
         nonlocal lost_worker
-        key = running[future]
+        key = running.pop(future)
         try:
             result, detail = future.result()
         except Exception as error:  # noqa: BLE001 - charged per task
@@ -466,10 +470,22 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
             record(key, result)
         elif retry(key, detail):
             again.add(key)
-        del running[future]
 
+    def on_sigint(signum: int, frame: object) -> None:
+        """Count a Ctrl-C; from the second on, terminate the workers,
+        which fails their futures and so wakes the loop."""
+        nonlocal interrupts
+        interrupts += 1
+        if interrupts > 1 and pool is not None:
+            # No public way to stop a pool's workers before 3.14.
+            for process in list(pool._processes.values()):
+                process.terminate()
+
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGINT, on_sigint)
     try:
-        while remaining:
+        while remaining and not interrupts:
             if pool is None:
                 pool = ProcessPoolExecutor(max_workers=workers,
                                            initializer=_init_worker)
@@ -479,7 +495,7 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
             finished: List[Future] = []
             while True:
                 while (queue and len(running) - len(finished) < workers
-                       and not lost_worker):
+                       and not lost_worker and not interrupts):
                     try:
                         running[pool.submit(_attempt, runner,
                                             pending[queue[-1]])] = queue[-1]
@@ -487,6 +503,8 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
                         lost_worker = True
                         break
                     queue.pop()
+                if interrupts > 1:
+                    break
                 for future in finished:
                     settle(future)
                 if not running:
@@ -499,18 +517,12 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
             unsubmitted = set(queue)
             remaining = [key for key in remaining
                          if key in again or key in unsubmitted]
-    except KeyboardInterrupt:
-        try:
-            for future in as_completed(list(running)):
-                settle(future)
-        except KeyboardInterrupt:
-            if pool is not None:
-                # No public way to stop a pool's workers before 3.14.
-                for process in list(pool._processes.values()):
-                    process.terminate()
-            raise
-        raise
+        if interrupts:
+            raise KeyboardInterrupt
     finally:
+        if on_main_thread:
+            signal.signal(signal.SIGINT, signal.SIG_DFL if previous is None
+                          else previous)
         if pool is not None:
             pool.shutdown()
 
