@@ -13,11 +13,12 @@ batch into a *campaign*:
   campaign, one pool submission per task and at most one task per
   worker in flight, and caches and reports each task as soon as it
   finishes. A task that raised, or whose worker died, runs again in the
-  next round, up to ``retries`` extra attempts; the pool is replaced
-  only after a worker died. Ctrl-C stops the campaign after the tasks
-  it is running (a second Ctrl-C terminates them), and workers exit on
-  their own if the driver dies. A campaign with one task left to
-  simulate runs it in-process. Results are bit-identical to the serial
+  next round, up to ``retries`` extra attempts, unless it was rejected
+  as bad input (``ConfigError``, ``WorkloadError``); the pool is
+  replaced only after a worker died. Ctrl-C stops the campaign after
+  the tasks it is running (a second Ctrl-C terminates them), and
+  workers exit on their own if the driver dies. A campaign with one
+  task left to simulate runs it in-process. Results are bit-identical to the serial
   path because every simulation is seeded explicitly per task;
 * a :class:`ResultCache` persists each :class:`RunResult` as JSON
   under its key. It is the campaign's only checkpoint: writes are
@@ -65,7 +66,7 @@ from typing import (
 )
 
 from repro.config.system import SystemConfig
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigError, WorkloadError
 from repro.experiments.runner import RunResult, run_experiment
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.suite import workload as lookup_workload
@@ -223,14 +224,23 @@ def _execute_task(task: CampaignTask) -> RunResult:
                           seed=task.seed, trace_out=trace_out)
 
 
+#: Errors that reject a task's input: raised the same way on every
+#: attempt, so a retry would only repeat them.
+_BAD_INPUT = (ConfigError, WorkloadError)
+
+
 def _attempt(runner: Callable[[CampaignTask], RunResult],
-             task: CampaignTask) -> Tuple[Optional[RunResult], Optional[str]]:
-    """Run ``task`` once: ``(result, None)``, or ``(None, repr(error))``
-    when it raised, for the driver to retry or report."""
+             task: CampaignTask) \
+        -> Tuple[Optional[RunResult], Optional[str], bool]:
+    """Run ``task`` once: ``(result, None, False)``, or ``(None,
+    repr(error), retryable)`` when it raised, for the driver to retry or
+    report. Bad input (:data:`_BAD_INPUT`) is not retryable."""
     try:
-        return runner(task), None
+        return runner(task), None, False
+    except _BAD_INPUT as error:
+        return None, repr(error), False
     except Exception as error:  # noqa: BLE001 - retried/reported by the driver
-        return None, repr(error)
+        return None, repr(error), True
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +434,7 @@ def _init_worker() -> None:
 def _run_pool(pending: Dict[str, CampaignTask], workers: int,
               runner: Callable[[CampaignTask], RunResult],
               record: Callable[[str, RunResult], None],
-              retry: Callable[[str, str], bool]) -> None:
+              retry: Callable[[str, str, bool], bool]) -> None:
     """Simulate ``pending`` on one process pool of ``workers``, in rounds.
 
     Each task is its own future, and at most one task per worker is in
@@ -433,10 +443,11 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
     ``retry`` runs for each finished task, so no worker waits on the
     driver's cache write, and a campaign killed part-way keeps every
     task that had finished. A task that raised, or whose worker died,
-    runs again in the next round while ``retry`` allows it. A dead
-    worker breaks the whole pool: the round submits nothing more, the
-    tasks it had not submitted carry over uncharged, and the next round
-    starts a new pool; otherwise one pool serves every round.
+    runs again in the next round while ``retry`` allows it (it never
+    does for bad input). A dead worker breaks the whole pool: the round
+    submits nothing more, the tasks it had not submitted carry over
+    uncharged, and the next round starts a new pool; otherwise one pool
+    serves every round.
 
     On Ctrl-C (SIGINT) nothing more is submitted: the tasks already
     running finish and are recorded, then ``KeyboardInterrupt`` is
@@ -462,13 +473,13 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
         nonlocal lost_worker
         key = running.pop(future)
         try:
-            result, detail = future.result()
+            result, detail, retryable = future.result()
         except Exception as error:  # noqa: BLE001 - charged per task
             lost_worker |= isinstance(error, BrokenProcessPool)
-            result, detail = None, repr(error)
+            result, detail, retryable = None, repr(error), True
         if detail is None:
             record(key, result)
-        elif retry(key, detail):
+        elif retry(key, detail, retryable):
             again.add(key)
 
     def on_sigint(signum: int, frame: object) -> None:
@@ -558,6 +569,8 @@ def run_campaign(
         Extra attempts per task after it raised or its worker died.
         Retries re-run the identical task (explicit seed), so a
         retried result is indistinguishable from a first-attempt one.
+        A task rejected as bad input (``ConfigError`` or
+        ``WorkloadError``) fails on its first attempt.
     progress:
         Optional callback, see :data:`ProgressFn`.
     strict:
@@ -621,12 +634,12 @@ def run_campaign(
                 outcome.store_errors += 1
         report(task.label, "simulated")
 
-    def retry(key: str, detail: str) -> bool:
+    def retry(key: str, detail: str, retryable: bool) -> bool:
         """Charge a failed attempt; return True if the task may run
         again, else record ``detail`` as its failure."""
         task = pending[key]
         attempts[key] += 1
-        if attempts[key] <= retries:
+        if retryable and attempts[key] <= retries:
             outcome.retried += 1
             report(task.label, "retried")
             return True
@@ -637,9 +650,9 @@ def run_campaign(
     workers = min(jobs, len(pending))
     if workers <= 1:
         for key, task in pending.items():
-            result, detail = _attempt(runner, task)
-            while detail is not None and retry(key, detail):
-                result, detail = _attempt(runner, task)
+            result, detail, retryable = _attempt(runner, task)
+            while detail is not None and retry(key, detail, retryable):
+                result, detail, retryable = _attempt(runner, task)
             if detail is None:
                 record(key, result)
     else:

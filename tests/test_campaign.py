@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.config.system import MIB, OBS_ONLY, SystemConfig
-from repro.errors import CampaignError, SimulationError
+from repro.errors import CampaignError, SimulationError, WorkloadError
 from repro.experiments.campaign import (
     CampaignTask,
     ResultCache,
@@ -121,6 +121,23 @@ def fail_first_attempt(task: CampaignTask) -> RunResult:
     return run_experiment(task.design, task.workload, config=task.config,
                           demands_per_core=task.demands_per_core,
                           seed=task.seed)
+
+
+def raise_for_no_cache(task: CampaignTask) -> RunResult:
+    """Runner whose ``no_cache`` tasks raise an error that is not bad
+    input (so it is retried); other tasks simulate. Module-level so it
+    pickles into pool workers."""
+    if task.design == "no_cache":
+        raise RuntimeError("worker error")
+    return run_experiment(task.design, task.workload, config=task.config,
+                          demands_per_core=task.demands_per_core,
+                          seed=task.seed)
+
+
+def raise_workload_error(task: CampaignTask) -> RunResult:
+    """Runner that rejects every task as a bad workload. Module-level so
+    it pickles into pool workers."""
+    raise WorkloadError(f"bad workload {task.workload.name}")
 
 
 def wait_for_the_others(task: CampaignTask) -> RunResult:
@@ -478,13 +495,37 @@ class TestCampaignExecution:
     def test_pool_recovers_from_worker_error(self, two_cpus):
         """A task that raises inside a pool worker is retried in the
         next round, and the other task's result stands."""
-        good = fast_tasks(designs=("tdram",), specs=("cg.C",))[0]
-        bad = CampaignTask(design="not_a_design", workload=workload("bfs.22"),
-                           config=FAST, demands_per_core=DEMANDS, seed=SEED)
-        outcome = run_campaign([good, bad], jobs=2, retries=1, strict=False)
+        good, bad = fast_tasks(designs=("tdram", "no_cache"),
+                               specs=("cg.C",))
+        outcome = run_campaign([good, bad], jobs=2, retries=1, strict=False,
+                               runner=raise_for_no_cache)
         assert outcome.results[0] is not None
         assert outcome.results[1] is None
         assert outcome.retried == 1 and len(outcome.failures) == 1
+        assert "RuntimeError" in outcome.failures[bad.key]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("error", ["ConfigError", "WorkloadError"])
+    def test_bad_input_fails_on_its_first_attempt(self, error, jobs,
+                                                  two_cpus):
+        """A ``ConfigError`` (here a zero work quantum) or a
+        ``WorkloadError`` from the runner fails the same way on every
+        attempt, so it is not retried, in process or in the pool."""
+        tasks = fast_tasks(designs=("tdram",))
+        kwargs = {}
+        if error == "ConfigError":
+            tasks = [dataclasses.replace(task, demands_per_core=0)
+                     for task in tasks]
+        else:
+            kwargs["runner"] = raise_workload_error
+        events = []
+        outcome = run_campaign(tasks, jobs=jobs, retries=2, strict=False,
+                               progress=lambda *args: events.append(args),
+                               **kwargs)
+        assert outcome.retried == 0
+        assert len(outcome.failures) == len(tasks)
+        assert all(error in f for f in outcome.failures.values())
+        assert [e[3] for e in events] == ["failed"] * len(tasks)
 
     def test_store_error_degrades_gracefully(self, tmp_path):
         task = fast_tasks(designs=("tdram",), specs=("cg.C",))[0]
