@@ -52,6 +52,23 @@ def test_rewrite_refuses_moved_digest_without_version_bump(tmp_path):
                                       "cells": {key: {"sha256": "new"}}}
 
 
+def test_rewrite_names_dropped_and_added_rows(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    kept = "tdram/bfs.22/ddr5/write_allocate"
+    dropped = "tdram/ft.D/ddr5/write_only"
+    added = "alloy/ft.D/ddr5/write_only"
+    golden_runs.rewrite({kept: {"sha256": "a"}, dropped: {"sha256": "b"}},
+                        path)
+    capsys.readouterr()
+    assert golden_runs.rewrite({kept: {"sha256": "a"},
+                                added: {"sha256": "b"}}, path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{dropped}: row dropped" in lines
+    assert f"{added}: row added" in lines
+    assert not any(kept in line for line in lines)
+    assert set(golden_runs.load(path)["cells"]) == {kept, added}
+
+
 def test_drift_names_the_moved_field():
     fields = {"runtime_ps": 1000, "miss_ratio": 0.5, "sim_events": 40,
               "events": {"probe_hit": 3}, "backend": {}}

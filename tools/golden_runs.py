@@ -27,7 +27,9 @@ Usage::
 Rewriting refuses to change any cell's digest unless
 ``repro.experiments.campaign.CACHE_VERSION`` is greater than the
 ``cache_version`` stored in the file, so a change to simulated results
-always comes with a result-cache invalidation.
+always comes with a result-cache invalidation. It prints one line per
+row it drops or adds, so a cell that leaves the table, or is renamed,
+is named.
 """
 
 from __future__ import annotations
@@ -137,13 +139,19 @@ def describe_drift(key: str, expected: Dict[str, object],
 def rewrite(fresh: Dict[str, Dict[str, object]],
             path: Path = GOLDEN_PATH) -> int:
     """Write ``fresh`` cells to ``path``; refuse (return 1) if a digest
-    moved and ``CACHE_VERSION`` is not past the file's version."""
+    moved and ``CACHE_VERSION`` is not past the file's version. Rows of
+    an existing file that ``fresh`` drops or adds are named, one line
+    each."""
     old: Dict[str, Dict[str, object]] = {}
     old_version = 0
     if path.exists():
         table = load(path)
         old = table["cells"]
         old_version = table["cache_version"]
+        for key in sorted(set(old) - set(fresh)):
+            print(f"{key}: row dropped")
+        for key in sorted(set(fresh) - set(old)):
+            print(f"{key}: row added")
     drift = [describe_drift(key, old[key], row)
              for key, row in fresh.items()
              if key in old and old[key]["sha256"] != row["sha256"]]
