@@ -234,8 +234,9 @@ class NoUnseededRandomness(Rule):
         "Module-level draws (random.random, np.random.rand) share hidden "
         "global state seeded from the OS, so two runs with the same seed "
         "diverge and the on-disk result cache silently serves results no "
-        "run can reproduce. Construct random.Random(seed) or "
-        "np.random.default_rng(seed) and thread it explicitly.")
+        "run can reproduce. Construct repro.sim.rng.Pcg64(seed), the "
+        "simulator's generator (bit-identical to numpy's "
+        "default_rng(seed)), and thread it explicitly.")
 
     #: Constructors that *are* the approved seeding mechanism — allowed
     #: only when given an explicit seed/bit-generator argument.

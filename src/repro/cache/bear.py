@@ -9,14 +9,13 @@ which is why BEAR lands between Alloy and TDRAM in Figures 3/9-13.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cache.cascade_lake import CascadeLakeCache
 from repro.cache.controller import CacheOp, OpKind
 from repro.cache.request import DemandRequest, Op
 from repro.config.system import SystemConfig
 from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator
+from repro.sim.rng import Pcg64
 
 
 class BearCache(CascadeLakeCache):
@@ -33,7 +32,7 @@ class BearCache(CascadeLakeCache):
     def __init__(self, sim: Simulator, config: SystemConfig,
                  main_memory: MainMemory) -> None:
         super().__init__(sim, config, main_memory)
-        self._bypass_rng = np.random.default_rng(0xBEA12)
+        self._bypass_rng = Pcg64(0xBEA12)
 
     def _skip_fill(self) -> bool:
         """Bandwidth-Aware Bypass: skip a seeded share of the fills."""

@@ -25,9 +25,11 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
+    Protocol,
     Tuple,
 )
 
@@ -79,6 +81,15 @@ _MISS_DIRTY = Outcome.MISS_DIRTY
 _new_tuple: Callable[..., Any] = tuple.__new__
 
 
+class DirtyFlags(Protocol):
+    """The dirty flags of a bulk install, read by index or in order: a
+    list, or a lazy view such as :class:`repro.sim.rng.BernoulliView`."""
+
+    def __getitem__(self, index: int) -> bool: ...
+
+    def __iter__(self) -> Iterator[bool]: ...
+
+
 class TagStore:
     """Tag/metadata array composing an organization and a policy."""
 
@@ -106,7 +117,7 @@ class TagStore:
         #: ``_sets`` hold one line ``_Line(idx, _lazy_dirty[idx])`` that is
         #: materialised on first touch (see ``bulk_install``)
         self._lazy_n = 0
-        self._lazy_dirty: Optional[List[bool]] = None
+        self._lazy_dirty: Optional[DirtyFlags] = None
 
     def set_index(self, block: int) -> int:
         """The set ``block`` maps to."""
@@ -138,8 +149,9 @@ class TagStore:
 
     def _materialize(self, idx: int) -> List[_Line]:
         """First touch of a set: realise its lazy prewarm line (if any)."""
-        if idx < self._lazy_n:
-            lines = [_Line(idx, bool(self._lazy_dirty[idx]))]
+        dirty = self._lazy_dirty
+        if dirty is not None and idx < self._lazy_n:
+            lines = [_Line(idx, bool(dirty[idx]))]
         else:
             lines = []
         self._sets[idx] = lines
@@ -148,7 +160,7 @@ class TagStore:
     def _materialize_all(self) -> None:
         """Realise every remaining lazy prewarm line (whole-store walks)."""
         n, dirty = self._lazy_n, self._lazy_dirty
-        if not n:
+        if not n or dirty is None:
             return
         self._lazy_n, self._lazy_dirty = 0, None
         sets = self._sets
@@ -228,7 +240,7 @@ class TagStore:
         return evicted
 
     def bulk_install(self, blocks: Iterable[int],
-                     dirty_flags: Iterable[bool]) -> None:
+                     dirty_flags: DirtyFlags) -> None:
         """Fast-path warm-up: install many lines without recency churn.
 
         Used to emulate the paper's warmed checkpoints (§IV-B): the
@@ -237,12 +249,6 @@ class TagStore:
         arrival order (policies still see install/evict/dirty hooks, so
         residency mirrors stay exact).
         """
-        # Numpy arrays convert to native lists once up front; the loop
-        # below then runs on plain ints (cheaper hashing and compares).
-        if hasattr(blocks, "tolist"):
-            blocks = blocks.tolist()
-        if hasattr(dirty_flags, "tolist"):
-            dirty_flags = dirty_flags.tolist()
         sets = self._sets
         mod = self._mod_sets
         org = self.organization
@@ -257,9 +263,10 @@ class TagStore:
             # (block % num_sets == block), so instead of allocating a
             # line per block we record the range and materialise each
             # set on first touch — a short run over a large resident set
-            # only ever realises the sets it actually probes. Policies
-            # that mirror residency need every install surfaced, so
-            # they take the general path below.
+            # only ever realises the sets it actually probes, and reads
+            # only their flags (a lazy view computes just those).
+            # Policies that mirror residency need every install
+            # surfaced, so they take the general path below.
             self._lazy_n = len(blocks)
             self._lazy_dirty = dirty_flags
             return

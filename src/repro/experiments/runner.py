@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Union
 
-import numpy as np
-
 from repro.cache import DESIGNS
 from repro.cache.no_cache import NoCacheSystem
 from repro.config.system import SystemConfig
@@ -20,6 +18,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.frontend.core_model import build_cores
 from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator, ns, to_ns
+from repro.sim.rng import Pcg64
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.suite import demand_stream, workload as lookup_workload
 
@@ -30,15 +29,11 @@ _STALL_CHUNKS = 50
 
 
 def _pythonify(value):
-    """Recursively convert numpy scalars/arrays to builtin types."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_pythonify(v) for v in value.tolist()]
+    """Recursively convert array-library scalars and arrays (anything
+    with a ``tolist()``, as numpy's have) to builtin types."""
+    tolist = getattr(value, "tolist", None)
+    if tolist is not None:
+        return _pythonify(tolist())
     if isinstance(value, dict):
         return {_pythonify(k): _pythonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -103,11 +98,12 @@ class RunResult:
     def coerce_builtin(self) -> "RunResult":
         """Coerce every field (recursively) to builtin Python types.
 
-        Metrics computed with numpy leak ``np.float64``/``np.int64``
-        scalars into result fields; they bloat/break JSON export and
-        must not be relied on to pickle across the campaign process
-        pool. Called at construction and again by the runner after the
-        design-specific extras are filled in.
+        Metrics computed by a caller with numpy can leak
+        ``np.float64``/``np.int64`` scalars into result fields; they
+        bloat/break JSON export and must not be relied on to pickle
+        across the campaign process pool. Called at construction and
+        again by the runner after the design-specific extras are filled
+        in.
         """
         for spec in fields(self):
             setattr(self, spec.name, _pythonify(getattr(self, spec.name)))
@@ -331,7 +327,9 @@ def _prewarm(sink, spec: WorkloadSpec, config: SystemConfig, seed: int,
     blocks reproduces the steady state: fitting workloads become fully
     resident, over-sized ones leave the cold tail to conflict as usual.
     Trace replays pass their own ``blocks`` (the trace's resident set).
-    Lines are dirtied with the workload's write probability.
+    Lines are dirtied with the workload's write probability; the dirty
+    flags are a lazy view of the seeded stream, so a store that
+    materialises only the sets a run touches draws only their flags.
     """
     tags = getattr(sink, "tags", None)
     if tags is None:
@@ -339,12 +337,12 @@ def _prewarm(sink, spec: WorkloadSpec, config: SystemConfig, seed: int,
     if blocks is None:
         footprint = spec.footprint_blocks(config)
         blocks = range(min(footprint, tags.num_frames))
-    rng = np.random.default_rng(seed ^ 0x5EED)
     # Steady-state dirtiness is well below the write fraction: fills are
     # clean and rewrites re-dirty the same hot lines, so misses landing
     # on dirty victims stay rare (§II-B: "write demands that miss to a
     # dirty line are very rare").
-    dirty = rng.random(len(blocks)) < 0.3 * (1.0 - spec.read_fraction)
+    dirty = Pcg64(seed ^ 0x5EED).bernoulli(
+        len(blocks), 0.3 * (1.0 - spec.read_fraction))
     tags.bulk_install(blocks, dirty)
 
 

@@ -21,12 +21,11 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-import numpy as np
-
 from repro.cache.request import Op
 from repro.config.system import GIB, SystemConfig
 from repro.errors import WorkloadError
 from repro.sim.kernel import ns
+from repro.sim.rng import Pcg64
 
 #: One generated demand: (gap_ps before issue, op, block address, pc)
 DemandRecord = Tuple[int, Op, int, int]
@@ -91,32 +90,33 @@ def mixture_stream(
     (streaming sweeps, large matrices). Both components walk
     sequentially in runs of geometric length ``sequential_run``.
     """
-    rng = np.random.default_rng((seed * 1_000_003 + core_id) & 0x7FFFFFFF)
+    rng = Pcg64((seed * 1_000_003 + core_id) & 0x7FFFFFFF)
     footprint = spec.footprint_blocks(config)
     hot_blocks = max(16, int(footprint * spec.hot_fraction))
     # Cold region: each core scans its own partition to model the
     # partitioned parallel loops of OpenMP kernels.
     cold_span = max(16, footprint // cores)
     cold_base = (core_id * cold_span) % footprint
-    hot_cursor = int(rng.integers(hot_blocks))
-    cold_cursor = int(rng.integers(cold_span))
+    random, integers, exponential = rng.random, rng.integers, rng.exponential
+    hot_cursor = integers(hot_blocks)
+    cold_cursor = integers(cold_span)
     run_continue = 1.0 - 1.0 / spec.sequential_run
     mean_gap_ps = ns(spec.mean_gap_ns)
     while True:
-        in_hot = rng.random() < spec.hot_probability
+        in_hot = random() < spec.hot_probability
         if in_hot:
-            if rng.random() >= run_continue:
-                hot_cursor = int(rng.integers(hot_blocks))
+            if random() >= run_continue:
+                hot_cursor = integers(hot_blocks)
             else:
                 hot_cursor = (hot_cursor + 1) % hot_blocks
             block = hot_cursor
         else:
-            if rng.random() >= run_continue:
-                cold_cursor = int(rng.integers(cold_span))
+            if random() >= run_continue:
+                cold_cursor = integers(cold_span)
             else:
                 cold_cursor = (cold_cursor + 1) % cold_span
             block = (cold_base + cold_cursor) % footprint
-        op = Op.READ if rng.random() < spec.read_fraction else Op.WRITE
-        gap = int(rng.exponential(mean_gap_ps)) if mean_gap_ps > 0 else 0
-        pc = int(rng.integers(spec.pc_count)) * 64 + (0 if in_hot else 8)
+        op = Op.READ if random() < spec.read_fraction else Op.WRITE
+        gap = int(exponential(mean_gap_ps)) if mean_gap_ps > 0 else 0
+        pc = integers(spec.pc_count) * 64 + (0 if in_hot else 8)
         yield gap, op, block, pc

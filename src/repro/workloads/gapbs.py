@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List
 
-import numpy as np
-
 from repro.cache.request import Op
 from repro.config.system import GIB, SystemConfig
 from repro.errors import WorkloadError
 from repro.sim.kernel import ns
+from repro.sim.rng import Pcg64
 from repro.workloads.base import DemandRecord, MissClass, WorkloadSpec
 
 GAPBS_KERNELS = ("bc", "bfs", "cc", "pr", "sssp", "tc")
@@ -88,36 +87,37 @@ def gapbs_stream(spec: WorkloadSpec, config: SystemConfig, core_id: int,
     """Per-core CSR traversal stream for a GAPBS workload."""
     write_frac, gather_per_edges, scan_weight, gap_ns_mean = _SIGNATURES[spec.kernel]
     gap_ns_mean = spec.mean_gap_ns
-    rng = np.random.default_rng((seed * 32_452_843 + core_id) & 0x7FFFFFFF)
+    rng = Pcg64((seed * 32_452_843 + core_id) & 0x7FFFFFFF)
     footprint = spec.footprint_blocks(config)
     vertex_span = max(64, footprint // 5)        # offsets + properties
     edge_base = vertex_span
     edge_span = max(64, footprint - vertex_span)
+    random, integers, exponential = rng.random, rng.integers, rng.exponential
     gap_ps = ns(gap_ns_mean)
-    edge_cursor = int(rng.integers(edge_span))
+    edge_cursor = integers(edge_span)
     while True:
         # Visit a vertex: offsets + its property (vertex region, reused).
-        vertex = int(rng.integers(vertex_span))
-        yield int(rng.exponential(gap_ps)), Op.READ, vertex, 0
+        vertex = integers(vertex_span)
+        yield int(exponential(gap_ps)), Op.READ, vertex, 0
         # Stream this vertex's adjacency list: power-law degree. Edge
         # traffic dominates graph kernels (the CSR edge array is several
         # times the vertex data), so most post-LLC accesses land there.
         degree = min(512, int(rng.pareto(1.4)) + 8)
         edge_blocks = max(2, degree // 4)
-        if rng.random() < scan_weight:
-            edge_cursor = int(rng.integers(edge_span))
+        if random() < scan_weight:
+            edge_cursor = integers(edge_span)
         for i in range(edge_blocks):
             block = edge_base + (edge_cursor + i) % edge_span
-            yield int(rng.exponential(gap_ps)), Op.READ, block, 8
+            yield int(exponential(gap_ps)), Op.READ, block, 8
             # Gather neighbour properties: the random part (but the
             # property arrays are mostly cache-resident).
             if i % 4 == 0:
                 for _ in range(gather_per_edges):
-                    neighbour = int(rng.integers(vertex_span))
-                    if rng.random() < write_frac:
-                        yield (int(rng.exponential(gap_ps)), Op.WRITE,
+                    neighbour = integers(vertex_span)
+                    if random() < write_frac:
+                        yield (int(exponential(gap_ps)), Op.WRITE,
                                neighbour, 16)
                     else:
-                        yield (int(rng.exponential(gap_ps)), Op.READ,
+                        yield (int(exponential(gap_ps)), Op.READ,
                                neighbour, 16)
         edge_cursor = (edge_cursor + edge_blocks) % edge_span

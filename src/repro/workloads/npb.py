@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List
 
-import numpy as np
-
 from repro.cache.request import Op
 from repro.config.system import GIB, MIB, SystemConfig
 from repro.errors import WorkloadError
 from repro.sim.kernel import ns
+from repro.sim.rng import Pcg64
 from repro.workloads.base import DemandRecord, MissClass, WorkloadSpec, mixture_stream
 
 NPB_KERNELS = ("bt", "cg", "ft", "is", "lu", "mg", "sp", "ua")
@@ -112,68 +111,71 @@ def ft_stream(spec: WorkloadSpec, config: SystemConfig, core_id: int,
     plane-sized stride, defeating both spatial and temporal locality —
     the write-miss-clean traffic that Figures 3/13 highlight.
     """
-    rng = np.random.default_rng((seed * 7_368_787 + core_id) & 0x7FFFFFFF)
+    rng = Pcg64((seed * 7_368_787 + core_id) & 0x7FFFFFFF)
     footprint = spec.footprint_blocks(config)
     span = max(64, footprint // cores)
     base = (core_id * span) % footprint
     stride = max(64, footprint // 512)  # plane-sized transpose stride
+    integers, exponential = rng.integers, rng.exponential
     cursor = 0
-    write_cursor = int(rng.integers(footprint))
+    write_cursor = integers(footprint)
     gap_ps = ns(spec.mean_gap_ns)
     while True:
         # A run of sequential reads from this core's pencil...
-        run = int(rng.geometric(1.0 / spec.sequential_run))
+        run = rng.geometric(1.0 / spec.sequential_run)
         for _ in range(max(1, run)):
             block = (base + cursor) % footprint
             cursor = (cursor + 1) % span
             pc = 0
-            yield int(rng.exponential(gap_ps)), Op.READ, block, pc
+            yield int(exponential(gap_ps)), Op.READ, block, pc
         # ...then the transposed writes land a stride apart.
         writes = max(1, int(run * (1.0 - spec.read_fraction) /
                             max(spec.read_fraction, 0.05)))
         for _ in range(writes):
-            write_cursor = (write_cursor + stride + int(rng.integers(8))) % footprint
-            yield int(rng.exponential(gap_ps)), Op.WRITE, write_cursor, 64
+            write_cursor = (write_cursor + stride + integers(8)) % footprint
+            yield int(exponential(gap_ps)), Op.WRITE, write_cursor, 64
 
 
 def is_stream(spec: WorkloadSpec, config: SystemConfig, core_id: int,
               cores: int, seed: int) -> Iterator[DemandRecord]:
     """IS: sequential key reads + uniformly random bucket scatters."""
-    rng = np.random.default_rng((seed * 9_999_991 + core_id) & 0x7FFFFFFF)
+    rng = Pcg64((seed * 9_999_991 + core_id) & 0x7FFFFFFF)
     footprint = spec.footprint_blocks(config)
     keys_span = max(64, footprint // (2 * cores))
     keys_base = (core_id * keys_span) % footprint
     bucket_base = footprint // 2
     bucket_span = max(64, footprint - bucket_base)
+    random, integers, exponential = rng.random, rng.integers, rng.exponential
     cursor = 0
     gap_ps = ns(spec.mean_gap_ns)
     while True:
         block = (keys_base + cursor) % max(1, footprint // 2)
         cursor = (cursor + 1) % keys_span
-        yield int(rng.exponential(gap_ps)), Op.READ, block, 0
-        if rng.random() < (1.0 - spec.read_fraction) / max(spec.read_fraction, 0.05):
-            scatter = bucket_base + int(rng.integers(bucket_span))
-            yield int(rng.exponential(gap_ps)), Op.WRITE, scatter, 64
+        yield int(exponential(gap_ps)), Op.READ, block, 0
+        if random() < (1.0 - spec.read_fraction) / max(spec.read_fraction, 0.05):
+            scatter = bucket_base + integers(bucket_span)
+            yield int(exponential(gap_ps)), Op.WRITE, scatter, 64
 
 
 def cg_stream(spec: WorkloadSpec, config: SystemConfig, core_id: int,
               cores: int, seed: int) -> Iterator[DemandRecord]:
     """CG: hot vector traffic + random gathers over the sparse matrix."""
-    rng = np.random.default_rng((seed * 15_485_863 + core_id) & 0x7FFFFFFF)
+    rng = Pcg64((seed * 15_485_863 + core_id) & 0x7FFFFFFF)
     footprint = spec.footprint_blocks(config)
     vector_span = max(64, int(footprint * spec.hot_fraction))
     matrix_span = max(64, footprint - vector_span)
-    cursor = int(rng.integers(vector_span))
+    random, integers, exponential = rng.random, rng.integers, rng.exponential
+    cursor = integers(vector_span)
     gap_ps = ns(spec.mean_gap_ns)
     while True:
-        roll = rng.random()
+        roll = random()
         if roll < spec.hot_probability:
             cursor = (cursor + 1) % vector_span
-            op = Op.READ if rng.random() < 0.8 else Op.WRITE
-            yield int(rng.exponential(gap_ps)), op, cursor, 0
+            op = Op.READ if random() < 0.8 else Op.WRITE
+            yield int(exponential(gap_ps)), op, cursor, 0
         else:
-            gather = vector_span + int(rng.integers(matrix_span))
-            yield int(rng.exponential(gap_ps)), Op.READ, gather % footprint, 64
+            gather = vector_span + integers(matrix_span)
+            yield int(exponential(gap_ps)), Op.READ, gather % footprint, 64
 
 
 _KERNEL_STREAMS = {

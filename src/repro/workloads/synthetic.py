@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.cache.request import Op
 from repro.config.system import GIB, SystemConfig
 from repro.sim.kernel import ns

@@ -1,5 +1,11 @@
 """Integration tests: full simulations through the experiment runner."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.cache import DESIGNS
@@ -132,3 +138,39 @@ class TestRunnerMechanics:
         result = run_experiment("ideal", "lu.C", FAST, demands_per_core=100,
                                 seed=2)
         assert result.speedup_over(result) == 1.0
+
+
+#: run in a fresh interpreter in which ``import numpy`` fails
+_WITHOUT_NUMPY = textwrap.dedent("""
+    import sys
+    sys.modules["numpy"] = None
+    import repro.experiments.campaign
+    from repro.cache import DESIGNS
+    from repro.config.system import MIB, SystemConfig
+    from repro.experiments.runner import run_experiment, run_trace_experiment
+    from repro.workloads import capture_trace, demand_stream, workload
+
+    config = SystemConfig(cache_capacity_bytes=4 * MIB,
+                          mm_capacity_bytes=64 * MIB, cores=4)
+    for design in sorted(DESIGNS):
+        run_experiment(design, "ft.D", config, demands_per_core=30, seed=3)
+    path = sys.argv[1]
+    capture_trace(path, demand_stream(workload("cg.C"), config, 0,
+                                      config.cores, seed=5), 500)
+    run_trace_experiment("tdram", path, config, demands_per_core=30, seed=3)
+""")
+
+
+def test_simulations_need_no_numpy(tmp_path):
+    """numpy is a test dependency only. With ``import numpy`` failing,
+    every design runs ft.D and a trace replays: the lazy prewarm,
+    BEAR's bypass draws, and the eager prewarm of gemini_hybrid, tictoc
+    and the replay."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "cg.trace")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
