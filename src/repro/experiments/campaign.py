@@ -553,7 +553,9 @@ def run_campaign(
     Parameters
     ----------
     jobs:
-        Worker processes. Values above ``os.cpu_count()`` are clamped:
+        Worker processes, at least 1; a smaller value raises
+        :class:`~repro.errors.ConfigError` before any task runs.
+        Values above ``os.cpu_count()`` are clamped:
         oversubscribed workers only add pickling and context-switch
         cost, they cannot add parallelism. The pool gets at most one
         worker per task left after the cache pass; with one worker or
@@ -566,7 +568,8 @@ def run_campaign(
         A failing write (disk full) is counted in
         ``outcome.store_errors``, and the in-memory result stands.
     retries:
-        Extra attempts per task after it raised or its worker died.
+        Extra attempts per task after it raised or its worker died;
+        non-negative, like ``jobs`` checked before any task runs.
         Retries re-run the identical task (explicit seed), so a
         retried result is indistinguishable from a first-attempt one.
         A task rejected as bad input (``ConfigError`` or
@@ -582,8 +585,12 @@ def run_campaign(
         Task executor (module-level for process pools); injectable for
         tests.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    if retries < 0:
+        raise ConfigError(f"retries must be non-negative, got {retries}")
     tasks = list(tasks)
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = min(jobs, os.cpu_count() or 1)
     start = time.monotonic()
     outcome = CampaignOutcome(results=[None] * len(tasks), by_key={},
                               jobs=jobs)

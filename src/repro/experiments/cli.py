@@ -134,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="work quantum per core (default 600)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for simulation batches "
-                             "(default 1 = serial)")
+                        help="worker processes for simulation batches, "
+                             "at least 1 (default 1 = serial)")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk result cache directory (default "
                              "$TDRAM_CACHE_DIR or .tdram_cache)")
@@ -153,7 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "representative suite)")
     parser.add_argument("--retries", type=int, default=2,
                         help="campaign: extra attempts per task that "
-                             "raised or lost its worker (default 2)")
+                             "raised or lost its worker, at least 0 "
+                             "(default 2)")
     parser.add_argument("--out", default=None,
                         help="campaign: write all RunResults to this JSON "
                              "file; trace: output path (default trace.json)")

@@ -77,7 +77,8 @@ class RunResult:
     flush_unloads: Dict[str, int] = field(default_factory=dict)
     writebacks: int = 0
     events: Dict[str, int] = field(default_factory=dict)
-    #: kernel events dispatched over the whole run (incl. warm-up) —
+    #: kernel events dispatched over the whole run (incl. warm-up),
+    #: counted as logical events (a batch of n folded wakes counts n) —
     #: the simulator-throughput denominator for events/sec benchmarks
     sim_events: int = 0
     #: always empty; kept because the e2e golden digests hash it

@@ -8,7 +8,10 @@ simulator's components, the runner and the tests call, and shares none
 of its code, so the equivalence tests in ``tests/test_sim_kernel.py``
 (random op streams, and whole runs with it swapped in for the runner's
 ``Simulator``) compare the production time-slot queue against an
-independent implementation.
+independent implementation. Its :meth:`~HeapSimulator.wake` pushes
+``count`` plain events, so the reference never folds wakes and every
+batch the production queue dispatches is checked against the wakes it
+stands for.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class HeapSimulator:
         self._live += 1
         heappush(self._heap, handle)
         return handle
+
+    def wake(self, time: int, callback: Callable, count: int = 1) -> None:
+        for _ in range(count):
+            self.at(time, callback)
 
     def schedule(self, delay: int, callback: Callable, *args: object) -> list:
         if delay < 0:

@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.config.system import MIB, OBS_ONLY, SystemConfig
-from repro.errors import CampaignError, SimulationError, WorkloadError
+from repro.errors import (CampaignError, ConfigError, SimulationError,
+                          WorkloadError)
 from repro.experiments.campaign import (
     CampaignTask,
     ResultCache,
@@ -491,6 +492,28 @@ class TestCampaignExecution:
         tasks = fast_tasks(designs=("tdram",), specs=("cg.C",))
         outcome = run_campaign(tasks, jobs=64)
         assert outcome.simulated == len(tasks)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_any_task(self, jobs, tmp_path):
+        """A ``jobs`` below 1 is bad input, not a request for a serial
+        run: it fails, naming the value, before any task runs or any
+        cache entry is read."""
+        ran = []
+        cache = ResultCache(tmp_path)
+        run_campaign(fast_tasks(), jobs=1, cache=cache)
+        with pytest.raises(ConfigError,
+                           match=f"jobs must be at least 1, got {jobs}$"):
+            run_campaign(fast_tasks(), jobs=jobs, cache=cache,
+                         runner=ran.append)
+        assert ran == [] and cache.corrupt == 0
+
+    def test_negative_retries_rejected_before_any_task(self):
+        ran = []
+        with pytest.raises(ConfigError,
+                           match="retries must be non-negative, got -1$"):
+            run_campaign(fast_tasks(), jobs=1, retries=-1,
+                         runner=ran.append)
+        assert ran == []
 
     def test_pool_recovers_from_worker_error(self, two_cpus):
         """A task that raises inside a pool worker is retried in the

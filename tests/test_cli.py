@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,27 @@ class TestCli:
             main(["fig9", "--demands", "-5", "--workloads", "bfs.22",
                   "--no-cache"])
 
+    def test_figure_rejects_zero_jobs(self):
+        with pytest.raises(ConfigError, match="jobs must be at least 1, got 0"):
+            main(["fig9", "--jobs", "0", "--demands", "20",
+                  "--workloads", "bfs.22", "--no-cache"])
+
+    def test_zero_jobs_fails_the_command(self):
+        """The ``tdram-repro`` process itself exits non-zero and says
+        what to change."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH", "")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", "fig9",
+             "--jobs", "0", "--demands", "20", "--workloads", "bfs.22",
+             "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "jobs must be at least 1, got 0" in proc.stderr
+        assert proc.stdout == ""
+
     def test_design_table_matches_registry(self):
         from repro.cache import DESIGNS
         from repro.experiments.cli import _DESIGN_SUMMARIES
@@ -115,6 +138,19 @@ class TestCampaignCli:
         capsys.readouterr()
         assert main(argv) == 0
         assert "simulated=2" in capsys.readouterr().out
+
+    def test_campaign_rejects_negative_jobs(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(ConfigError, match="jobs must be at least 1, got -1"):
+            main(self.ARGS + ["--jobs", "-1", "--cache-dir", str(cache_dir)])
+        assert cache_entries(cache_dir) == []
+
+    def test_campaign_rejects_negative_retries(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(ConfigError,
+                           match="retries must be non-negative, got -1"):
+            main(self.ARGS + ["--retries", "-1", "--cache-dir", str(cache_dir)])
+        assert cache_entries(cache_dir) == []
 
     def test_campaign_no_cache_writes_nothing(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -23,6 +23,7 @@ from repro.dram.timing import hbm3_cache_timing, rldram_like_tag_timing
 from repro.errors import CapacityError
 from repro.memory.main_memory import MainMemory, _Request
 from repro.sim.kernel import Simulator, ns
+from tests.heap_reference import HeapSimulator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -248,6 +249,51 @@ def test_ready_read_arriving_at_blocked_instant_issues_then():
     assert scheduler.channel.banks[1].open_row == 5
 
 
+def batched_wakes_log(make_sim, probes):
+    """What a DDR5 channel scheduler blocked at t=0 does with three
+    wakes queued at that instant (the pattern orphaned wakes make),
+    under the kernel ``make_sim``. With ``probes`` None it has no
+    blocked work; otherwise its blocked work is logged, and the calls
+    numbered in ``probes`` bump ``channel.version`` as a TDRAM probe
+    does."""
+    sim = make_sim()
+    config = SystemConfig(cache_capacity_bytes=1 * MIB,
+                          mm_capacity_bytes=16 * MIB)
+    memory = MainMemory(sim, config.mm_timing, config.mm_geometry())
+    scheduler = memory._schedulers[0]
+    channel = scheduler.channel
+    log = []
+    if probes is not None:
+        def work(now):
+            log.append(("work", now, channel.version))
+            if len(log) in probes:
+                channel.version += 1
+
+        scheduler.blocked_work = work
+    channel.banks[0].block_until(ns(100))
+    scheduler.push_read(ddr5_request(0, 0))
+    sim.wake(0, scheduler._wake, 3)
+    for until in (ns(50), ns(300)):
+        dispatched = sim.run(until=until)
+        log.append((until, dispatched, sim.pending(), scheduler._wake_at,
+                    len(scheduler.read_q), channel.banks[0].open_row))
+    return log
+
+
+@pytest.mark.parametrize("probes", [None, set(), {2}, {2, 3}],
+                         ids=["no-work", "work", "probe-2", "probe-2-3"])
+def test_batched_wakes_match_unfolded_wakes(probes):
+    """``_on_wake`` given a batch does what the same wakes do one at a
+    time under the reference heap, which never folds: with no blocked
+    work it folds the re-arms, with blocked work it runs every wake,
+    and a probe makes the next wake decide again."""
+    log = batched_wakes_log(Simulator, probes)
+    assert log == batched_wakes_log(HeapSimulator, probes)
+    # The push's decision, then one call per wake.
+    works = [entry for entry in log if entry[0] == "work"]
+    assert len(works) == (0 if probes is None else 4)
+
+
 def full_decision(scheduler, now):
     """The blocked-or-issue decision ``_try_issue`` makes without reuse:
     ``(queue, op, earliest issue time)``, or None on empty queues."""
@@ -285,7 +331,9 @@ def test_reused_decisions_match_full_decision(cell, monkeypatch):
     find the blocked decision current, and ``_on_wake`` re-arms it
     without entering ``_try_issue``; every other poll, from a wake or a
     kick, decides in ``_try_issue``. Both are shadowed, so each poll is
-    seen once, whichever method makes it."""
+    seen once, whichever method makes it. The kernel may hand
+    ``_on_wake`` a batch of folded wakes; the shadow passes them to the
+    original one at a time, in order, so polls are counted per wake."""
     original_try_issue = ChannelScheduler._try_issue
     original_on_wake = ChannelScheduler._on_wake
     decided = {}
@@ -296,13 +344,14 @@ def test_reused_decisions_match_full_decision(cell, monkeypatch):
         return memo is not None and memo[:2] == (scheduler.sim.now,
                                                  scheduler.channel.version)
 
-    def shadowed_on_wake(scheduler):
-        if memo_is_current(scheduler):  # re-armed without _try_issue
-            counts["polls"] += 1
-            counts["reused"] += 1
-            now = scheduler.sim.now
-            assert full_decision(scheduler, now) == decided[scheduler]
-        original_on_wake(scheduler)
+    def shadowed_on_wake(scheduler, count=1):
+        for _ in range(count):
+            if memo_is_current(scheduler):  # re-armed without _try_issue
+                counts["polls"] += 1
+                counts["reused"] += 1
+                now = scheduler.sim.now
+                assert full_decision(scheduler, now) == decided[scheduler]
+            original_on_wake(scheduler)
 
     def shadowed_try_issue(scheduler):
         now = scheduler.sim.now

@@ -10,6 +10,7 @@ from repro.errors import SimulationError
 from repro.experiments import runner
 from repro.experiments.runner import run_experiment
 from repro.sim.kernel import PS_PER_NS, Simulator, ns, to_ns
+from repro.workloads.suite import any_workload
 from tests.heap_reference import HeapSimulator
 
 
@@ -374,11 +375,259 @@ def test_split_runs_match_reference_heap_exactly(seed):
             == _run_script(HeapSimulator, seed, _DENSE_DELAYS, split=True))
 
 
+def _run_wake_script(make_sim, seed: int, split: bool = False,
+                     batches=None):
+    """Drive one simulator through a seeded random stream of wakes
+    mixed with events and cancels, on the dense delays.
+
+    Three wake callbacks take the number of wakes they stand for (always
+    1 under the reference heap, which never folds) and do the work of
+    that many wakes in order, so both queues see the same logical wakes
+    and the same RNG draws. Each wake or event may schedule an event or
+    a run of wakes of one callback (one ``wake`` call with ``count`` up
+    to 3, or up to three calls in a row), or cancel a live event. With
+    ``split``, runs end at random ``max_events`` limits (often inside a
+    batch), ``until`` bounds and ``stop()`` calls from events; a stop
+    from a batch would raise. Each callback's ``count`` is appended to
+    ``batches`` when given. Returns the trace as :func:`_run_script`
+    does, wakes logged per wake.
+    """
+    import random
+
+    rng = random.Random(seed)
+    sim = make_sim()
+    trace = []
+    live = []
+    budget = [200]
+
+    def act(tag):
+        trace.append((sim.now, tag))
+        roll = rng.random()
+        if roll < 0.6 and budget[0] > 0:
+            budget[0] -= 1
+            spawn()
+        if roll > 0.8 and live:
+            sim.cancel(live.pop(rng.randrange(len(live))))
+        return roll
+
+    def fire(event_id):
+        if act(event_id) < 0.05 and split:
+            sim.stop()
+
+    def waker(name):
+        def woke(count=1):
+            if batches is not None:
+                batches.append(count)
+            for _ in range(count):
+                act(name)
+        return woke
+
+    wakers = [waker(name) for name in ("w0", "w1", "w2")]
+
+    def spawn():
+        delay = rng.choice(_DENSE_DELAYS)
+        if rng.random() < 0.4:
+            live.append(sim.schedule(delay, fire, budget[0]))
+            return
+        callback = rng.choice(wakers)
+        if rng.random() < 0.5:
+            sim.wake(sim.now + delay, callback, rng.choice((1, 2, 3)))
+        else:
+            for _ in range(rng.choice((1, 2, 3))):
+                sim.wake(sim.now + delay, callback)
+
+    for _ in range(40):
+        budget[0] -= 1
+        spawn()
+    if not split:
+        trace.append(("run", sim.run(), sim.now, sim.pending()))
+        return trace
+    while sim.pending():
+        until = sim.now + rng.choice(_DENSE_DELAYS) if rng.random() < 0.3 else None
+        dispatched = sim.run(until=until, max_events=rng.randrange(8))
+        trace.append(("run", dispatched, sim.now, sim.pending()))
+    return trace
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([False, True]))
+def test_folded_wakes_match_reference_heap_exactly(seed, split):
+    """Wakes folded into batches dispatch, count and split exactly like
+    the reference heap's unfolded wakes, whole runs and runs cut short
+    inside a batch alike."""
+    assert (_run_wake_script(Simulator, seed, split)
+            == _run_wake_script(HeapSimulator, seed, split))
+
+
+def test_wake_stream_makes_batches():
+    """The fold stream above does fold: some of its callbacks run a
+    batch, whole and split by a limit."""
+    for split in (False, True):
+        batches = []
+        _run_wake_script(Simulator, 3, split, batches)
+        assert max(batches) > 1 and batches.count(1) > 0
+
+
+class TestFoldedWakes:
+    """The kernel's fold contract for :meth:`Simulator.wake`."""
+
+    @staticmethod
+    def waker(sim, calls, then=None):
+        def woke(count=1):
+            calls.append((sim.now, count))
+            if then is not None:
+                then()
+        return woke
+
+    def test_two_wakes_at_one_instant_make_one_batch(self):
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls)
+        sim.wake(5, woke)
+        sim.wake(5, woke)
+        assert sim.pending() == 2
+        assert sim.run() == 2
+        assert calls == [(5, 2)]
+
+    def test_count_folds_like_repeated_wakes(self):
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls)
+        sim.wake(5, woke, 3)
+        sim.wake(5, woke)
+        sim.wake(7, woke, 2)
+        assert sim.pending() == 6
+        assert sim.run() == 6
+        assert calls == [(5, 4), (7, 2)]
+
+    def test_single_wake_runs_without_a_count(self):
+        sim = Simulator()
+        seen = []
+        sim.wake(5, lambda *args: seen.append(args))
+        assert sim.run() == 1
+        assert seen == [()]
+
+    def test_event_between_wakes_stops_the_fold(self):
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls)
+        sim.wake(5, woke)
+        sim.at(5, lambda: calls.append("event"))
+        sim.wake(5, woke)
+        assert sim.run() == 3
+        assert calls == [(5, 1), "event", (5, 1)]
+
+    def test_wakes_of_two_callbacks_do_not_fold(self):
+        sim = Simulator()
+        calls = []
+        first, second = self.waker(sim, calls), self.waker(sim, calls)
+        sim.wake(5, first)
+        sim.wake(5, second)
+        sim.wake(5, second)
+        assert sim.run() == 3
+        assert calls == [(5, 1), (5, 2)]
+
+    def test_wake_never_folds_into_an_at_handle(self):
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls)
+        handle = sim.at(5, woke)
+        sim.wake(5, woke)
+        assert sim.cancel(handle) is True
+        assert sim.pending() == 1
+        assert sim.run() == 1
+        assert calls == [(5, 1)]
+
+    def test_wake_from_a_batch_at_its_instant_runs_after_it(self):
+        """The batch being dispatched is no longer pending, so a wake it
+        schedules at its own instant starts a new handle behind the
+        events already queued there."""
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls,
+                          then=lambda: len(calls) == 1 and sim.wake(5, woke))
+        sim.wake(5, woke)
+        sim.wake(5, woke)
+        sim.at(5, lambda: calls.append("event"))
+        assert sim.run() == 4
+        assert calls == [(5, 2), "event", (5, 1)]
+
+    def test_max_events_inside_a_batch_leaves_the_rest_in_place(self):
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls)
+        sim.wake(5, woke, 3)
+        sim.at(5, lambda: calls.append("event"))
+        assert sim.run(max_events=2) == 2
+        assert calls == [(5, 2)]
+        assert sim.now == 5 and sim.pending() == 2
+        sim.wake(9, woke)
+        assert sim.run(max_events=1) == 1
+        assert calls == [(5, 2), (5, 1)]
+        assert sim.run() == 2
+        assert calls == [(5, 2), (5, 1), "event", (9, 1)]
+
+    def test_wake_folds_into_the_rest_of_a_split_batch(self):
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls)
+        sim.wake(5, woke, 3)
+        assert sim.run(max_events=1) == 1
+        sim.wake(5, woke)
+        assert sim.pending() == 3
+        assert sim.run() == 3
+        assert calls == [(5, 1), (5, 3)]
+
+    def test_stop_inside_a_batch_raises(self):
+        sim = Simulator()
+        woke = self.waker(sim, [], then=sim.stop)
+        sim.wake(5, woke)
+        sim.wake(5, woke)
+        with pytest.raises(SimulationError, match="batch of 2"):
+            sim.run()
+
+    def test_stop_inside_a_single_wake_stops(self):
+        sim = Simulator()
+        calls = []
+        woke = self.waker(sim, calls, then=sim.stop)
+        sim.wake(5, woke)
+        sim.at(5, lambda: calls.append("event"))
+        assert sim.run() == 1
+        assert calls == [(5, 1)] and sim.pending() == 1
+
+    def test_profiler_records_once_per_wake(self):
+        records = []
+
+        class Profiler:
+            def record(self, callback, wall_ns):
+                records.append((callback, wall_ns))
+
+        sim = Simulator()
+        sim.profiler = Profiler()
+        woke = self.waker(sim, [])
+        sim.wake(5, woke, 3)
+        sim.wake(7, woke)
+        assert sim.run() == 4
+        assert [callback for callback, _ in records] == [woke] * 4
+        walls = [wall for _, wall in records]
+        assert walls[0] > 0 and walls[1:3] == [0, 0] and walls[3] > 0
+
+    def test_wake_in_the_past_raises(self):
+        sim = Simulator()
+        sim.run(until=10)
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            sim.wake(5, lambda: None)
+
+    def test_wake_at_float_time_raises(self):
+        with pytest.raises(SimulationError, match="ns()"):
+            Simulator().wake(5.0, lambda: None)
+
+
 class TestHeapOracleBitIdentity:
     """A whole-run ``asdict`` A/B of the production time-slot queue
     against the reference binary heap, swapped in for the runner's
     ``Simulator``: every RunResult field, recursively, for the paper's
-    headline designs."""
+    headline designs, and on the cells where most wakes fold."""
 
     @pytest.mark.parametrize("design", ["tdram", "cascade_lake", "alloy"])
     def test_whole_run_asdict_identical(self, design, monkeypatch):
@@ -387,6 +636,21 @@ class TestHeapOracleBitIdentity:
         slots = run_experiment(design, "bfs.22", **kwargs)
         monkeypatch.setattr(runner, "Simulator", HeapSimulator)
         heap = run_experiment(design, "bfs.22", **kwargs)
+        assert dataclasses.asdict(slots) == dataclasses.asdict(heap)
+
+    @pytest.mark.parametrize("cell", [("no_cache", "lu.C"),
+                                      ("cascade_lake", "write_storm"),
+                                      ("tdram", "write_storm")],
+                             ids="/".join)
+    def test_folding_run_asdict_identical(self, cell, monkeypatch):
+        """77-87 % of these cells' events are wakes folded into a
+        batch; a batch must do exactly the work of its wakes."""
+        design, name = cell
+        kwargs = dict(config=SystemConfig.small(), demands_per_core=600,
+                      seed=7)
+        slots = run_experiment(design, any_workload(name), **kwargs)
+        monkeypatch.setattr(runner, "Simulator", HeapSimulator)
+        heap = run_experiment(design, any_workload(name), **kwargs)
         assert dataclasses.asdict(slots) == dataclasses.asdict(heap)
 
 
