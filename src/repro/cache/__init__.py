@@ -4,27 +4,15 @@ from repro.cache.alloy import AlloyCache
 from repro.cache.bear import BearCache
 from repro.cache.cascade_lake import CascadeLakeCache
 from repro.cache.controller import CacheOp, DramCacheController, OpKind
-from repro.cache.gemini import GeminiHybridCache
 from repro.cache.ideal import IdealCache
 from repro.cache.metrics import BREAKDOWN_CATEGORIES, CacheMetrics
 from repro.cache.ndc import NdcCache
 from repro.cache.no_cache import NoCacheSystem
-from repro.cache.organization import (
-    DirtyRegionList,
-    HybridMappingOrganization,
-    LruPolicy,
-    Organization,
-    ReplacementPolicy,
-    SetAssociativeOrganization,
-    SramTagCache,
-    TictocPolicy,
-)
 from repro.cache.predictor import MapIPredictor
 from repro.cache.prefetcher import StridePrefetcher
 from repro.cache.request import DemandRequest, Op, Outcome
 from repro.cache.tagstore import LookupResult, TagStore
 from repro.cache.tdram import TdramCache
-from repro.cache.tictoc import TicTocCache
 
 #: Registry used by the experiment runner and the CLI.
 DESIGNS = {
@@ -35,8 +23,6 @@ DESIGNS = {
     "tdram": TdramCache,
     "ideal": IdealCache,
     "no_cache": NoCacheSystem,
-    "gemini_hybrid": GeminiHybridCache,
-    "tictoc": TicTocCache,
 }
 
 __all__ = [
@@ -46,7 +32,6 @@ __all__ = [
     "CacheOp",
     "DramCacheController",
     "OpKind",
-    "GeminiHybridCache",
     "IdealCache",
     "BREAKDOWN_CATEGORIES",
     "CacheMetrics",
@@ -60,14 +45,5 @@ __all__ = [
     "LookupResult",
     "TagStore",
     "TdramCache",
-    "TicTocCache",
-    "DirtyRegionList",
-    "HybridMappingOrganization",
-    "LruPolicy",
-    "Organization",
-    "ReplacementPolicy",
-    "SetAssociativeOrganization",
-    "SramTagCache",
-    "TictocPolicy",
     "DESIGNS",
 ]

@@ -30,7 +30,7 @@ from repro.cache.prefetcher import StridePrefetcher
 from repro.cache.request import DemandRequest, Op, Outcome
 from repro.cache.tagstore import TagStore
 from repro.config.system import SystemConfig
-from repro.dram.address import AddressMapper, DramGeometry
+from repro.dram.address import AddressMapper
 from repro.dram.bus import Direction
 from repro.dram.device import AccessGrant, DramChannel
 from repro.dram.scheduler import ChannelScheduler
@@ -53,7 +53,6 @@ class OpKind(enum.Enum):
 # Enum members read per access, bound once as module globals: an
 # attribute read on an enum class costs about ten times a global read.
 _READ = Op.READ
-_WRITE = Op.WRITE
 _DATA_WRITE = OpKind.DATA_WRITE
 
 
@@ -166,12 +165,9 @@ class DramCacheController(abc.ABC):
         self.sim = sim
         self.config = config
         self.main_memory = main_memory
-        #: allocation policy: "write_allocate" (default), "write_only",
-        #: or "write_around" — see docs/architecture.md §4
-        self.cache_mode = config.cache_mode
         geometry = config.cache_geometry()
         self.mapper = AddressMapper(geometry)
-        self.tags = self._build_tag_store(geometry)
+        self.tags = TagStore(geometry.total_blocks, config.cache_ways)
         tag_timing = config.tag_timing if self.has_tag_path else None
         self.channels = [
             DramChannel(sim, config.cache_timing, geometry.banks_per_channel,
@@ -206,14 +202,6 @@ class DramCacheController(abc.ABC):
 
             self.obs = ObsSession(self)
 
-    def _build_tag_store(self, geometry: DramGeometry) -> TagStore:
-        """Construct the design's tag store (the organization seam).
-
-        The default is set-associative LRU; designs with a custom layout
-        (Gemini, TicToc) override it.
-        """
-        return TagStore(geometry.total_blocks, self.config.cache_ways)
-
     # ------------------------------------------------------------------
     # Front-end interface
     # ------------------------------------------------------------------
@@ -238,34 +226,9 @@ class DramCacheController(abc.ABC):
         request.arrive_time = self.sim.now
         if self.obs is not None:
             self.obs.on_enqueue(request)
-        if (self.cache_mode == "write_around" and request.op is _WRITE
-                and not self.tags.contains(request.block_addr)):
-            self._bypass_write(request)
-            return
         if self.prefetcher is not None and request.op is _READ:
             self._drive_prefetcher(request)
         self._enqueue(request)
-
-    def _bypass_write(self, request: DemandRequest) -> None:
-        """write_around: send a write miss straight to the backing store.
-
-        The cache is not allocated: the 64 demand bytes go to main
-        memory as a posted write (a *useful* move — they are the
-        demand's payload), the miss is still recorded against the tag
-        store so every design sees the same outcome stream, and any
-        stale copy of the block sitting in a flush buffer is dropped
-        (the bypassed write supersedes it).
-        """
-        now = self.sim.now
-        flush = getattr(self, "flush", None)
-        if flush is not None:
-            flush.remove(request.block_addr)
-        result = self.tags.probe(request.block_addr, touch=False)
-        self._record_tag_result(request, now, result.outcome)
-        self.metrics.events.add("write_around_bypass")
-        self.metrics.ledger.move("mm_write_direct", 64, useful=True)
-        self.main_memory.write(request.block_addr)
-        request.complete(now)
 
     def _drive_prefetcher(self, request: DemandRequest) -> None:
         """Train the stride prefetcher and launch speculative fills.
@@ -351,12 +314,6 @@ class DramCacheController(abc.ABC):
             if self.obs is not None:
                 self.obs.on_fetch_return(demand, time)
             self._complete_read(demand, time)
-        if self.cache_mode == "write_only":
-            # Dirty-traffic-only caching: a fetched line streams through
-            # to the requestor without allocating a frame, so the cache
-            # holds nothing a writeback would not need anyway.
-            self.metrics.events.add("read_fill_bypassed")
-            return
         if self._skip_fill():
             return
         evicted = self.tags.fill(block)

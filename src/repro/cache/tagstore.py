@@ -4,18 +4,14 @@ The tag store holds the *truth* about cache contents; design
 controllers consult it to learn the outcome an access will have, then
 model the timing/energy their hardware spends discovering that outcome.
 
-Where a block may live and which line a conflict evicts are delegated
-to the pluggable seams in :mod:`repro.cache.organization`: an
-:class:`~repro.cache.organization.Organization` (set indexing / way
-mapping / probe cost) and a
-:class:`~repro.cache.organization.ReplacementPolicy` (victim choice +
-touch/install/evict hooks). The default pairing — modulo-indexed
-set-associative with LRU-as-list-order — is pinned by the committed
-golden digests (``tests/golden_runs.json``) and by the unit tests in
-``tests/test_tagstore.py``. Direct-mapped is the paper's primary
-configuration; ``ways > 1`` gives the set-associative variant of §V-F.
-Only frames that have ever been touched are materialised (a dict), so a
-64 GiB cache costs memory proportional to the trace, not the device.
+Blocks map to sets as ``block % num_sets`` and each set keeps its
+lines in LRU order (index 0 = LRU, last = MRU). Direct-mapped is the
+paper's primary configuration; ``ways > 1`` gives the set-associative
+variant of §V-F. The committed golden digests
+(``tests/golden_runs.json``) and ``tests/test_tagstore.py`` pin this
+behaviour. Only frames that have ever been touched are materialised (a
+dict), so a 64 GiB cache costs memory proportional to the trace, not
+the device.
 """
 
 from __future__ import annotations
@@ -33,12 +29,6 @@ from typing import (
     Tuple,
 )
 
-from repro.cache.organization import (
-    LruPolicy,
-    Organization,
-    ReplacementPolicy,
-    SetAssociativeOrganization,
-)
 from repro.cache.request import Outcome
 from repro.errors import ConfigError
 
@@ -91,27 +81,17 @@ class DirtyFlags(Protocol):
 
 
 class TagStore:
-    """Tag/metadata array composing an organization and a policy."""
+    """Set-associative tag/metadata array with LRU replacement."""
 
-    def __init__(self, num_frames: int, ways: int = 1,
-                 organization: Optional[Organization] = None,
-                 policy: Optional[ReplacementPolicy] = None) -> None:
+    def __init__(self, num_frames: int, ways: int = 1) -> None:
         if num_frames <= 0:
             raise ConfigError("num_frames must be positive")
-        if organization is None:
-            organization = SetAssociativeOrganization(num_frames, ways)
-        self.organization = organization
-        self.policy: ReplacementPolicy = (
-            policy if policy is not None else LruPolicy())
+        if ways <= 0 or num_frames % ways:
+            raise ConfigError(f"ways={ways} must divide num_frames={num_frames}")
         self.num_frames = num_frames
-        #: maximum way count of any set (uniform organizations: all sets)
         self.ways = ways
-        self.num_sets = organization.num_sets
-        #: modulo fast path for uniform organizations (the hot default);
-        #: ``None`` routes indexing through ``organization.set_index``
-        self._mod_sets: Optional[int] = (
-            organization.num_sets if organization.uniform else None)
-        #: set index -> policy-ordered lines (LRU: index 0 = LRU, last = MRU)
+        self.num_sets = num_frames // ways
+        #: set index -> lines in LRU order (index 0 = LRU, last = MRU)
         self._sets: Dict[int, List[_Line]] = {}
         #: lazy prewarm backing: sets ``[0, _lazy_n)`` not present in
         #: ``_sets`` hold one line ``_Line(idx, _lazy_dirty[idx])`` that is
@@ -119,33 +99,15 @@ class TagStore:
         self._lazy_n = 0
         self._lazy_dirty: Optional[DirtyFlags] = None
 
-    def set_index(self, block: int) -> int:
-        """The set ``block`` maps to."""
-        mod = self._mod_sets
-        if mod is not None:
-            return block % mod
-        return self.organization.set_index(block)
-
-    def probe_cost_ps(self, block: int) -> int:
-        """Extra search latency of ``block``'s set (organization seam)."""
-        return self.organization.probe_cost_ps(self.set_index(block))
-
-    def _capacity(self, idx: int) -> int:
-        if self._mod_sets is not None:
-            return self.ways
-        return self.organization.ways_of(idx)
-
-    def _locate(self, block: int) -> Tuple[int, List[_Line], Optional[_Line]]:
-        mod = self._mod_sets
-        idx = block % mod if mod is not None else \
-            self.organization.set_index(block)
+    def _locate(self, block: int) -> Tuple[List[_Line], Optional[_Line]]:
+        idx = block % self.num_sets
         lines = self._sets.get(idx)
         if lines is None:
             lines = self._materialize(idx)
         for line in lines:
             if line.block == block:
-                return idx, lines, line
-        return idx, lines, None
+                return lines, line
+        return lines, None
 
     def _materialize(self, idx: int) -> List[_Line]:
         """First touch of a set: realise its lazy prewarm line (if any)."""
@@ -169,60 +131,57 @@ class TagStore:
                 sets[idx] = [_Line(idx, bool(dirty[idx]))]
 
     # ------------------------------------------------------------------
-    # Probes (no state change beyond the policy's touch on hit)
+    # Probes (no state change beyond the LRU touch on hit)
     # ------------------------------------------------------------------
     def probe(self, block: int, touch: bool = True) -> LookupResult:
-        """Look up ``block``; on a hit optionally touch its recency."""
-        idx, lines, line = self._locate(block)
+        """Look up ``block``; on a hit optionally make it MRU."""
+        lines, line = self._locate(block)
         if line is not None:
             if touch:
-                self.policy.on_hit(lines, line)
+                lines.remove(line)
+                lines.append(line)
             return _HIT_DIRTY if line.dirty else _HIT_CLEAN
-        if len(lines) < self._capacity(idx):
+        if len(lines) < self.ways:
             return _MISS_INVALID
-        victim = self.policy.victim(lines)
+        victim = lines[0]
         dirty = victim.dirty
         return _new_tuple(LookupResult, (
             _MISS_DIRTY if dirty else _MISS_CLEAN, victim.block, dirty))
 
     def contains(self, block: int) -> bool:
         """Whether ``block`` is resident (no recency update)."""
-        return self._locate(block)[2] is not None
+        return self._locate(block)[1] is not None
 
     def is_dirty(self, block: int) -> bool:
         """Whether ``block`` is resident and dirty."""
-        line = self._locate(block)[2]
+        line = self._locate(block)[1]
         return bool(line and line.dirty)
 
     # ------------------------------------------------------------------
     # State changes
     # ------------------------------------------------------------------
-    def _evict_for(self, idx: int, lines: List[_Line]) \
-            -> Optional[Tuple[int, bool]]:
-        """Make room in a full set: pop and account the policy's victim."""
-        if len(lines) < self._capacity(idx):
+    def _evict_for(self, lines: List[_Line]) -> Optional[Tuple[int, bool]]:
+        """Make room in a full set: pop and return its LRU line."""
+        if len(lines) < self.ways:
             return None
-        victim = self.policy.victim(lines)
-        lines.remove(victim)
-        self.policy.on_evict(victim)
+        victim = lines.pop(0)
         return (victim.block, victim.dirty)
 
     def install(self, block: int, dirty: bool) -> Optional[Tuple[int, bool]]:
         """Insert (or update) ``block``; returns the evicted (block, dirty).
 
-        A resident block is updated in place (writes re-dirty it); an
-        absent block evicts the policy's victim if the set is full.
+        A resident block is updated in place (writes re-dirty it) and
+        becomes MRU; an absent block evicts the LRU line if the set is
+        full.
         """
-        idx, lines, line = self._locate(block)
+        lines, line = self._locate(block)
         if line is not None:
-            became_dirty = dirty and not line.dirty
             line.dirty = line.dirty or dirty
-            self.policy.on_hit(lines, line)
-            if became_dirty:
-                self.policy.on_dirty(line)
+            lines.remove(line)
+            lines.append(line)
             return None
-        evicted = self._evict_for(idx, lines)
-        self.policy.on_install(lines, _Line(block, dirty))
+        evicted = self._evict_for(lines)
+        lines.append(_Line(block, dirty))
         return evicted
 
     def fill(self, block: int) -> Optional[Tuple[int, bool]]:
@@ -232,11 +191,11 @@ class TagStore:
         while the fetch was in flight), the fill is dropped so a stale
         clean copy never overwrites newer dirty data.
         """
-        idx, lines, line = self._locate(block)
+        lines, line = self._locate(block)
         if line is not None:
             return None
-        evicted = self._evict_for(idx, lines)
-        self.policy.on_install(lines, _Line(block, False))
+        evicted = self._evict_for(lines)
+        lines.append(_Line(block, False))
         return evicted
 
     def bulk_install(self, blocks: Iterable[int],
@@ -246,18 +205,14 @@ class TagStore:
         Used to emulate the paper's warmed checkpoints (§IV-B): the
         steady-state resident set is installed functionally before the
         timed simulation starts. Later installs to a full set evict in
-        arrival order (policies still see install/evict/dirty hooks, so
-        residency mirrors stay exact).
+        arrival order.
         """
         sets = self._sets
-        mod = self._mod_sets
-        org = self.organization
-        policy = self.policy
+        num_sets = self.num_sets
         if (not sets and not self._lazy_n
-                and mod is not None and not policy.tracks_residency
                 and isinstance(blocks, range)
                 and blocks.step == 1 and blocks.start == 0
-                and len(blocks) <= mod):
+                and len(blocks) <= num_sets):
             # The generator prewarm path: a contiguous block range into
             # an empty store. Every block lands in its own set
             # (block % num_sets == block), so instead of allocating a
@@ -265,37 +220,28 @@ class TagStore:
             # set on first touch — a short run over a large resident set
             # only ever realises the sets it actually probes, and reads
             # only their flags (a lazy view computes just those).
-            # Policies that mirror residency need every install
-            # surfaced, so they take the general path below.
             self._lazy_n = len(blocks)
             self._lazy_dirty = dirty_flags
             return
         self._materialize_all()
-        uniform_capacity = self.ways if mod is not None else None
+        ways = self.ways
         for block, dirty in zip(blocks, dirty_flags):
-            idx = block % mod if mod is not None else org.set_index(block)
-            lines = sets.setdefault(idx, [])
+            lines = sets.setdefault(block % num_sets, [])
             for line in lines:
                 if line.block == block:
-                    became_dirty = bool(dirty) and not line.dirty
                     line.dirty = line.dirty or bool(dirty)
-                    if became_dirty:
-                        policy.on_dirty(line)
                     break
             else:
-                capacity = (uniform_capacity if uniform_capacity is not None
-                            else self._capacity(idx))
-                if len(lines) >= capacity:
-                    policy.on_evict(lines.pop(0))
-                policy.on_install(lines, _Line(block, bool(dirty)))
+                if len(lines) >= ways:
+                    lines.pop(0)
+                lines.append(_Line(block, bool(dirty)))
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if resident; returns whether it was present."""
-        _idx, lines, line = self._locate(block)
+        lines, line = self._locate(block)
         if line is None:
             return False
         lines.remove(line)
-        self.policy.on_evict(line)
         return True
 
     def resident_blocks(self) -> int:

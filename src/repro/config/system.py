@@ -64,8 +64,7 @@ class SystemConfig:
     flush_buffer_entries: int = 16
     enable_probing: bool = True
     #: MAP-I hit/miss predictor (§V-D); read by cascade_lake and the
-    #: designs built on it (alloy, bear, gemini_hybrid, tictoc), ignored
-    #: by the rest
+    #: designs built on it (alloy, bear), ignored by the rest
     use_predictor: bool = False
     #: stride prefetcher; read by every cache controller, ignored by
     #: no_cache
@@ -79,33 +78,11 @@ class SystemConfig:
     #: (explicit drains only — the ablation knob isolating the
     #: opportunistic channels' contribution)
     flush_unload_policy: str = "opportunistic"
-    # -- design-zoo knobs: Gemini-style hybrid mapping (gemini_hybrid) --
-    #: fraction of cache frames reserved for the direct-mapped hot region
-    gemini_direct_fraction: float = 0.5
-    #: associativity of the cold region's sets
-    gemini_assoc_ways: int = 4
-    #: demand touches before a block is promoted to the hot region
-    gemini_hot_threshold: int = 4
-    #: extra per-probe search latency in the associative region
-    gemini_assoc_probe_ns: float = 4.0
-    # -- design-zoo knobs: TicToc-style tag cache + dirty list (tictoc) --
-    #: entries in the on-die SRAM tag cache
-    tictoc_tag_cache_entries: int = 4096
-    #: cache sets per dirty-list region
-    tictoc_dirty_region_sets: int = 64
-    #: SRAM tag-cache lookup latency
-    tictoc_tag_latency_ns: float = 2.0
     # -- main memory --
     mm_channels: int = 2
     mm_banks_per_channel: int = 32           #: DDR5: 8 bank groups x 4 banks
     mm_capacity_bytes: int = 16 * 64 * MIB   #: 16x the cache, as in the paper
     mm_timing: DramTiming = field(default_factory=ddr5_timing)
-    # -- cache allocation policy (rides the controller's mode seam) --
-    #: "write_allocate" (default: misses fill the cache),
-    #: "write_only" (read misses stream through without allocating —
-    #: only dirty traffic occupies the cache), or "write_around"
-    #: (write misses bypass straight to main memory; reads allocate)
-    cache_mode: str = "write_allocate"
     # -- processors / front end --
     cores: int = 8
     #: Effective memory-level parallelism of one core on DRAM-latency
@@ -131,29 +108,10 @@ class SystemConfig:
                      "max_outstanding_reads_per_core"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.gemini_direct_fraction < 1.0:
-            raise ConfigError("gemini_direct_fraction must be in (0, 1)")
-        if self.gemini_assoc_ways <= 0:
-            raise ConfigError("gemini_assoc_ways must be positive")
-        if self.gemini_hot_threshold <= 0:
-            raise ConfigError("gemini_hot_threshold must be positive")
-        if self.gemini_assoc_probe_ns < 0.0:
-            raise ConfigError("gemini_assoc_probe_ns must be non-negative")
-        if self.tictoc_tag_cache_entries <= 0:
-            raise ConfigError("tictoc_tag_cache_entries must be positive")
-        if self.tictoc_dirty_region_sets <= 0:
-            raise ConfigError("tictoc_dirty_region_sets must be positive")
-        if self.tictoc_tag_latency_ns < 0.0:
-            raise ConfigError("tictoc_tag_latency_ns must be non-negative")
         if self.cache_channels <= 0 or self.mm_channels <= 0:
             raise ConfigError("channel counts must be positive")
         if self.cache_banks_per_channel <= 0 or self.mm_banks_per_channel <= 0:
             raise ConfigError("banks per channel must be positive")
-        if self.cache_mode not in ("write_allocate", "write_only",
-                                   "write_around"):
-            raise ConfigError(
-                f"unknown cache_mode {self.cache_mode!r}; choose from "
-                "('write_allocate', 'write_only', 'write_around')")
         # Fail bad sweep configs fast: an inconsistent timing table
         # (e.g. tRCD > tRAS) otherwise simulates quiet nonsense.
         self.cache_timing.validate()

@@ -67,7 +67,7 @@ from typing import (
 
 from repro.config.system import SystemConfig
 from repro.errors import CampaignError, ConfigError, WorkloadError
-from repro.experiments.runner import RunResult, run_experiment
+from repro.experiments.runner import RunResult, check_design, run_experiment
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.suite import workload as lookup_workload
 
@@ -198,7 +198,10 @@ def tasks_for(
 
     Seeding is explicit and per-task: each task carries its own seed
     drawn from ``seeds``, so results never depend on pool scheduling.
+    An unknown design or workload name fails here, before any task runs.
     """
+    for design in designs:
+        check_design(design)
     resolved = [lookup_workload(s) if isinstance(s, str) else s for s in specs]
     config = config or SystemConfig.small()
     return [

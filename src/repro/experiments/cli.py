@@ -54,7 +54,6 @@ from repro.experiments.figures import (
     fig11_speedup_vs_cl,
     fig12_speedup_vs_nocache,
     fig13_energy,
-    frontier_design_zoo,
     table4_bloat,
 )
 from repro.experiments.runner import run_experiment
@@ -88,7 +87,6 @@ _CONTEXT_TARGETS: Dict[str, Callable[[ExperimentContext], FigureResult]] = {
     "fig12": fig12_speedup_vs_nocache,
     "fig13": fig13_energy,
     "table4": table4_bloat,
-    "frontier": frontier_design_zoo,
     "predictor": predictor_study,
     "prefetcher": prefetcher_study,
     "flush": flush_buffer_sensitivity,
@@ -116,8 +114,6 @@ _DESIGN_SUMMARIES: Dict[str, str] = {
     "tdram": "the paper's tag-enhanced DRAM (parallel tag+data, HM bus)",
     "ideal": "perfect tag knowledge, zero tag cost (upper bound)",
     "no_cache": "main memory only (no DRAM cache)",
-    "gemini_hybrid": "hot lines direct-mapped, cold lines set-associative",
-    "tictoc": "SRAM tag cache + dirty-region list deciding probe-vs-bypass",
 }
 
 
@@ -302,10 +298,17 @@ def main(argv=None) -> int:
             print("usage: tdram-repro trace-capture WORKLOAD PATH COUNT",
                   file=sys.stderr)
             return 2
-        name, path, count = args.args
+        name, path, count_arg = args.args
+        try:
+            count = int(count_arg)
+        except ValueError:
+            print("usage: tdram-repro trace-capture WORKLOAD PATH COUNT "
+                  f"(COUNT must be an integer, got {count_arg!r})",
+                  file=sys.stderr)
+            return 2
         stream = demand_stream(workload(name), SystemConfig.small(), 0, 8,
                                seed=args.seed)
-        written = capture_trace(path, stream, int(count),
+        written = capture_trace(path, stream, count,
                                 header=f"workload: {name}  seed: {args.seed}")
         print(f"wrote {written} records to {path}")
         return 0

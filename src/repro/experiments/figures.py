@@ -38,10 +38,6 @@ from repro.workloads.suite import representative_suite
 #: Designs compared in the latency/speedup figures (order = paper's).
 EVALUATED_DESIGNS = ("cascade_lake", "alloy", "bear", "ndc", "tdram")
 
-#: Design-zoo frontier: the paper's designs plus the related-work
-#: organizations riding the pluggable seam, bounded by Ideal.
-FRONTIER_DESIGNS = EVALUATED_DESIGNS + ("gemini_hybrid", "tictoc", "ideal")
-
 #: One simulation a figure reads: ``(design, spec, overrides)``, run
 #: under ``ctx.config.with_(**overrides)``.
 Cell = Tuple[str, WorkloadSpec, Mapping[str, object]]
@@ -417,69 +413,6 @@ def fig13_energy(ctx: ExperimentContext) -> FigureResult:
         rows=rows,
         notes=("Paper: TDRAM -21% vs CL and -12% vs BEAR (geomean); Alloy is "
                "higher than CL; NDC is comparable to TDRAM."),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Design-zoo frontier — hit latency vs bandwidth bloat vs capacity overhead
-# ---------------------------------------------------------------------------
-def capacity_overhead(design: str, config: SystemConfig) -> float:
-    """Fraction of cache data capacity spent on metadata structures.
-
-    Analytic (not simulated): the storage cost of each organization's
-    tag/metadata scheme, the third axis of the frontier figure.
-    """
-    if design in ("cascade_lake", "gemini_hybrid"):
-        # Tags ride the spare ECC bits of the line's own DRAM row; the
-        # hybrid additionally keeps a ~2-byte hotness counter per frame.
-        base = 0.0
-        if design == "gemini_hybrid":
-            base += 2.0 / 64.0
-        return base
-    if design in ("alloy", "bear"):
-        # 80 B TADs: 16 bytes of tag+metadata transferred per 64 B line.
-        return 16.0 / 64.0
-    if design in ("ndc", "tdram"):
-        # Dedicated tag mats on die (Fig. 4A total die-area overhead).
-        return die_area_report().total_die_overhead
-    if design == "tictoc":
-        # Tags in ECC bits (CL array) + the on-die SRAM structures:
-        # ~8 bytes per tag-cache entry, amortised over the data capacity.
-        sram_bytes = 8.0 * config.tictoc_tag_cache_entries
-        return sram_bytes / max(1, config.cache_capacity_bytes)
-    return 0.0
-
-
-def frontier_design_zoo(ctx: ExperimentContext) -> FigureResult:
-    """Cross-design frontier: latency vs bloat vs capacity overhead.
-
-    The scenario-diversity figure ROADMAP item 4 asks for — every
-    organization in the zoo on the three axes a deployment trades
-    between. All per-workload values are geomean-aggregated; a design
-    that completed zero demands (an empty measured region) reports 0.0
-    rather than dividing by nothing.
-    """
-    columns = ["design", "tag_check_ns", "read_latency_ns", "bloat_factor",
-               "miss_ratio", "capacity_overhead"]
-    ctx.warm(ctx.cells(FRONTIER_DESIGNS))
-    rows: List[Dict[str, object]] = []
-    for design in FRONTIER_DESIGNS:
-        results = [ctx.result(design, spec) for spec in ctx.specs]
-        rows.append({
-            "design": design,
-            "tag_check_ns": geomean([r.tag_check_ns for r in results]),
-            "read_latency_ns": geomean([r.read_latency_ns for r in results]),
-            "bloat_factor": geomean([r.bloat_factor for r in results]),
-            "miss_ratio": geomean([r.miss_ratio for r in results]),
-            "capacity_overhead": capacity_overhead(design, ctx.config),
-        })
-    return FigureResult(
-        figure="Frontier",
-        title="Design-zoo frontier: hit latency / bandwidth bloat / capacity",
-        columns=columns,
-        rows=rows,
-        notes=("gemini_hybrid and tictoc ride the organization seam; "
-               "capacity_overhead is analytic (metadata bytes per data byte)."),
     )
 
 

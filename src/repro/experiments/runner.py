@@ -156,6 +156,12 @@ def run_experiment(
                 trace_out=trace_out)
 
 
+def check_design(design: str) -> None:
+    """Raise :class:`ConfigError` unless ``design`` is in ``DESIGNS``."""
+    if design not in DESIGNS:
+        raise ConfigError(f"unknown design {design!r}; choose from {sorted(DESIGNS)}")
+
+
 def _run(
     design: str,
     spec: WorkloadSpec,
@@ -167,8 +173,7 @@ def _run(
     trace_out: Optional[str] = None,
 ) -> RunResult:
     """Shared simulation core for generator- and trace-driven runs."""
-    if design not in DESIGNS:
-        raise ConfigError(f"unknown design {design!r}; choose from {sorted(DESIGNS)}")
+    check_design(design)
     if demands_per_core <= 0:
         raise ConfigError(
             f"demands_per_core must be positive, got {demands_per_core}")

@@ -115,23 +115,3 @@ def channel_sweep(ctx: ExperimentContext,
                   **kwargs) -> FigureResult:
     """DRAM-cache channel-count sweep (bandwidth scaling)."""
     return config_sweep(ctx, "cache_channels", list(values), **kwargs)
-
-
-def gemini_fraction_sweep(
-    ctx: ExperimentContext,
-    values: Iterable[float] = (0.25, 0.5, 0.75), **kwargs
-) -> FigureResult:
-    """Gemini hybrid: sweep the direct-mapped region's share of frames."""
-    kwargs.setdefault("design", "gemini_hybrid")
-    return config_sweep(ctx, "gemini_direct_fraction", list(values),
-                        **kwargs)
-
-
-def tictoc_tag_cache_sweep(
-    ctx: ExperimentContext,
-    values: Iterable[int] = (256, 1024, 4096, 16384), **kwargs
-) -> FigureResult:
-    """TicToc: sweep the SRAM tag-cache size (probe-avoidance reach)."""
-    kwargs.setdefault("design", "tictoc")
-    return config_sweep(ctx, "tictoc_tag_cache_entries", list(values),
-                        **kwargs)

@@ -105,6 +105,8 @@ def capture_trace(path: Union[str, Path],
                   count: int,
                   header: Optional[str] = None) -> int:
     """Snapshot ``count`` records of any demand generator into a file."""
+    if count <= 0:
+        raise WorkloadError(f"count must be positive, got {count}")
     return write_trace(path, itertools.islice(stream, count), header=header)
 
 

@@ -105,6 +105,14 @@ class TestCli:
                   if line.strip()}
         assert set(DESIGNS) <= listed, set(DESIGNS) - listed
 
+    def test_trace_capture_rejects_non_integer_count(self, capsys,
+                                                     tmp_path):
+        path = tmp_path / "ft.trace"
+        assert main(["trace-capture", "ft.D", str(path), "abc"]) == 2
+        err = capsys.readouterr().err
+        assert "COUNT" in err and "'abc'" in err
+        assert not path.exists()
+
     def test_every_listed_design_runs(self, capsys):
         # ...and every listed design is runnable.
         from repro.experiments.cli import _DESIGN_SUMMARIES
@@ -172,8 +180,17 @@ class TestCampaignCli:
     def test_campaign_unknown_design_fails(self, capsys, tmp_path):
         argv = ["campaign", "--designs", "warp_drive", "--workloads",
                 "bfs.22", "--demands", "50", "--no-cache", "--retries", "0"]
-        assert main(argv) == 1
-        assert "failures=1" in capsys.readouterr().out
+        with pytest.raises(ConfigError, match="'warp_drive'"):
+            main(argv)
+
+    def test_campaign_rejects_unknown_design(self, tmp_path):
+        """A bad name among good ones fails before any task runs."""
+        cache_dir = tmp_path / "cache"
+        argv = ["campaign", "--designs", "tdram,nope", "--workloads",
+                "bfs.22", "--demands", "20", "--cache-dir", str(cache_dir)]
+        with pytest.raises(ConfigError, match="'nope'"):
+            main(argv)
+        assert cache_entries(cache_dir) == []
 
     def test_context_figure_with_jobs_and_cache(self, capsys, tmp_path):
         argv = ["fig1", "--demands", "50", "--jobs", "2",
@@ -222,6 +239,4 @@ class TestContextTargets:
         # no-probing TDRAM runs
         assert len(runs) == 14 + 3 + 16 + 2
         assert all(len(lines) == 1 for lines in runs.values())
-        designs = {e["design"] for e in cache_entries(cache_dir)}
         assert len(cache_entries(cache_dir)) == len(runs)
-        assert not designs & {"gemini_hybrid", "tictoc"}

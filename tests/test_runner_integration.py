@@ -154,6 +154,8 @@ _WITHOUT_NUMPY = textwrap.dedent("""
                           mm_capacity_bytes=64 * MIB, cores=4)
     for design in sorted(DESIGNS):
         run_experiment(design, "ft.D", config, demands_per_core=30, seed=3)
+    run_experiment("tdram", "ft.D", config.with_(cache_ways=2),
+                   demands_per_core=30, seed=3)
     path = sys.argv[1]
     capture_trace(path, demand_stream(workload("cg.C"), config, 0,
                                       config.cores, seed=5), 500)
@@ -163,9 +165,10 @@ _WITHOUT_NUMPY = textwrap.dedent("""
 
 def test_simulations_need_no_numpy(tmp_path):
     """numpy is a test dependency only. With ``import numpy`` failing,
-    every design runs ft.D and a trace replays: the lazy prewarm,
-    BEAR's bypass draws, and the eager prewarm of gemini_hybrid, tictoc
-    and the replay."""
+    every design runs ft.D, tdram runs it on a 2-way cache, and a trace
+    replays: the lazy prewarm, BEAR's bypass draws, and the eager
+    prewarm of the 2-way store (more blocks than sets) and of the
+    replay."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

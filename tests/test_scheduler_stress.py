@@ -307,7 +307,7 @@ def full_decision(scheduler, now):
     return name, op, scheduler.earliest(op, now)
 
 
-#: (design, workload), run with write_allocate
+#: (design, workload)
 SHADOW_CELLS = [(design, workload)
                 for workload in ("write_storm", "lu.C")
                 for design in ("no_cache", "cascade_lake", "tdram", "ndc",
@@ -368,9 +368,8 @@ def test_reused_decisions_match_full_decision(cell, monkeypatch):
 
     monkeypatch.setattr(ChannelScheduler, "_on_wake", shadowed_on_wake)
     monkeypatch.setattr(ChannelScheduler, "_try_issue", shadowed_try_issue)
-    golden_cell = cell + ("write_allocate",)
-    row = golden_runs.run_cell(golden_cell)
-    expected = golden_runs.load()["cells"].get(golden_runs.cell_key(golden_cell))
+    row = golden_runs.run_cell(cell)
+    expected = golden_runs.load()["cells"].get(golden_runs.cell_key(cell))
     if expected is not None:
         assert row == expected
     if cell in REUSE_FLOOR_CELLS:
@@ -405,10 +404,9 @@ def test_results_do_not_depend_on_polling(cell, period, monkeypatch):
         schedule(period, poll)
 
     monkeypatch.setattr(ChannelScheduler, "__init__", polled_init)
-    golden_cell = cell + ("write_allocate",)
-    key = golden_runs.cell_key(golden_cell)
+    key = golden_runs.cell_key(cell)
     expected = golden_runs.load()["cells"][key]
-    actual = golden_runs.run_cell(golden_cell)
+    actual = golden_runs.run_cell(cell)
     moved = [name for name in golden_runs.moved_fields(expected, actual)
              if name != "sim_events"]
     assert not moved, golden_runs.describe_drift(key, expected, actual)

@@ -95,6 +95,10 @@ class TestSetAssociative:
     def test_ways_must_divide_frames(self):
         with pytest.raises(ConfigError):
             TagStore(num_frames=64, ways=3)
+        with pytest.raises(ConfigError):
+            TagStore(num_frames=64, ways=0)
+        with pytest.raises(ConfigError):
+            TagStore(num_frames=64, ways=-1)
 
     def test_ways_fill_before_eviction(self):
         store = TagStore(num_frames=64, ways=4)  # 16 sets

@@ -65,6 +65,16 @@ class TestRoundTrip:
             demand_stream(workload("cg.C"), config, 0, 8, seed=3), 200))
         assert replayed == fresh
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_capture_rejects_non_positive_count(self, tmp_path, count):
+        stream = demand_stream(workload("cg.C"), SystemConfig.small(), 0, 8,
+                               seed=3)
+        path = tmp_path / "cg.trace"
+        with pytest.raises(WorkloadError,
+                           match=f"count must be positive, got {count}"):
+            capture_trace(path, stream, count)
+        assert not path.exists()
+
 
 class TestStats:
     def test_stats_summarise(self, tmp_path):

@@ -7,18 +7,19 @@ cell is one :func:`repro.experiments.runner.run_experiment` call on
 the SHA-256 of ``json.dumps(dataclasses.asdict(result), sort_keys=True)``,
 a short hash of each top-level ``RunResult`` field (so a moved cell
 names the fields that moved), and a few headline fields a reader can
-compare by eye. The cells are:
+compare by eye. The cells are every design on:
 
-* every design x every ``cache_mode`` on ``ft.D``, a high-miss workload
-  on which the cache designs fetch, fill and write back, so each cache
-  mode shows;
-* every design on ``bfs.22`` and on the synthetic ``write_storm``, with
-  ``write_allocate``. ``bfs.22`` never misses after prewarm at this
-  size, so its cells pin the hit path.
+* ``ft.D``, a high-miss workload on which the cache designs fetch,
+  fill and write back;
+* ``bfs.22``, which never misses after prewarm at this size, so its
+  cells pin the hit path;
+* the synthetic ``write_storm``: 70 % writes, conflict-heavy.
 
-A row is keyed ``design/workload/ddr5/cache_mode``: ``ddr5`` names the
-backing store, the only one the simulator has, and keeps every key
-equal to the key the same cell had when other stores were simulated.
+A row is keyed ``design/workload/ddr5/write_allocate``. The suffix names
+the backing store and the allocation policy, the only ones the
+simulator has; it stays so that every key equals the key the same cell
+had when other stores and policies were simulated, and a row's history
+can be followed across those changes.
 
 Usage::
 
@@ -54,31 +55,27 @@ from repro.workloads.suite import any_workload  # noqa: E402
 GOLDEN_PATH = ROOT / "tests" / "golden_runs.json"
 DEMANDS_PER_CORE = 150
 SEED = 11
-CACHE_MODES = ("write_allocate", "write_only", "write_around")
+WORKLOADS = ("ft.D", "bfs.22", "write_storm")
 #: RunResult fields stored next to the digest, shown when a cell moves
 HEADLINE = ("runtime_ps", "miss_ratio", "sim_events")
 #: hex digits kept of each field's own SHA-256
 FIELD_HASH_CHARS = 12
 
-#: (design, workload, cache_mode)
-Cell = Tuple[str, str, str]
+#: (design, workload)
+Cell = Tuple[str, str]
 
 
 def cells() -> List[Cell]:
     """Every cell of the table, in run order."""
-    table = [(design, "ft.D", mode)
-             for design in sorted(DESIGNS)
-             for mode in CACHE_MODES]
-    table += [(design, workload, "write_allocate")
-              for workload in ("bfs.22", "write_storm")
-              for design in sorted(DESIGNS)]
-    return table
+    return [(design, workload)
+            for workload in WORKLOADS
+            for design in sorted(DESIGNS)]
 
 
 def cell_key(cell: Cell) -> str:
     """The cell's row name in the JSON file."""
-    design, workload, mode = cell
-    return f"{design}/{workload}/ddr5/{mode}"
+    design, workload = cell
+    return f"{design}/{workload}/ddr5/write_allocate"
 
 
 def _sha256(value: object) -> str:
@@ -100,9 +97,9 @@ def row_for(fields: Dict[str, object]) -> Dict[str, object]:
 
 def run_cell(cell: Cell) -> Dict[str, object]:
     """Simulate one cell; return its row (see :func:`row_for`)."""
-    design, workload, mode = cell
-    config = SystemConfig.small().with_(cache_mode=mode)
-    result = run_experiment(design, any_workload(workload), config=config,
+    design, workload = cell
+    result = run_experiment(design, any_workload(workload),
+                            config=SystemConfig.small(),
                             demands_per_core=DEMANDS_PER_CORE, seed=SEED)
     return row_for(dataclasses.asdict(result))
 
