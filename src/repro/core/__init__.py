@@ -15,7 +15,7 @@ from repro.core.commands import (
 )
 from repro.core.ecc import secded_check_bits, tag_ecc_fits_budget
 from repro.core.flush_buffer import FlushBuffer
-from repro.core.hm_bus import HmPacket, packet_beats, tag_bits_for
+from repro.core.hm_bus import packet_beats, tag_bits_for
 from repro.core.probe import ProbeEngine
 from repro.core.ways import (
     WaySelectModel,
@@ -45,7 +45,6 @@ __all__ = [
     "secded_check_bits",
     "tag_ecc_fits_budget",
     "FlushBuffer",
-    "HmPacket",
     "packet_beats",
     "tag_bits_for",
     "ProbeEngine",

@@ -9,7 +9,6 @@ from repro.dram.timing import (
     TagTiming,
     ddr5_timing,
     hbm3_cache_timing,
-    ndc_tag_timing,
     rldram_like_tag_timing,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "TagTiming",
     "ddr5_timing",
     "hbm3_cache_timing",
-    "ndc_tag_timing",
     "rldram_like_tag_timing",
 ]

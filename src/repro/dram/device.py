@@ -21,12 +21,27 @@ from typing import Any, Callable, List, NamedTuple, Optional
 from repro.dram.bank import ActivationWindow, Bank
 from repro.dram.bus import Bus, DataBus, Direction
 from repro.dram.timing import DramTiming, TagTiming
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.sim.kernel import Simulator, ns
 
-#: HM packet: 3 B of tag/metadata over a 4-bit bus at the data rate
+HM_BUS_WIDTH_BITS = 4
+HM_PACKET_BYTES = 3
+#: one HM-bus beat at the full 8 Gb/s data rate
+HM_BEAT_TIME = ns(0.125)
+
+
+def packet_beats(payload_bytes: int = HM_PACKET_BYTES,
+                 bus_width_bits: int = HM_BUS_WIDTH_BITS) -> int:
+    """Number of HM-bus beats for a payload ("6 for 3 B metadata")."""
+    if payload_bytes <= 0 or bus_width_bits <= 0:
+        raise ConfigError("payload and width must be positive")
+    bits = payload_bytes * 8
+    return -(-bits // bus_width_bits)
+
+
+#: HM packet: 3 B of tag/metadata over the 4-bit bus, 6 beats of 125 ps
 #: ("e.g. 6 [beats] for 3B metadata", §III-B) -> 0.75 ns.
-HM_PACKET_TIME = ns(0.75)
+HM_PACKET_TIME = packet_beats() * HM_BEAT_TIME
 
 
 class AccessGrant(NamedTuple):

@@ -2,8 +2,9 @@
 
 The values mirror Table III of the paper ("same for all evaluated DRAM
 cache designs"), expressed in nanoseconds and converted once to integer
-picoseconds. A second block carries the tag-bank timings used only by
-TDRAM (and, with different values, NDC).
+picoseconds. A second block carries the tag-mat timings used only by
+TDRAM and NDC: §IV-A gives both the same mats, and NDC's controller
+derives its later, column-time result from them.
 
 Parameters the table omits but a timing model needs (write recovery,
 DQ-bus turnaround, refresh interval) are filled with JEDEC-typical
@@ -12,7 +13,7 @@ values and documented inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError, TimingError
 from repro.sim.kernel import ns
@@ -73,8 +74,9 @@ class DramTiming:
     """Data-bank timing parameters (Table III), integer picoseconds.
 
     The defaults model the HBM3-derived DRAM-cache device; use
-    :func:`ddr5_timing` for the DDR5 backing store and
-    :meth:`scaled_burst` for Alloy/BEAR's 80-byte accesses.
+    :func:`ddr5_timing` for the DDR5 backing store. ``tBURST`` is the
+    time of a 64 B burst: Alloy and BEAR set ``burst_bytes = 80`` on
+    their controllers, and the channel scales the burst to match.
     """
 
     clock_ghz: float = 2.0
@@ -175,17 +177,6 @@ class DramTiming:
         """Bank occupancy of one close-page write access (with tWR)."""
         return max(self.tRC, self.tRCD_WR + self.tCWL + self.tBURST + self.tWR + self.tRP)
 
-    def scaled_burst(self, bytes_per_access: int, base_bytes: int = 64) -> "DramTiming":
-        """Return a copy with ``tBURST`` scaled for a larger access.
-
-        Alloy and BEAR move 80 B per 64 B demand ("Alloy's 80 B burst size
-        is modeled with increased timing parameters", §IV-A).
-        """
-        if bytes_per_access <= 0 or base_bytes <= 0:
-            raise ConfigError("access sizes must be positive")
-        factor = bytes_per_access / base_bytes
-        return replace(self, tBURST=int(round(self.tBURST * factor)))
-
 
 def hbm3_cache_timing() -> DramTiming:
     """Table III timing for the DRAM-cache device (all designs)."""
@@ -221,34 +212,4 @@ def ddr5_timing() -> DramTiming:
 
 def rldram_like_tag_timing() -> TagTiming:
     """Tag-mat timings validated against RLDRAM3 (§III-C4)."""
-    return TagTiming()
-
-
-def separate_die_tag_timing(tsv_delay_ns: float = 1.0) -> TagTiming:
-    """Tag mats on a separate die in the stack (§III-C2 alternative).
-
-    The paper keeps tags on the same die so tag storage scales with
-    data storage; the alternative adds a TSV hop each way between the
-    tag die and the data die / HM PHY. Modelled as added activate and
-    result latency; the area trade (no same-die mat overhead) lives in
-    :mod:`repro.core.area`.
-    """
-    base = TagTiming()
-    tsv = ns(tsv_delay_ns)
-    return replace(
-        base,
-        tRCD_TAG=base.tRCD_TAG + tsv,
-        tHM=base.tHM + tsv,
-        tHM_int=base.tHM_int + 2 * tsv,  # result crosses back to the data die
-    )
-
-
-def ndc_tag_timing() -> TagTiming:
-    """Tag timings for NDC's CAM-like tag structure.
-
-    NDC's tags are larger mats than TDRAM's (§V-C) and its hit/miss
-    result is produced during the *column* operation rather than during
-    activation, which the NDC controller models separately; the raw mat
-    timings are kept identical for the fair-comparison rule of §IV-A.
-    """
     return TagTiming()

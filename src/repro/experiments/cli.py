@@ -67,14 +67,7 @@ from repro.experiments.studies import (
 )
 from repro.experiments.tables import table1_comparison
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.suite import (
-    any_workload,
-    demand_stream,
-    full_suite,
-    representative_suite,
-    workload,
-)
-from repro.workloads.trace import capture_trace, trace_stats
+from repro.workloads.suite import full_suite, representative_suite, workload
 
 #: Targets that simulate: each runs its matrix through one context.
 _CONTEXT_TARGETS: Dict[str, Callable[[ExperimentContext], FigureResult]] = {
@@ -214,8 +207,7 @@ def main(argv=None) -> int:
     if target == "list":
         names = sorted(list(_CONTEXT_TARGETS) + list(_ANALYTIC)
                        + ["campaign", "lint", "run",
-                          "report", "suite", "trace",
-                          "trace-capture", "trace-stats"])
+                          "report", "suite", "trace"])
         print("available targets:", ", ".join(names))
         print("designs (for run/campaign/--designs):")
         for name in sorted(_DESIGN_SUMMARIES):
@@ -242,7 +234,7 @@ def main(argv=None) -> int:
             trace=True, epoch_us=args.epoch_us, profile=args.profile,
         ))
         out = args.out or "trace.json"
-        result = run_experiment(args.design, any_workload(args.workload),
+        result = run_experiment(args.design, workload(args.workload),
                                 config=config, demands_per_core=args.demands,
                                 seed=args.seed, trace_out=out)
         with open(out, "r", encoding="utf-8") as handle:
@@ -293,35 +285,6 @@ def main(argv=None) -> int:
             print(f"FAILED {message}", file=sys.stderr)
         print(outcome.summary())
         return 0 if outcome.ok else 1
-    if target == "trace-capture":
-        if len(args.args) != 3:
-            print("usage: tdram-repro trace-capture WORKLOAD PATH COUNT",
-                  file=sys.stderr)
-            return 2
-        name, path, count_arg = args.args
-        try:
-            count = int(count_arg)
-        except ValueError:
-            print("usage: tdram-repro trace-capture WORKLOAD PATH COUNT "
-                  f"(COUNT must be an integer, got {count_arg!r})",
-                  file=sys.stderr)
-            return 2
-        stream = demand_stream(workload(name), SystemConfig.small(), 0, 8,
-                               seed=args.seed)
-        written = capture_trace(path, stream, count,
-                                header=f"workload: {name}  seed: {args.seed}")
-        print(f"wrote {written} records to {path}")
-        return 0
-    if target == "trace-stats":
-        if len(args.args) != 1:
-            print("usage: tdram-repro trace-stats PATH", file=sys.stderr)
-            return 2
-        stats = trace_stats(args.args[0])
-        print(f"records: {stats.records}  reads: {stats.reads}  "
-              f"writes: {stats.writes}")
-        print(f"footprint: {stats.footprint_bytes / 2**20:.1f} MiB  "
-              f"mean gap: {stats.mean_gap_ns:.1f} ns")
-        return 0
     if target == "run":
         if len(args.args) != 2:
             print("usage: tdram-repro run DESIGN WORKLOAD", file=sys.stderr)

@@ -7,7 +7,7 @@ region, and runtime is the completion time of a fixed work quantum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.cache import DESIGNS
@@ -26,19 +26,6 @@ from repro.workloads.suite import demand_stream, workload as lookup_workload
 _CHUNK_PS = ns(200_000)
 #: Abort after this many chunks without any new submission.
 _STALL_CHUNKS = 50
-
-
-def _pythonify(value):
-    """Recursively convert array-library scalars and arrays (anything
-    with a ``tolist()``, as numpy's have) to builtin types."""
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:
-        return _pythonify(tolist())
-    if isinstance(value, dict):
-        return {_pythonify(k): _pythonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_pythonify(v) for v in value)
-    return value
 
 
 @dataclass
@@ -93,23 +80,6 @@ class RunResult:
     #: always empty; kept because the e2e golden digests hash it
     sampling: Dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.coerce_builtin()
-
-    def coerce_builtin(self) -> "RunResult":
-        """Coerce every field (recursively) to builtin Python types.
-
-        Metrics computed by a caller with numpy can leak
-        ``np.float64``/``np.int64`` scalars into result fields; they
-        bloat/break JSON export and must not be relied on to pickle
-        across the campaign process pool. Called at construction and
-        again by the runner after the design-specific extras are filled
-        in.
-        """
-        for spec in fields(self):
-            setattr(self, spec.name, _pythonify(getattr(self, spec.name)))
-        return self
-
     @property
     def runtime_ns(self) -> float:
         """The measured runtime in nanoseconds."""
@@ -138,7 +108,8 @@ def run_experiment(
         One of ``repro.cache.DESIGNS`` ("cascade_lake", "alloy", "bear",
         "ndc", "tdram", "ideal", "no_cache").
     spec:
-        A :class:`WorkloadSpec` or a suite name like ``"ft.D"``.
+        A :class:`WorkloadSpec` or a workload name like ``"ft.D"`` or
+        ``"write_storm"``.
     demands_per_core:
         The fixed work quantum each simulated core executes.
     trace_out:
@@ -152,27 +123,6 @@ def run_experiment(
         demand_stream(spec, config, core_id, config.cores, seed)
         for core_id in range(config.cores)
     ]
-    return _run(design, spec, config, streams, demands_per_core, seed,
-                trace_out=trace_out)
-
-
-def check_design(design: str) -> None:
-    """Raise :class:`ConfigError` unless ``design`` is in ``DESIGNS``."""
-    if design not in DESIGNS:
-        raise ConfigError(f"unknown design {design!r}; choose from {sorted(DESIGNS)}")
-
-
-def _run(
-    design: str,
-    spec: WorkloadSpec,
-    config: SystemConfig,
-    streams,
-    demands_per_core: int,
-    seed: int,
-    prewarm_blocks=None,
-    trace_out: Optional[str] = None,
-) -> RunResult:
-    """Shared simulation core for generator- and trace-driven runs."""
     check_design(design)
     if demands_per_core <= 0:
         raise ConfigError(
@@ -184,7 +134,7 @@ def _run(
     main_memory = MainMemory(sim, config.mm_timing, config.mm_geometry(),
                              meter=mm_meter)
     sink = DESIGNS[design](sim, config, main_memory)
-    _prewarm(sink, spec, config, seed, blocks=prewarm_blocks)
+    _prewarm(sink, spec, config, seed)
 
     cores, progress = build_cores(
         sim, sink, streams, demands_per_core,
@@ -210,6 +160,12 @@ def _run(
     runtime = max(1, sim.now - measure_start)
     return _harvest(design, spec, sink, main_memory, mm_meter, runtime,
                     sim_events, trace_out)
+
+
+def check_design(design: str) -> None:
+    """Raise :class:`ConfigError` unless ``design`` is in ``DESIGNS``."""
+    if design not in DESIGNS:
+        raise ConfigError(f"unknown design {design!r}; choose from {sorted(DESIGNS)}")
 
 
 def _drive(sim: Simulator, progress, design: str, spec: WorkloadSpec) -> int:
@@ -321,18 +277,17 @@ def _harvest(design: str, spec: WorkloadSpec, sink,
         result.profile = obs.profile_summary()
         if trace_out is not None:
             obs.write_trace(trace_out)
-    return result.coerce_builtin()
+    return result
 
 
-def _prewarm(sink, spec: WorkloadSpec, config: SystemConfig, seed: int,
-             blocks=None) -> None:
+def _prewarm(sink, spec: WorkloadSpec, config: SystemConfig,
+             seed: int) -> None:
     """Install the steady-state resident set (warmed checkpoint, §IV-B).
 
     Workload generators place their reused ("hot") data at the low end
     of the footprint, so installing the first ``min(footprint, frames)``
     blocks reproduces the steady state: fitting workloads become fully
     resident, over-sized ones leave the cold tail to conflict as usual.
-    Trace replays pass their own ``blocks`` (the trace's resident set).
     Lines are dirtied with the workload's write probability; the dirty
     flags are a lazy view of the seeded stream, so a store that
     materialises only the sets a run touches draws only their flags.
@@ -340,9 +295,7 @@ def _prewarm(sink, spec: WorkloadSpec, config: SystemConfig, seed: int,
     tags = getattr(sink, "tags", None)
     if tags is None:
         return
-    if blocks is None:
-        footprint = spec.footprint_blocks(config)
-        blocks = range(min(footprint, tags.num_frames))
+    blocks = range(min(spec.footprint_blocks(config), tags.num_frames))
     # Steady-state dirtiness is well below the write fraction: fills are
     # clean and rewrites re-dirty the same hot lines, so misses landing
     # on dirty victims stay rare (§II-B: "write demands that miss to a
@@ -358,49 +311,3 @@ def _queue_delay_ns(design: str, sink, main_memory: MainMemory) -> float:
     if isinstance(sink, NoCacheSystem):
         return main_memory.read_queue_delay_ns
     return sink.metrics.read_queue_delay.mean_ns
-
-
-def run_trace_experiment(
-    design: str,
-    trace_path,
-    config: Optional[SystemConfig] = None,
-    demands_per_core: int = 2000,
-    seed: int = 42,
-    name: Optional[str] = None,
-) -> RunResult:
-    """Replay a recorded demand trace through one design.
-
-    The trace (see :mod:`repro.workloads.trace`) is split round-robin
-    across the configured cores; the cache is pre-warmed from the
-    trace's own footprint. All RunResult metrics apply as usual.
-    """
-    from repro.workloads.base import MissClass, WorkloadSpec
-    from repro.workloads.trace import trace_stats, trace_streams
-
-    config = config or SystemConfig()
-    stats = trace_stats(trace_path)
-    # A surrogate spec: footprint expressed so that the scaled footprint
-    # equals the trace's actual footprint under this configuration.
-    scale = config.scale
-    surrogate = WorkloadSpec(
-        name=name or f"trace:{trace_path}",
-        suite="synthetic",
-        kernel="trace",
-        variant="-",
-        paper_footprint_bytes=max(64 * 64, int(stats.footprint_bytes / scale)),
-        read_fraction=min(1.0, max(0.0, stats.read_fraction)),
-        hot_fraction=1.0,
-        hot_probability=0.0,
-        sequential_run=1.0,
-        mean_gap_ns=max(0.1, stats.mean_gap_ns),
-        miss_class=MissClass.HIGH
-        if stats.footprint_bytes > config.cache_capacity_bytes else MissClass.LOW,
-    )
-    # The trace's own touched blocks form the warmed resident set.
-    from repro.workloads.trace import read_trace
-
-    touched = sorted({block for _g, _op, block, _pc in read_trace(trace_path)})
-    streams = trace_streams(trace_path, config.cores)
-    return _run(design, surrogate, config, streams, demands_per_core, seed,
-                prewarm_blocks=touched)
-

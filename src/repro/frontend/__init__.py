@@ -1,6 +1,5 @@
-"""Closed-loop processor front end and private-cache filtering."""
+"""Closed-loop processor front end."""
 
 from repro.frontend.core_model import Core, Progress, build_cores
-from repro.frontend.private_cache import PrivateCache, filter_stream
 
-__all__ = ["Core", "Progress", "build_cores", "PrivateCache", "filter_stream"]
+__all__ = ["Core", "Progress", "build_cores"]

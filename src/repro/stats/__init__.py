@@ -1,15 +1,9 @@
-"""Statistics primitives and result reporting."""
+"""Statistics primitives."""
 
 from repro.stats.bandwidth import BandwidthLedger
 from repro.stats.counters import CounterSet, LatencyStat, OccupancyStat
 from repro.stats.dump import collect_stats, dump_stats
 from repro.stats.estimator import estimate, t_critical
-from repro.stats.report import (
-    breakdown_bar,
-    comparison_table,
-    result_to_dict,
-    results_to_json,
-)
 
 __all__ = [
     "BandwidthLedger",
@@ -20,8 +14,4 @@ __all__ = [
     "dump_stats",
     "estimate",
     "t_critical",
-    "breakdown_bar",
-    "comparison_table",
-    "result_to_dict",
-    "results_to_json",
 ]

@@ -11,15 +11,6 @@ from repro.workloads.suite import (
     suite_by_name,
     workload,
 )
-from repro.workloads.phases import Phase, PhasedWorkload, run_phased_experiment
-from repro.workloads.trace import (
-    TraceStats,
-    capture_trace,
-    read_trace,
-    trace_stats,
-    trace_streams,
-    write_trace,
-)
 from repro.workloads.synthetic import (
     hot_cold_spec,
     stream_spec,
@@ -47,15 +38,6 @@ __all__ = [
     "representative_suite",
     "suite_by_name",
     "workload",
-    "Phase",
-    "PhasedWorkload",
-    "run_phased_experiment",
-    "TraceStats",
-    "capture_trace",
-    "read_trace",
-    "trace_stats",
-    "trace_streams",
-    "write_trace",
     "hot_cold_spec",
     "stream_spec",
     "synthetic_stream",

@@ -38,16 +38,6 @@ def suite_by_name() -> Dict[str, WorkloadSpec]:
     return {spec.name: spec for spec in full_suite()}
 
 
-def workload(name: str) -> WorkloadSpec:
-    """Look up one suite workload, e.g. ``workload("ft.D")``."""
-    table = suite_by_name()
-    if name not in table:
-        raise WorkloadError(
-            f"unknown workload {name!r}; choose from {sorted(table)}"
-        )
-    return table[name]
-
-
 def synthetic_workloads() -> Dict[str, WorkloadSpec]:
     """Named synthetic microbenchmarks (outside the 28-workload suite).
 
@@ -63,8 +53,9 @@ def synthetic_workloads() -> Dict[str, WorkloadSpec]:
     }
 
 
-def any_workload(name: str) -> WorkloadSpec:
-    """Look up a suite workload *or* a named synthetic one."""
+def workload(name: str) -> WorkloadSpec:
+    """Look up a suite workload or a named synthetic one, e.g.
+    ``workload("ft.D")`` or ``workload("write_storm")``."""
     table = suite_by_name()
     if name in table:
         return table[name]
@@ -75,6 +66,10 @@ def any_workload(name: str) -> WorkloadSpec:
         f"unknown workload {name!r}; choose from "
         f"{sorted(table) + sorted(synthetic)}"
     )
+
+
+#: The older name of :func:`workload`, kept for callers that import it.
+any_workload = workload
 
 
 def miss_group(specs: Optional[List[WorkloadSpec]] = None,

@@ -21,7 +21,6 @@ import re
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.config.system import MIB, OBS_ONLY, SystemConfig
@@ -250,21 +249,6 @@ class TestRunResultSerialization:
                     f"{path} is {type(value)}"
 
         check(dataclasses.asdict(one_result), "result")
-
-    def test_numpy_scalars_coerced_at_construction(self, one_result):
-        data = dataclasses.asdict(one_result)
-        data.update(
-            miss_ratio=np.float64(0.5),
-            demands=np.int64(100),
-            breakdown={"read_hit": np.float64(1.0)},
-            events={"x": np.int64(3)},
-        )
-        result = RunResult(**data)
-        assert type(result.miss_ratio) is float
-        assert type(result.demands) is int
-        assert type(result.breakdown["read_hit"]) is float
-        assert type(result.events["x"]) is int
-        json.dumps(dataclasses.asdict(result))
 
 
 class TestResultCache:

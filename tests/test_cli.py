@@ -57,6 +57,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "runtime_ps" in out and "miss_ratio" in out
 
+    def test_run_accepts_synthetic_workload(self):
+        assert main(["run", "tdram", "write_storm", "--demands", "20"]) == 0
+
     def test_run_rejects_zero_demands(self):
         with pytest.raises(ConfigError, match="demands_per_core"):
             main(["run", "tdram", "bfs.22", "--demands", "0"])
@@ -104,14 +107,6 @@ class TestCli:
         listed = {line.split()[0] for line in rows.splitlines()
                   if line.strip()}
         assert set(DESIGNS) <= listed, set(DESIGNS) - listed
-
-    def test_trace_capture_rejects_non_integer_count(self, capsys,
-                                                     tmp_path):
-        path = tmp_path / "ft.trace"
-        assert main(["trace-capture", "ft.D", str(path), "abc"]) == 2
-        err = capsys.readouterr().err
-        assert "COUNT" in err and "'abc'" in err
-        assert not path.exists()
 
     def test_every_listed_design_runs(self, capsys):
         # ...and every listed design is runnable.

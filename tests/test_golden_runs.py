@@ -25,9 +25,6 @@ from repro.experiments.campaign import CACHE_VERSION  # noqa: E402
 from repro.experiments.runner import RunResult  # noqa: E402
 
 GOLDEN = golden_runs.load()
-#: test_backends.py's TestBitIdentity checks each design's
-#: bfs.22/ddr5/write_allocate cell; every other cell is checked here
-OTHER_CELLS = [cell for cell in golden_runs.cells() if cell[1] != "bfs.22"]
 
 
 def test_table_matches_cache_version():
@@ -92,7 +89,8 @@ def test_table_has_every_cell():
     assert set(GOLDEN["cells"]) == expected
 
 
-@pytest.mark.parametrize("cell", OTHER_CELLS, ids=golden_runs.cell_key)
+@pytest.mark.parametrize("cell", golden_runs.cells(),
+                         ids=golden_runs.cell_key)
 def test_cell_matches_golden(cell):
     key = golden_runs.cell_key(cell)
     expected = GOLDEN["cells"][key]

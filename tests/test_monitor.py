@@ -4,7 +4,8 @@ import pytest
 
 from repro.cache.tdram import TdramCache
 from repro.dram.device import DramChannel
-from repro.dram.monitor import CommandLog, CommandRecord, ProtocolChecker
+from repro.dram.monitor import (ChannelObserver, CommandLog, CommandRecord,
+                                ProtocolChecker)
 from repro.dram.timing import hbm3_cache_timing, rldram_like_tag_timing
 from repro.errors import ProtocolError
 from repro.sim.kernel import Simulator, ns
@@ -82,6 +83,13 @@ class TestCommandLog:
             CommandLog().render_timeline(10, 10)
         with pytest.raises(ProtocolError):
             CommandLog(capacity=0)
+
+
+class TestChannelObserver:
+    def test_subclass_without_on_command_fails_at_construction(self):
+        assert ChannelObserver.__abstractmethods__ == {"on_command"}
+        with pytest.raises(TypeError, match="abstract"):
+            type("HalfImplemented", (ChannelObserver,), {})()
 
 
 class TestProtocolChecker:

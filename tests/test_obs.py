@@ -28,7 +28,6 @@ from repro.obs import ObsConfig
 from repro.obs.epochs import COLUMNS, DELTA_COLUMNS, LEVEL_COLUMNS
 from repro.obs.profiler import KernelProfiler, handler_name, render_profile
 from repro.obs.trace import PID_REQUESTS, CHILD_SPANS
-from repro.workloads.suite import any_workload
 
 DEMANDS = 150
 SEED = 11
@@ -41,7 +40,7 @@ def _small(obs: ObsConfig) -> SystemConfig:
 def _run(design="tdram", workload="synthetic", obs=None, trace_out=None,
          demands=DEMANDS):
     config = _small(obs) if obs is not None else SystemConfig.small()
-    return run_experiment(design, any_workload(workload), config=config,
+    return run_experiment(design, workload, config=config,
                           demands_per_core=demands, seed=SEED,
                           trace_out=trace_out)
 
@@ -327,7 +326,7 @@ def test_cli_trace_target(tmp_path, capsys):
 
 def test_campaign_writes_trace_artifacts(tmp_path):
     config = SystemConfig.small().with_(obs=ObsConfig(trace=True))
-    tasks = tasks_for(["tdram"], [any_workload("synthetic")], config=config,
+    tasks = tasks_for(["tdram"], ["synthetic"], config=config,
                       demands_per_core=60, seeds=[3],
                       trace_dir=str(tmp_path))
     outcome = run_campaign(tasks, jobs=1, cache=None)
@@ -339,7 +338,7 @@ def test_campaign_writes_trace_artifacts(tmp_path):
 
 
 def test_obs_config_participates_in_cache_key():
-    base = tasks_for(["tdram"], [any_workload("synthetic")],
+    base = tasks_for(["tdram"], ["synthetic"],
                      config=SystemConfig.small())[0]
     traced = dataclasses.replace(
         base, config=SystemConfig.small().with_(obs=ObsConfig(trace=True)))

@@ -1,16 +1,10 @@
-"""Tests for the per-bank refresh option and separate-die tag timing."""
+"""Tests for the per-bank refresh option."""
 
 import pytest
 
-from repro.cache.tdram import TdramCache
 from repro.config.system import MIB, SystemConfig
 from repro.dram.device import DramChannel
-from repro.dram.timing import (
-    hbm3_cache_timing,
-    rldram_like_tag_timing,
-    separate_die_tag_timing,
-)
-from repro.core.tag_mats import internal_result_hidden
+from repro.dram.timing import hbm3_cache_timing
 from repro.errors import ProtocolError
 from repro.experiments.runner import run_experiment
 from repro.sim.kernel import Simulator
@@ -70,28 +64,3 @@ class TestPerBankRefresh:
         assert result.runtime_ps > 0
         assert result.flush_unloads.get("unload_refresh", 0) == 0
 
-
-class TestSeparateDieTags:
-    def test_tsv_hop_slows_the_tag_path(self):
-        same = rldram_like_tag_timing()
-        separate = separate_die_tag_timing()
-        assert separate.hm_result_delay > same.hm_result_delay
-
-    def test_separate_die_breaks_the_latency_hiding(self):
-        """§III-C2/C4: the same-die choice keeps the internal result
-        under tRCD; a TSV hop forfeits that."""
-        timing = hbm3_cache_timing()
-        assert internal_result_hidden(timing, rldram_like_tag_timing())
-        assert not internal_result_hidden(timing, separate_die_tag_timing())
-
-    def test_tdram_still_functions_with_separate_die_tags(self):
-        config = SystemConfig(
-            cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
-            cores=4, tag_timing=separate_die_tag_timing(),
-        )
-        result = run_experiment("tdram", "cg.C", config,
-                                demands_per_core=200, seed=5)
-        base = run_experiment("tdram", "cg.C",
-                              config.with_(tag_timing=rldram_like_tag_timing()),
-                              demands_per_core=200, seed=5)
-        assert result.tag_check_ns > base.tag_check_ns

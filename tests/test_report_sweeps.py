@@ -1,77 +1,15 @@
-"""Tests for result reporting (JSON/tables) and config sweeps."""
-
-import json
+"""Tests for config sweeps."""
 
 import pytest
 
 from repro.config.system import MIB, SystemConfig
 from repro.errors import ConfigError
 from repro.experiments.figures import ExperimentContext
-from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import config_sweep, mlp_sweep
-from repro.stats.report import (
-    breakdown_bar,
-    comparison_table,
-    result_to_dict,
-    results_to_json,
-)
 from repro.workloads import workload
 
 FAST = SystemConfig(cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
                     cores=4)
-
-
-@pytest.fixture(scope="module")
-def results():
-    return [
-        run_experiment(design, "bfs.22", FAST, demands_per_core=150, seed=5)
-        for design in ("cascade_lake", "tdram")
-    ]
-
-
-class TestJsonExport:
-    def test_single_result_roundtrips(self, results):
-        payload = json.loads(results_to_json(results[0]))
-        assert payload["design"] == "cascade_lake"
-        assert payload["runtime_ns"] > 0
-        assert isinstance(payload["breakdown"], dict)
-
-    def test_list_export(self, results):
-        payload = json.loads(results_to_json(results))
-        assert [p["design"] for p in payload] == ["cascade_lake", "tdram"]
-
-    def test_dict_has_every_dataclass_field(self, results):
-        payload = result_to_dict(results[0])
-        for field in ("tag_check_ns", "bloat_factor", "energy_pj",
-                      "miss_ratio", "flush_unloads"):
-            assert field in payload
-
-
-class TestComparisonTable:
-    def test_table_contains_designs_and_headers(self, results):
-        text = comparison_table(results)
-        assert "cascade_lake" in text and "tdram" in text
-        assert "tag(ns)" in text
-
-    def test_speedup_column(self, results):
-        text = comparison_table(results, baseline="cascade_lake")
-        assert "speedup_vs_cascade_lake" in text
-        assert "1.000" in text  # the baseline against itself
-
-    def test_unknown_baseline_rejected(self, results):
-        with pytest.raises(ValueError):
-            comparison_table(results, baseline="quantum")
-
-
-class TestBreakdownBar:
-    def test_bar_width_fixed(self):
-        bar = breakdown_bar({"read_hit": 0.5, "read_miss_clean": 0.5},
-                            width=20)
-        assert len(bar) == 20
-        assert bar.count("R") == 10 and bar.count("c") == 10
-
-    def test_empty_breakdown(self):
-        assert breakdown_bar({}, width=8) == " " * 8
 
 
 def context(name):

@@ -10,7 +10,6 @@ from repro.errors import SimulationError
 from repro.experiments import runner
 from repro.experiments.runner import run_experiment
 from repro.sim.kernel import PS_PER_NS, Simulator, ns, to_ns
-from repro.workloads.suite import any_workload
 from tests.heap_reference import HeapSimulator
 
 
@@ -648,9 +647,9 @@ class TestHeapOracleBitIdentity:
         design, name = cell
         kwargs = dict(config=SystemConfig.small(), demands_per_core=600,
                       seed=7)
-        slots = run_experiment(design, any_workload(name), **kwargs)
+        slots = run_experiment(design, name, **kwargs)
         monkeypatch.setattr(runner, "Simulator", HeapSimulator)
-        heap = run_experiment(design, any_workload(name), **kwargs)
+        heap = run_experiment(design, name, **kwargs)
         assert dataclasses.asdict(slots) == dataclasses.asdict(heap)
 
 

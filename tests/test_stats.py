@@ -160,6 +160,14 @@ class TestCacheMetrics:
         assert metrics.tag_check.count == 0
         assert metrics.ledger.total_bytes == 0
 
+    def test_empty_region_breakdown_is_all_zeros(self):
+        metrics = CacheMetrics()
+        assert metrics.demands == 0
+        assert metrics.miss_ratio == 0.0
+        breakdown = metrics.breakdown()
+        assert set(breakdown) == set(BREAKDOWN_CATEGORIES)
+        assert all(value == 0.0 for value in breakdown.values())
+
 
 class TestEstimator:
     def test_t_critical_known_values(self):

@@ -77,6 +77,20 @@ class TestDirectMapped:
         evicted = store.fill(9 + 64)
         assert evicted == (9, True)
 
+    def test_fill_into_full_set_drops_the_victim(self):
+        tags = TagStore(4, 1)
+        tags.install(2, dirty=True)
+        assert tags.fill(6) == (2, True)
+        assert tags.contains(6) and not tags.contains(2)
+
+    def test_dirty_conflict_names_victim_and_is_evicted(self):
+        tags = TagStore(4, ways=1)
+        tags.install(1, dirty=True)
+        result = tags.probe(5)
+        assert result.outcome is Outcome.MISS_DIRTY
+        assert result.victim_block == 1
+        assert tags.install(5, dirty=False) == (1, True)
+
     def test_invalidate(self):
         store = self.make()
         store.install(3, dirty=False)
@@ -132,6 +146,30 @@ class TestSetAssociative:
         result = store.probe(64)
         assert result.outcome is Outcome.MISS_DIRTY
         assert result.victim_block == 0
+
+    def test_probe_hit_protects_block_from_eviction(self):
+        tags = TagStore(8, ways=2)
+        tags.install(0, dirty=False)
+        tags.install(4, dirty=False)
+        # Touch block 0: block 4 becomes LRU and is evicted next.
+        assert tags.probe(0).outcome is Outcome.HIT_CLEAN
+        evicted = tags.install(8, dirty=False)
+        assert evicted == (4, False)
+        assert tags.contains(0) and tags.contains(8)
+
+    def test_late_clean_fill_keeps_dirty_line(self):
+        tags = TagStore(8, 2)
+        # A write allocated the block (dirty) while the miss fetch was
+        # in flight: the late clean fill must not clobber it.
+        tags.install(3, dirty=True)
+        assert tags.fill(3) is None
+        assert tags.is_dirty(3)
+
+
+def test_controller_builds_plain_tag_store(make_system):
+    from repro.cache.cascade_lake import CascadeLakeCache
+    system = make_system(CascadeLakeCache)
+    assert type(system.cache.tags) is TagStore
 
 
 class TestBulkInstall:

@@ -7,7 +7,6 @@ from repro.dram.timing import (
     TagTiming,
     ddr5_timing,
     hbm3_cache_timing,
-    ndc_tag_timing,
     rldram_like_tag_timing,
 )
 from repro.errors import ConfigError, TimingError
@@ -71,18 +70,6 @@ class TestDerivedValues:
         t = hbm3_cache_timing()
         assert t.write_bank_busy >= t.tRC
 
-    def test_scaled_burst_for_alloy_80b(self):
-        t = hbm3_cache_timing().scaled_burst(80)
-        assert t.tBURST == ns(2.5)
-
-    def test_scaled_burst_identity(self):
-        t = hbm3_cache_timing()
-        assert t.scaled_burst(64).tBURST == t.tBURST
-
-    def test_scaled_burst_rejects_bad_sizes(self):
-        with pytest.raises(ConfigError):
-            hbm3_cache_timing().scaled_burst(0)
-
 
 class TestDdr5AndValidation:
     def test_ddr5_has_64b_burst_at_2ns(self):
@@ -92,10 +79,6 @@ class TestDdr5AndValidation:
         ddr5 = ddr5_timing()
         hbm = hbm3_cache_timing()
         assert ddr5.tRCD >= hbm.tRCD
-
-    def test_ndc_tag_timing_matches_fair_comparison_rule(self):
-        """§IV-A: the same tag-mat timings are used for NDC."""
-        assert ndc_tag_timing() == rldram_like_tag_timing()
 
     def test_invalid_timing_rejected(self):
         with pytest.raises(ConfigError):

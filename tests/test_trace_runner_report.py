@@ -1,50 +1,12 @@
-"""Tests for trace-driven experiments and the report generator."""
-
-import pytest
+"""Tests for the report generator."""
 
 from repro.config.system import MIB, SystemConfig
 from repro.experiments.figures import ExperimentContext
 from repro.experiments.report_gen import generate_report
-from repro.experiments.runner import run_experiment, run_trace_experiment
-from repro.workloads import capture_trace, demand_stream, workload
+from repro.workloads import workload
 
 FAST = SystemConfig(cache_capacity_bytes=4 * MIB, mm_capacity_bytes=64 * MIB,
                     cores=4)
-
-
-@pytest.fixture
-def trace_file(tmp_path):
-    path = tmp_path / "cg.trace.gz"
-    stream = demand_stream(workload("cg.C"), FAST, 0, FAST.cores, seed=5)
-    capture_trace(path, stream, 3000)
-    return path
-
-
-class TestTraceExperiments:
-    def test_replay_produces_full_metrics(self, trace_file):
-        result = run_trace_experiment("tdram", trace_file, FAST,
-                                      demands_per_core=150, name="cg.replay")
-        assert result.workload == "cg.replay"
-        assert result.demands > 0
-        assert result.runtime_ps > 0
-        assert 0.0 <= result.miss_ratio <= 1.0
-
-    def test_replay_matches_generator_architecture(self, trace_file):
-        """Replaying a captured trace reproduces the same hit/miss mix
-        as running the generator directly (same accesses, after all)."""
-        generated = run_experiment("cascade_lake", "cg.C", FAST,
-                                   demands_per_core=150, seed=5)
-        replayed = run_trace_experiment("cascade_lake", trace_file, FAST,
-                                        demands_per_core=150)
-        assert replayed.miss_ratio == pytest.approx(generated.miss_ratio,
-                                                    abs=0.1)
-
-    def test_designs_comparable_on_same_trace(self, trace_file):
-        cl = run_trace_experiment("cascade_lake", trace_file, FAST,
-                                  demands_per_core=150)
-        tdram = run_trace_experiment("tdram", trace_file, FAST,
-                                     demands_per_core=150)
-        assert tdram.tag_check_ns < cl.tag_check_ns
 
 
 class TestReportGenerator:

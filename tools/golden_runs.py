@@ -50,7 +50,6 @@ from repro.cache import DESIGNS  # noqa: E402 - path set up above
 from repro.config.system import SystemConfig  # noqa: E402
 from repro.experiments.campaign import CACHE_VERSION  # noqa: E402
 from repro.experiments.runner import run_experiment  # noqa: E402
-from repro.workloads.suite import any_workload  # noqa: E402
 
 GOLDEN_PATH = ROOT / "tests" / "golden_runs.json"
 DEMANDS_PER_CORE = 150
@@ -98,7 +97,7 @@ def row_for(fields: Dict[str, object]) -> Dict[str, object]:
 def run_cell(cell: Cell) -> Dict[str, object]:
     """Simulate one cell; return its row (see :func:`row_for`)."""
     design, workload = cell
-    result = run_experiment(design, any_workload(workload),
+    result = run_experiment(design, workload,
                             config=SystemConfig.small(),
                             demands_per_core=DEMANDS_PER_CORE, seed=SEED)
     return row_for(dataclasses.asdict(result))
