@@ -1,4 +1,13 @@
-"""Experiment harness: runner, campaign engine, figures, sweeps, CLI."""
+"""Experiment harness: runner, campaign engine, figures, sweeps, CLI.
+
+The package exports the runner (:func:`run_experiment`,
+:class:`RunResult`) and the campaign engine (:func:`run_campaign`,
+:func:`tasks_for`, :class:`ResultCache`, ...), which is what a run
+needs. The figures (``repro.experiments.figures``), the studies, the
+sweeps (``repro.experiments.sweeps``: ``config_sweep``, ``mlp_sweep``,
+``channel_sweep``), the report generator and the CLI are imported from
+their submodules, so a plain run loads none of them.
+"""
 
 from repro.experiments.campaign import (
     CampaignOutcome,
@@ -9,7 +18,6 @@ from repro.experiments.campaign import (
     tasks_for,
 )
 from repro.experiments.runner import RunResult, run_experiment
-from repro.experiments.sweeps import channel_sweep, config_sweep, mlp_sweep
 
 __all__ = [
     "CampaignOutcome",
@@ -17,9 +25,6 @@ __all__ = [
     "ResultCache",
     "RunResult",
     "cache_key",
-    "channel_sweep",
-    "config_sweep",
-    "mlp_sweep",
     "run_campaign",
     "run_experiment",
     "tasks_for",

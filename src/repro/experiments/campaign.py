@@ -42,16 +42,8 @@ import enum
 import hashlib
 import json
 import os
-import signal
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -422,6 +414,8 @@ def _init_worker() -> None:
     the OOM killer); otherwise the worker would block forever on a queue
     nobody feeds.
     """
+    import signal
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
 
@@ -464,6 +458,13 @@ def _run_pool(pending: Dict[str, CampaignTask], workers: int,
     handler can be set and no ``KeyboardInterrupt`` arrives, the flag
     stays unset.
     """
+    # Imported here, not at module level: a serial run never loads
+    # multiprocessing and what it pulls in.
+    import signal
+    from concurrent.futures import FIRST_COMPLETED, Future, wait
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
+
     remaining = list(pending)
     pool: Optional[ProcessPoolExecutor] = None
     running: Dict[Future, str] = {}

@@ -20,6 +20,8 @@ its matrix through one :class:`ExperimentContext` built from the
 flags: ``--full-suite`` or ``--workloads`` pick the workloads,
 ``--demands`` and ``--seed`` the work quantum and seed, ``--jobs`` the
 worker processes, and ``--cache-dir``/``--no-cache`` the result cache.
+``flush`` sweeps buffer sizes on one workload: ft.D, or the one name
+``--workloads`` gives.
 
 Simulation-backed targets share a content-addressed on-disk result
 cache (``--cache-dir``, default ``.tdram_cache``; ``--no-cache``
@@ -39,6 +41,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.config.system import SystemConfig
+from repro.errors import ConfigError
 from repro.experiments.ablations import tdram_ablation
 from repro.experiments.campaign import ResultCache, run_campaign, tasks_for
 from repro.experiments.figures import (
@@ -139,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workloads", default=None,
                         help="campaign, figures and studies: "
                              "comma-separated workload names (default: "
-                             "representative suite)")
+                             "representative suite; flush: one name, "
+                             "default ft.D)")
     parser.add_argument("--retries", type=int, default=2,
                         help="campaign: extra attempts per task that "
                              "raised or lost its worker, at least 0 "
@@ -298,6 +302,14 @@ def main(argv=None) -> int:
         return 0
     if target in _ANALYTIC:
         print(_ANALYTIC[target]().render())
+        return 0
+    if target == "flush" and args.workloads:
+        ctx = _context(args)
+        if len(ctx.specs) != 1:
+            raise ConfigError(
+                f"flush sweeps one workload, but --workloads names "
+                f"{len(ctx.specs)}: {args.workloads}")
+        print(flush_buffer_sensitivity(ctx, spec=ctx.specs[0]).render())
         return 0
     if target in _CONTEXT_TARGETS:
         print(_CONTEXT_TARGETS[target](_context(args)).render())

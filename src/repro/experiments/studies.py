@@ -92,12 +92,14 @@ def flush_buffer_sensitivity(
 ) -> FigureResult:
     """§V-E: flush-buffer occupancy/stalls across buffer sizes.
 
-    Runs on ``spec`` alone, not the context's workloads. It defaults to
-    ft.D, a high-miss suite workload on which the paper's "16 entries
-    never stall" can be checked; at ``SystemConfig.small()`` scale its
-    buffer holds at most a few entries, so no size stalls.
-    ``repro.workloads.write_storm_spec()`` is the adversarial stressor
-    that fills the buffer and shows stalls falling with its size.
+    Runs on ``spec`` alone, not the context's workloads, and the title
+    names it. It defaults to ft.D, a high-miss suite workload on which
+    the paper's "16 entries never stall" can be checked; at
+    ``SystemConfig.small()`` scale its buffer holds at most a few
+    entries, so no size stalls. ``repro.workloads.write_storm_spec()``
+    is the adversarial stressor that fills the buffer and shows stalls
+    falling with its size. ``tdram-repro flush --workloads W`` passes
+    W as ``spec``.
     """
     spec = spec if spec is not None else workload("ft.D")
     ctx.warm([("tdram", spec, {"flush_buffer_entries": size})
@@ -118,7 +120,7 @@ def flush_buffer_sensitivity(
         })
     return FigureResult(
         figure="Section V-E",
-        title="Flush buffer size sensitivity (TDRAM, write-heavy workload)",
+        title=f"Flush buffer size sensitivity (TDRAM, {spec.name})",
         columns=["entries", "stalls", "mean_occupancy", "max_occupancy",
                  "unload_read_miss_clean", "unload_refresh", "unload_forced",
                  "runtime_us"],

@@ -24,18 +24,13 @@ Everything is off by default (``SystemConfig.obs``); a disabled run
 schedules zero extra events and is bit-for-bit the plain simulator.
 See ``docs/tracing.md`` for the trace format, the epoch-series schema,
 and worked Perfetto/pandas examples.
+
+The package exports only :class:`~repro.obs.config.ObsConfig`, which
+every ``SystemConfig`` holds. The instruments are imported from their
+submodules, and a run loads them only when its ``ObsConfig`` turns one
+on (:class:`~repro.obs.session.ObsSession`).
 """
 
 from repro.obs.config import ObsConfig
-from repro.obs.epochs import EpochRecorder
-from repro.obs.profiler import KernelProfiler
-from repro.obs.session import ObsSession
-from repro.obs.trace import TraceSession
 
-__all__ = [
-    "EpochRecorder",
-    "KernelProfiler",
-    "ObsConfig",
-    "ObsSession",
-    "TraceSession",
-]
+__all__ = ["ObsConfig"]

@@ -22,12 +22,13 @@ class ObsConfig:
     layer. Each knob is independent:
 
     * ``trace`` — record request-lifecycle spans and bus-occupancy
-      slices for Chrome/Perfetto export (:class:`repro.obs.TraceSession`);
+      slices for Chrome/Perfetto export
+      (:class:`repro.obs.trace.TraceSession`);
     * ``epoch_us`` — sample the metric time series every this many
       microseconds of *simulated* time (0 disables;
-      :class:`repro.obs.EpochRecorder`);
+      :class:`repro.obs.epochs.EpochRecorder`);
     * ``profile`` — attach the kernel profiler (host wall-time per
-      handler type; :class:`repro.obs.KernelProfiler`).
+      handler type; :class:`repro.obs.profiler.KernelProfiler`).
 
     Note for campaign users: ``ObsConfig`` is part of ``SystemConfig``
     and therefore of the content-addressed result-cache key — runs

@@ -1,17 +1,16 @@
-"""Statistics primitives."""
+"""Statistics primitives.
+
+The stats dump (``repro.stats.dump``) and the Student-t estimator
+(``repro.stats.estimator``) are imported from their submodules; a
+simulation needs neither.
+"""
 
 from repro.stats.bandwidth import BandwidthLedger
 from repro.stats.counters import CounterSet, LatencyStat, OccupancyStat
-from repro.stats.dump import collect_stats, dump_stats
-from repro.stats.estimator import estimate, t_critical
 
 __all__ = [
     "BandwidthLedger",
     "CounterSet",
     "LatencyStat",
     "OccupancyStat",
-    "collect_stats",
-    "dump_stats",
-    "estimate",
-    "t_critical",
 ]

@@ -79,7 +79,7 @@ def make_system(tiny_config):
 @pytest.fixture
 def pools(monkeypatch):
     """Every process pool the campaign engine constructs, in order."""
-    import repro.experiments.campaign as campaign_mod
+    import concurrent.futures.process as futures_process
 
     created = []
 
@@ -88,7 +88,8 @@ def pools(monkeypatch):
             super().__init__(*args, **kwargs)
             created.append(self)
 
-    monkeypatch.setattr(campaign_mod, "ProcessPoolExecutor", RecordingPool)
+    # ``campaign._run_pool`` imports the pool class from here when it runs.
+    monkeypatch.setattr(futures_process, "ProcessPoolExecutor", RecordingPool)
     return created
 
 

@@ -235,3 +235,23 @@ class TestContextTargets:
         assert len(runs) == 14 + 3 + 16 + 2
         assert all(len(lines) == 1 for lines in runs.values())
         assert len(cache_entries(cache_dir)) == len(runs)
+
+    def test_flush_runs_the_named_workload(self, capsys):
+        """``flush --workloads W`` sweeps the buffer sizes on W, not on
+        the default ft.D, and its title names W."""
+        argv = ["flush", "--workloads", "write_storm", "--demands", "40",
+                "--no-cache"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        runs = {tuple(line.split()[1:3]) for line in captured.err.splitlines()
+                if line.startswith("[")}
+        assert runs == {("tdram/write_storm@7", "simulated")}
+        assert "(TDRAM, write_storm)" in captured.out
+
+    def test_flush_rejects_two_workloads(self, capsys):
+        """``flush`` sweeps one workload: naming two fails before any
+        simulation, and the error names the flag to change."""
+        with pytest.raises(ConfigError, match="--workloads"):
+            main(["flush", "--workloads", "ft.D,write_storm", "--demands",
+                  "40", "--no-cache"])
+        assert capsys.readouterr().err == ""

@@ -161,6 +161,16 @@ _WITHOUT_NUMPY = textwrap.dedent("""
         run_experiment(design, "ft.D", config, demands_per_core=30, seed=3)
     run_experiment("tdram", "ft.D", config.with_(cache_ways=2),
                    demands_per_core=30, seed=3)
+
+    NOT_SIMULATOR = (
+        "concurrent.futures.process", "multiprocessing",
+        "repro.obs.trace", "repro.obs.session", "repro.dram.monitor",
+        "repro.experiments.figures", "repro.experiments.sweeps",
+        "repro.core.area", "repro.core.ways", "repro.core.tag_mats",
+        "repro.stats.dump", "repro.stats.estimator",
+    )
+    loaded = [name for name in NOT_SIMULATOR if name in sys.modules]
+    assert not loaded, f"a plain run loaded {loaded}"
 """)
 
 
@@ -168,7 +178,16 @@ def test_simulations_need_no_numpy():
     """numpy is a test dependency only. With ``import numpy`` failing,
     every design runs ft.D and tdram runs it on a 2-way cache: the lazy
     prewarm, BEAR's bypass draws, and the eager prewarm of the 2-way
-    store (more blocks than sets)."""
+    store (more blocks than sets).
+
+    A plain run imports only the simulator: after importing the
+    campaign engine and running every design serially, the process has
+    loaded neither the process pool (``concurrent.futures.process``,
+    ``multiprocessing``), nor the tracer, the observability session or
+    the command monitor, nor the figure and sweep code, nor the
+    area, way-select and tag-mat models, nor the stats dump and the
+    estimator. Because every design runs, a module that was merely
+    moved from the import into a run would show up here too."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
