@@ -21,7 +21,8 @@ flags: ``--full-suite`` or ``--workloads`` pick the workloads,
 ``--demands`` and ``--seed`` the work quantum and seed, ``--jobs`` the
 worker processes, and ``--cache-dir``/``--no-cache`` the result cache.
 ``flush`` sweeps buffer sizes on one workload: ft.D, or the one name
-``--workloads`` gives.
+``--workloads`` gives. A target fails with a ``ConfigError``, before it
+runs anything, if a flag it does not read is set away from its default.
 
 Simulation-backed targets share a content-addressed on-disk result
 cache (``--cache-dir``, default ``.tdram_cache``; ``--no-cache``
@@ -38,7 +39,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
@@ -96,6 +97,23 @@ _ANALYTIC: Dict[str, Callable[[], FigureResult]] = {
     "fig4": fig04_overheads,
     "table1": table1_comparison,
     "ways": way_select_study,
+}
+
+#: The flags a simulating target reads: those of its ExperimentContext.
+_CONTEXT_FLAGS = ("workloads", "full_suite", "demands", "seed", "jobs",
+                  "cache_dir", "no_cache")
+
+#: Every target and the flags it reads, by ``argparse`` dest. A flag a
+#: target does not read must keep its default (see ``_check_flags``).
+_FLAGS_READ: Dict[str, Tuple[str, ...]] = {
+    **dict.fromkeys(_CONTEXT_TARGETS, _CONTEXT_FLAGS),
+    "report": _CONTEXT_FLAGS,
+    "campaign": _CONTEXT_FLAGS + ("designs", "resume", "retries", "out",
+                                  "trace"),
+    "run": ("demands", "seed"),
+    "trace": ("workload", "design", "demands", "seed", "out", "epoch_us",
+              "profile"),
+    **dict.fromkeys([*_ANALYTIC, "list", "suite"], ()),
 }
 
 #: One-line summary per registered design, shown by ``tdram-repro list``.
@@ -196,23 +214,32 @@ def _context(args) -> ExperimentContext:
                              progress=_progress)
 
 
+def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 target: str) -> None:
+    """Raise a ``ConfigError`` naming every flag ``target`` does not read
+    that is set away from its default: the target would ignore it."""
+    unread = [f"--{dest.replace('_', '-')}"
+              for dest, value in vars(args).items()
+              if dest not in ("target", "args", *_FLAGS_READ[target])
+              and value != parser.get_default(dest)]
+    if unread:
+        raise ConfigError(
+            f"tdram-repro {target} does not read {', '.join(unread)}; "
+            f"drop {'it' if len(unread) == 1 else 'them'}")
+
+
 def main(argv=None) -> int:
     """Run one ``tdram-repro`` target; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # The lint engine owns its own flags (--json, --select, ...),
-        # so it gets the raw argv tail instead of this parser.
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(list(argv[1:]))
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     target = args.target.lower()
+    if target not in _FLAGS_READ:
+        print(f"unknown target {target!r}; try 'tdram-repro list'",
+              file=sys.stderr)
+        return 2
+    _check_flags(parser, args, target)
     if target == "list":
-        names = sorted(list(_CONTEXT_TARGETS) + list(_ANALYTIC)
-                       + ["campaign", "lint", "run",
-                          "report", "suite", "trace"])
-        print("available targets:", ", ".join(names))
+        print("available targets:", ", ".join(sorted(_FLAGS_READ)))
         print("designs (for run/campaign/--designs):")
         for name in sorted(_DESIGN_SUMMARIES):
             print(f"  {name:<14} {_DESIGN_SUMMARIES[name]}")
@@ -311,11 +338,8 @@ def main(argv=None) -> int:
                 f"{len(ctx.specs)}: {args.workloads}")
         print(flush_buffer_sensitivity(ctx, spec=ctx.specs[0]).render())
         return 0
-    if target in _CONTEXT_TARGETS:
-        print(_CONTEXT_TARGETS[target](_context(args)).render())
-        return 0
-    print(f"unknown target {target!r}; try 'tdram-repro list'", file=sys.stderr)
-    return 2
+    print(_CONTEXT_TARGETS[target](_context(args)).render())
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

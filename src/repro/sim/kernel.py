@@ -148,10 +148,10 @@ class Simulator:
     ---------
     :attr:`profiler` is ``None`` by default. Assign an object with a
     ``record(callback, wall_ns)`` method (e.g.
-    :class:`repro.obs.KernelProfiler`) and the dispatch loop times
-    every callback with the host clock; with ``None`` the loop reads no
-    host clock, and dispatch order, event counts, and results are
-    unchanged either way. A batch of ``n`` wakes is timed as one call
+    :class:`repro.obs.profiler.KernelProfiler`) and the dispatch loop
+    times every callback with the host clock; with ``None`` the loop
+    reads no host clock, and dispatch order, event counts, and results
+    are unchanged either way. A batch of ``n`` wakes is timed as one call
     and recorded once per wake: the first record gets the call's wall
     time, the other ``n - 1`` get 0 ns.
     """
@@ -390,9 +390,9 @@ class Simulator:
                     else:
                         # Host wall time feeds only the profiler,
                         # never simulated state.
-                        begin = perf_counter_ns()  # tdram: noqa[SIM001] -- host-side profiling only, sim state untouched
+                        begin = perf_counter_ns()
                         callback(*handle[1])
-                        record(callback, perf_counter_ns() - begin)  # tdram: noqa[SIM001] -- host-side profiling only, sim state untouched
+                        record(callback, perf_counter_ns() - begin)
                         if len(handle) > 3:
                             for _ in range(1, handle[1][0]):
                                 record(callback, 0)

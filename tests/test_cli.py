@@ -74,6 +74,19 @@ class TestCli:
             main(["fig9", "--jobs", "0", "--demands", "20",
                   "--workloads", "bfs.22", "--no-cache"])
 
+    @pytest.mark.parametrize("argv", [
+        ["ways", "--workloads", "nope", "--jobs", "0"],
+        ["run", "tdram", "bfs.22", "--demands", "20", "--workloads", "nope",
+         "--jobs", "0"],
+    ], ids=["ways", "run"])
+    def test_unread_flags_are_rejected(self, capsys, argv):
+        """A flag the target never reads fails before anything runs,
+        and the error names the target and each such flag."""
+        with pytest.raises(ConfigError, match=f"{argv[0]} does not read "
+                                              "--jobs, --workloads"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
     def test_zero_jobs_fails_the_command(self):
         """The ``tdram-repro`` process itself exits non-zero and says
         what to change."""

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Docstring-coverage gate (CI docs job).
+"""Docstring-coverage gate.
 
 Walks Python sources with :mod:`ast` (no imports, no third-party
 dependencies) and reports the fraction of public definitions — modules,

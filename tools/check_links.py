@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Relative-link checker for the repo's markdown docs (CI docs job).
+"""Relative-link checker for the repo's markdown docs.
 
 Scans markdown files for inline links/images (``[text](target)``) and
 reference definitions (``[ref]: target``), and verifies that every
