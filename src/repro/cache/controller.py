@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import enum
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.metrics import CacheMetrics
 from repro.cache.prefetcher import StridePrefetcher
@@ -38,6 +38,9 @@ from repro.energy.power_model import EnergyMeter
 from repro.errors import CapacityError
 from repro.memory.main_memory import MainMemory
 from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:
+    from repro.obs.trace import TraceSession
 
 
 class OpKind(enum.Enum):
@@ -159,6 +162,9 @@ class DramCacheController(abc.ABC):
     burst_bytes = 64
     #: whether the device carries tag mats + an HM bus (TDRAM, NDC)
     has_tag_path = False
+    #: lifecycle tracer the hooks below feed; None unless
+    #: config.obs.trace is on
+    trace: Optional[TraceSession]
 
     def __init__(self, sim: Simulator, config: SystemConfig,
                  main_memory: MainMemory) -> None:
@@ -194,13 +200,11 @@ class DramCacheController(abc.ABC):
             StridePrefetcher(degree=config.prefetch_degree)
             if config.use_prefetcher else None
         )
-        #: observability layer (lifecycle tracing, epoch series, kernel
-        #: profiling) — None unless any config.obs instrument is on
-        self.obs = None
-        if config.obs.any_enabled:
-            from repro.obs.session import ObsSession
+        self.trace = None
+        if config.obs.trace:
+            from repro.obs.trace import TraceSession
 
-            self.obs = ObsSession(self)
+            self.trace = TraceSession(self)
 
     # ------------------------------------------------------------------
     # Front-end interface
@@ -224,8 +228,8 @@ class DramCacheController(abc.ABC):
     def submit(self, request: DemandRequest) -> None:
         """Accept a demand (caller must have checked :meth:`can_accept`)."""
         request.arrive_time = self.sim.now
-        if self.obs is not None:
-            self.obs.on_enqueue(request)
+        if self.trace is not None:
+            self.trace.on_enqueue(request)
         if self.prefetcher is not None and request.op is _READ:
             self._drive_prefetcher(request)
         self._enqueue(request)
@@ -256,10 +260,9 @@ class DramCacheController(abc.ABC):
     def _record_tag_result(self, demand: DemandRequest, time: int,
                            outcome: Outcome) -> None:
         demand.tag_result_time = time
-        demand.outcome = outcome
         self.metrics.record_outcome(demand.op, outcome)
-        if self.obs is not None:
-            self.obs.on_tag_result(demand, time, outcome)
+        if self.trace is not None:
+            self.trace.on_tag_result(demand, time, outcome)
         # Fig. 9's tag-check latency is a read-demand metric: it is the
         # component of the LLC read-miss penalty (§V-A). Write demands
         # resolve their tags with their own (posted) write operation.
@@ -270,15 +273,15 @@ class DramCacheController(abc.ABC):
         if demand.issue_time < 0:
             demand.issue_time = issue
             self.metrics.read_queue_delay.record(issue - demand.arrive_time)
-            if self.obs is not None:
-                self.obs.on_issue(demand, issue)
+            if self.trace is not None:
+                self.trace.on_issue(demand, issue)
 
     def _complete_read(self, demand: DemandRequest, time: int) -> None:
         if demand.completed:
             return
         self.metrics.read_latency.record(time - demand.arrive_time)
-        if self.obs is not None:
-            self.obs.on_read_complete(demand, time)
+        if self.trace is not None:
+            self.trace.on_read_complete(demand, time)
         demand.complete(time)
 
     def _fetch(self, block: int, request: DemandRequest,
@@ -288,8 +291,8 @@ class DramCacheController(abc.ABC):
         ``request`` is the demand that launched the fetch, and waits on
         it unless ``waits`` is False (a speculative fetch or a prefetch).
         """
-        if waits and self.obs is not None:
-            self.obs.on_fetch_start(request, self.sim.now)
+        if waits and self.trace is not None:
+            self.trace.on_fetch_start(request, self.sim.now)
         waiters = self._mshrs.get(block)
         if waiters is not None:
             if waits:
@@ -311,8 +314,8 @@ class DramCacheController(abc.ABC):
         # a speculative fetch nobody waits for moved bytes for nothing.
         self.metrics.ledger.move("mm_fetch", 64, useful=bool(waiters))
         for demand in waiters:
-            if self.obs is not None:
-                self.obs.on_fetch_return(demand, time)
+            if self.trace is not None:
+                self.trace.on_fetch_return(demand, time)
             self._complete_read(demand, time)
         if self._skip_fill():
             return
@@ -377,8 +380,8 @@ class DramCacheController(abc.ABC):
             data_bytes=n_bytes, hm_result_delay=hm_result_delay,
             column_op=column_op, transfer=transfer,
         )
-        if with_tag and self.obs is not None and grant.hm_at is not None:
-            self.obs.on_hm_result(channel_idx, grant.hm_at)
+        if with_tag and self.trace is not None and grant.hm_at is not None:
+            self.trace.on_hm_result(channel_idx, grant.hm_at)
         return grant
 
     # ------------------------------------------------------------------

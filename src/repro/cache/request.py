@@ -60,7 +60,7 @@ class DemandRequest:
 
     __slots__ = ("op", "block_addr", "core_id", "pc", "seq", "arrive_time",
                  "on_complete", "tag_result_time", "issue_time", "probed",
-                 "outcome", "victim_block", "completed")
+                 "completed")
 
     def __init__(self, op: Op, block_addr: int, core_id: int = 0,
                  pc: int = 0,
@@ -79,8 +79,6 @@ class DemandRequest:
         self.tag_result_time = -1  #: when hit/miss became known at controller
         self.issue_time = -1       #: first DRAM-cache action for this demand
         self.probed = False        #: TDRAM early-probe already answered it
-        self.outcome: Optional[Outcome] = None
-        self.victim_block: Optional[int] = None
         self.completed = False
 
     def complete(self, time: int) -> None:

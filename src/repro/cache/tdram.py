@@ -55,8 +55,8 @@ class TdramCache(DramCacheController):
                  main_memory: MainMemory) -> None:
         super().__init__(sim, config, main_memory)
         self.flush = FlushBuffer(config.flush_buffer_entries)
-        if self.obs is not None:
-            self.obs.attach_flush(self.flush)
+        if self.trace is not None:
+            self.flush.obs_sink = self.trace.on_flush_level
         self.probe_engine = ProbeEngine()
         opportunistic = config.flush_unload_policy == "opportunistic"
         self.unload_on_refresh = opportunistic
@@ -172,8 +172,8 @@ class TdramCache(DramCacheController):
             self._record_tag_result(demand, hm_at, outcome)
         if outcome.is_hit:
             self.metrics.ledger.move("hit_data", 64, useful=True)
-            if self.obs is not None and data_start is not None:
-                self.obs.on_dq_window(demand, data_start, data_end)
+            if self.trace is not None and data_start is not None:
+                self.trace.on_dq_window(demand, data_start, data_end)
             self.sim.at(data_end, self._complete_read, demand, data_end)
             return
         if outcome is _MISS_DIRTY:
@@ -217,9 +217,9 @@ class TdramCache(DramCacheController):
         self.flush.note_unload("read_miss_clean")
         self.meter.add_dq_bytes(64)
         self.metrics.ledger.move("flush_unload", 64, useful=False)
-        if self.obs is not None:
-            self.obs.on_flush_drain("read_miss_clean", block,
-                                    slot_start, slot_end)
+        if self.trace is not None:
+            self.trace.on_flush_drain("read_miss_clean", block,
+                                      slot_start, slot_end)
         self.sim.at(slot_end, self._writeback, block)
 
     # ------------------------------------------------------------------
@@ -236,13 +236,13 @@ class TdramCache(DramCacheController):
             return
         demand = op.demand
         assert demand is not None
-        if self.obs is not None:
-            self.obs.on_issue(demand, now)
+        if self.trace is not None:
+            self.trace.on_issue(demand, now)
         result = self.tags.probe(demand.block_addr, touch=False)
         self._record_tag_result(demand, grant.hm_at, result.outcome)
-        if (self.obs is not None and grant.data_start is not None
+        if (self.trace is not None and grant.data_start is not None
                 and grant.data_end is not None):
-            self.obs.on_dq_window(demand, grant.data_start, grant.data_end)
+            self.trace.on_dq_window(demand, grant.data_start, grant.data_end)
         self.metrics.ledger.move("demand_write", 64, useful=True)
         evicted = self.tags.install(demand.block_addr, dirty=True)
         if evicted is not None and evicted[1]:
@@ -271,8 +271,8 @@ class TdramCache(DramCacheController):
             self.flush.note_unload("forced")
             end = channel.transfer_raw(time, 64, Direction.READ)
             self.metrics.ledger.move("flush_unload", 64, useful=False)
-            if self.obs is not None:
-                self.obs.on_flush_drain("forced", block, time, end)
+            if self.trace is not None:
+                self.trace.on_flush_drain("forced", block, time, end)
             self.sim.at(end, self._writeback, block)
 
     # ------------------------------------------------------------------
@@ -326,9 +326,9 @@ class TdramCache(DramCacheController):
         self._probe_busy_until[channel_idx][op.bank] = now + tag_timing.tRC_TAG
         assert grant.hm_at is not None
         hm_at = grant.hm_at
-        if self.obs is not None:
-            self.obs.on_probe(demand, now, hm_at)
-            self.obs.on_hm_result(channel_idx, hm_at)
+        if self.trace is not None:
+            self.trace.on_probe(demand, now, hm_at)
+            self.trace.on_hm_result(channel_idx, hm_at)
         self.sim.at(hm_at, self._on_probe_result, channel_idx, op, hm_at)
         # The CA bus frees after one command slot; chain another probe
         # attempt so every unused slot can be filled (§III-E).
@@ -386,8 +386,8 @@ class TdramCache(DramCacheController):
             self.flush.note_unload("refresh")
             self.meter.add_dq_bytes(64)
             self.metrics.ledger.move("flush_unload", 64, useful=False)
-            if self.obs is not None:
-                self.obs.on_flush_drain("refresh", block,
-                                        start + i * burst,
-                                        start + (i + 1) * burst)
+            if self.trace is not None:
+                self.trace.on_flush_drain("refresh", block,
+                                          start + i * burst,
+                                          start + (i + 1) * burst)
             self.sim.at(end, self._writeback, block)

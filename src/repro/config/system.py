@@ -13,7 +13,6 @@ restores the full-size geometry for users with patience.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
 
 from repro.dram.address import DramGeometry
 from repro.dram.timing import (
@@ -33,19 +32,6 @@ MIB = 1024 ** 2
 #: The paper's DRAM-cache capacity; workload footprints are specified
 #: against this and scaled alongside the configured capacity.
 PAPER_CACHE_BYTES = 8 * GIB
-
-#: Observability-only fields: knobs a simulation may *read* without the
-#: campaign cache key covering them, because they cannot change any
-#: result — only where side artifacts land. Every entry carries the
-#: reason. ``tests/test_campaign.py`` perturbs every ``SystemConfig``
-#: and ``CampaignTask`` field and requires the task key to change for
-#: each one except exactly these (unknown fields and empty reasons fail
-#: it too).
-OBS_ONLY: Dict[str, str] = {
-    "trace_dir": "per-host scratch path for trace artifacts; results "
-                 "are byte-identical wherever traces are written",
-}
-
 
 @dataclass(frozen=True)
 class SystemConfig:

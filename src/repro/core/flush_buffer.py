@@ -37,7 +37,7 @@ class FlushBuffer:
         self.occupancy = OccupancyStat("flush_buffer")
         self.stalls = 0
         #: observability sink called with the occupancy after every
-        #: mutation (attached by ObsSession when tracing is on)
+        #: mutation (TDRAM attaches its tracer's when tracing is on)
         self.obs_sink = None
 
     def _notify_obs(self) -> None:

@@ -134,22 +134,13 @@ def cache_key(
 @dataclass(frozen=True)
 class CampaignTask:
     """One fully-specified simulation: ``(design, workload, seed)``
-    under a given configuration and work quantum.
-
-    ``trace_dir`` requests a per-run Chrome trace artifact written
-    beside the cached result (``<trace_dir>/<key[:2]>/<key>.trace.json``)
-    when ``config.obs.trace`` is on. It is a *destination*, not an
-    outcome ingredient, so it is deliberately outside the cache key —
-    the obs settings themselves (which do change the RunResult) are
-    covered because the key canonicalises the full ``SystemConfig``.
-    """
+    under a given configuration and work quantum."""
 
     design: str
     workload: WorkloadSpec
     config: SystemConfig
     demands_per_core: int = 600
     seed: int = 7
-    trace_dir: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -171,19 +162,12 @@ class CampaignTask:
         return f"{self.design}/{self.workload.name}@{self.seed}"
 
 
-def trace_artifact_path(root: Union[str, Path], key: str) -> Path:
-    """Where a task's Chrome trace lands: sharded like the result cache
-    (``<root>/<key[:2]>/<key>.trace.json``)."""
-    return Path(root) / key[:2] / f"{key}.trace.json"
-
-
 def tasks_for(
     designs: Sequence[str],
     specs: Sequence[Union[WorkloadSpec, str]],
     config: Optional[SystemConfig] = None,
     demands_per_core: int = 600,
     seeds: Sequence[int] = (7,),
-    trace_dir: Optional[str] = None,
 ) -> List[CampaignTask]:
     """The deterministic task list of a designs x workloads x seeds
     campaign (iteration order: design-major, then workload, then seed).
@@ -198,8 +182,7 @@ def tasks_for(
     config = config or SystemConfig.small()
     return [
         CampaignTask(design=design, workload=spec, config=config,
-                     demands_per_core=demands_per_core, seed=seed,
-                     trace_dir=trace_dir)
+                     demands_per_core=demands_per_core, seed=seed)
         for design in designs
         for spec in resolved
         for seed in seeds
@@ -209,14 +192,9 @@ def tasks_for(
 def _execute_task(task: CampaignTask) -> RunResult:
     """Worker entry point (module-level so it pickles under any start
     method); runs one simulation exactly as the serial path would."""
-    trace_out = None
-    if task.trace_dir is not None and task.config.obs.trace:
-        path = trace_artifact_path(task.trace_dir, task.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        trace_out = str(path)
     return run_experiment(task.design, task.workload, config=task.config,
                           demands_per_core=task.demands_per_core,
-                          seed=task.seed, trace_out=trace_out)
+                          seed=task.seed)
 
 
 #: Errors that reject a task's input: raised the same way on every
@@ -339,10 +317,8 @@ class ResultCache:
         return self.path(key).exists()
 
     def __len__(self) -> int:
-        """The number of result entries; the Chrome trace artifacts a
-        traced campaign writes beside them are not results."""
-        return sum(1 for path in self.root.glob("*/*.json")
-                   if not path.name.endswith(".trace.json"))
+        """The number of result entries."""
+        return sum(1 for _ in self.root.glob("*/*.json"))
 
 
 def result_from_dict(data: Dict[str, object]) -> Optional[RunResult]:

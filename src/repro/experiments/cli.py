@@ -22,7 +22,9 @@ flags: ``--full-suite`` or ``--workloads`` pick the workloads,
 worker processes, and ``--cache-dir``/``--no-cache`` the result cache.
 ``flush`` sweeps buffer sizes on one workload: ft.D, or the one name
 ``--workloads`` gives. A target fails with a ``ConfigError``, before it
-runs anything, if a flag it does not read is set away from its default.
+runs anything, if a flag it does not read is set away from its default
+or if it gets a positional argument; only ``run`` (DESIGN WORKLOAD) and
+``report`` (OUTPUT.md) read those.
 
 Simulation-backed targets share a content-addressed on-disk result
 cache (``--cache-dir``, default ``.tdram_cache``; ``--no-cache``
@@ -103,14 +105,15 @@ _ANALYTIC: Dict[str, Callable[[], FigureResult]] = {
 _CONTEXT_FLAGS = ("workloads", "full_suite", "demands", "seed", "jobs",
                   "cache_dir", "no_cache")
 
-#: Every target and the flags it reads, by ``argparse`` dest. A flag a
-#: target does not read must keep its default (see ``_check_flags``).
+#: Every target and the flags it reads, by ``argparse`` dest; ``args``
+#: marks the targets that read positional arguments. A flag a target
+#: does not read must keep its default, and a target that does not read
+#: ``args`` takes none (see ``_check_flags``).
 _FLAGS_READ: Dict[str, Tuple[str, ...]] = {
     **dict.fromkeys(_CONTEXT_TARGETS, _CONTEXT_FLAGS),
-    "report": _CONTEXT_FLAGS,
-    "campaign": _CONTEXT_FLAGS + ("designs", "resume", "retries", "out",
-                                  "trace"),
-    "run": ("demands", "seed"),
+    "report": ("args",) + _CONTEXT_FLAGS,
+    "campaign": _CONTEXT_FLAGS + ("designs", "resume", "retries", "out"),
+    "run": ("args", "demands", "seed"),
     "trace": ("workload", "design", "demands", "seed", "out", "epoch_us",
               "profile"),
     **dict.fromkeys([*_ANALYTIC, "list", "suite"], ()),
@@ -137,7 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regenerate the TDRAM paper's tables and figures.",
     )
     parser.add_argument("target", help="figure/table name, 'list', or 'run'")
-    parser.add_argument("args", nargs="*", help="for 'run': DESIGN WORKLOAD")
+    parser.add_argument("args", nargs="*",
+                        help="run: DESIGN WORKLOAD; report: OUTPUT.md")
     parser.add_argument("--full-suite", action="store_true",
                         help="use all 28 workloads instead of the fast subset")
     parser.add_argument("--demands", type=int, default=600,
@@ -179,9 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "microseconds, 0 disables (default 5)")
     parser.add_argument("--profile", action="store_true",
                         help="trace: also profile the event kernel")
-    parser.add_argument("--trace", action="store_true",
-                        help="campaign: record a Chrome trace per run "
-                             "beside its cached result")
     return parser
 
 
@@ -217,11 +218,14 @@ def _context(args) -> ExperimentContext:
 def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace,
                  target: str) -> None:
     """Raise a ``ConfigError`` naming every flag ``target`` does not read
-    that is set away from its default: the target would ignore it."""
+    that is set away from its default, and every positional argument of
+    a target that reads none: the target would ignore them."""
     unread = [f"--{dest.replace('_', '-')}"
               for dest, value in vars(args).items()
               if dest not in ("target", "args", *_FLAGS_READ[target])
               and value != parser.get_default(dest)]
+    if "args" not in _FLAGS_READ[target]:
+        unread += [repr(arg) for arg in args.args]
     if unread:
         raise ConfigError(
             f"tdram-repro {target} does not read {', '.join(unread)}; "
@@ -285,20 +289,10 @@ def main(argv=None) -> int:
     if target == "campaign":
         designs = (args.designs.split(",") if args.designs
                    else list(EVALUATED_DESIGNS))
-        specs = _specs(args)
-        config = SystemConfig.small()
-        cache = _cache(args)
-        trace_dir = None
-        if args.trace:
-            from repro.obs import ObsConfig
-
-            config = config.with_(obs=ObsConfig(trace=True))
-            trace_dir = str(cache.root) if cache is not None else ".tdram_cache"
-        tasks = tasks_for(designs, specs, config=config,
-                          demands_per_core=args.demands, seeds=[args.seed],
-                          trace_dir=trace_dir)
+        tasks = tasks_for(designs, _specs(args), config=SystemConfig.small(),
+                          demands_per_core=args.demands, seeds=[args.seed])
         outcome = run_campaign(
-            tasks, jobs=args.jobs, cache=cache, reuse_cache=args.resume,
+            tasks, jobs=args.jobs, cache=_cache(args), reuse_cache=args.resume,
             retries=args.retries, progress=_progress, strict=False,
         )
         if args.out:

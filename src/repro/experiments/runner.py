@@ -102,6 +102,12 @@ def run_experiment(
 ) -> RunResult:
     """Simulate ``design`` under one workload and collect every metric.
 
+    ``config.obs`` attaches the instruments here: the kernel profiler
+    to the simulator (any design) and the epoch recorder to the cache
+    controller, which also holds the tracer. ``no_cache`` has no cache
+    controller, so asking it for a trace or an epoch series raises a
+    :class:`ConfigError` before anything is simulated.
+
     Parameters
     ----------
     design:
@@ -129,11 +135,28 @@ def run_experiment(
             f"demands_per_core must be positive, got {demands_per_core}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    obs = config.obs
+    if design == "no_cache" and (obs.trace or obs.epoch_us > 0):
+        raise ConfigError(
+            f"design {design!r} has no cache controller to trace or "
+            f"sample: ObsConfig.trace and ObsConfig.epoch_us need a cache "
+            f"design (got trace={obs.trace}, epoch_us={obs.epoch_us}); "
+            f"ObsConfig.profile works on every design")
     sim = Simulator()
     mm_meter = EnergyMeter(config.energy_model, config.mm_channels, False)
     main_memory = MainMemory(sim, config.mm_timing, config.mm_geometry(),
                              meter=mm_meter)
     sink = DESIGNS[design](sim, config, main_memory)
+    profiler = epochs = None
+    if obs.profile:
+        from repro.obs.profiler import KernelProfiler
+
+        profiler = KernelProfiler()
+        sim.profiler = profiler
+    if obs.epoch_us > 0:
+        from repro.obs.epochs import EpochRecorder
+
+        epochs = EpochRecorder(sink, ns(obs.epoch_us * 1000.0))
     _prewarm(sink, spec, config, seed)
 
     cores, progress = build_cores(
@@ -148,6 +171,8 @@ def run_experiment(
         nonlocal measure_start
         measure_start = sim.now
         _reset_measurement(sink, mm_meter, main_memory)
+        if epochs is not None:
+            epochs.reset()
 
     progress.on_warm = on_warm
     progress.on_all_done = sim.stop
@@ -158,8 +183,16 @@ def run_experiment(
     sim_events = _drive(sim, progress, design, spec)
 
     runtime = max(1, sim.now - measure_start)
-    return _harvest(design, spec, sink, main_memory, mm_meter, runtime,
-                    sim_events, trace_out)
+    result = _harvest(design, spec, sink, main_memory, mm_meter, runtime,
+                      sim_events)
+    if epochs is not None:
+        epochs.finalize()
+        result.epochs = epochs.series
+    if profiler is not None:
+        result.profile = profiler.summary()
+    if obs.trace and trace_out is not None:
+        sink.trace.write(trace_out)
+    return result
 
 
 def check_design(design: str) -> None:
@@ -213,15 +246,11 @@ def _reset_measurement(sink, mm_meter: EnergyMeter,
         flush.occupancy.reset()
         flush.events.reset()
         flush.stalls = 0
-    obs = getattr(sink, "obs", None)
-    if obs is not None:
-        obs.on_warm()
 
 
 def _harvest(design: str, spec: WorkloadSpec, sink,
              main_memory: MainMemory, mm_meter: EnergyMeter,
-             runtime: int, sim_events: int,
-             trace_out: Optional[str]) -> RunResult:
+             runtime: int, sim_events: int) -> RunResult:
     """Collect every RunResult field from a finished simulation."""
     metrics = sink.metrics
     energy = mm_meter.total_pj(runtime)
@@ -270,13 +299,6 @@ def _harvest(design: str, spec: WorkloadSpec, sink,
             for name in flush.events.names()
             if name.startswith("unload_")
         }
-    obs = getattr(sink, "obs", None)
-    if obs is not None:
-        obs.finalize()
-        result.epochs = obs.epoch_series()
-        result.profile = obs.profile_summary()
-        if trace_out is not None:
-            obs.write_trace(trace_out)
     return result
 
 

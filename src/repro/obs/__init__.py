@@ -25,10 +25,13 @@ schedules zero extra events and is bit-for-bit the plain simulator.
 See ``docs/tracing.md`` for the trace format, the epoch-series schema,
 and worked Perfetto/pandas examples.
 
-The package exports only :class:`~repro.obs.config.ObsConfig`, which
-every ``SystemConfig`` holds. The instruments are imported from their
-submodules, and a run loads them only when its ``ObsConfig`` turns one
-on (:class:`~repro.obs.session.ObsSession`).
+Each instrument attaches in one place: a cache controller builds and
+holds its ``TraceSession``, and ``run_experiment`` attaches the
+``KernelProfiler`` to the simulator and the ``EpochRecorder`` to the
+cache controller. The package exports only
+:class:`~repro.obs.config.ObsConfig`, which every ``SystemConfig``
+holds; a run imports an instrument's submodule only when its
+``ObsConfig`` turns that instrument on.
 """
 
 from repro.obs.config import ObsConfig

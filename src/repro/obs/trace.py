@@ -1,9 +1,10 @@
 """Request-lifecycle tracing with Chrome/Perfetto ``trace_event`` export.
 
-A :class:`TraceSession` subscribes to a controller's channels (as a
-:class:`~repro.dram.monitor.ChannelObserver`) and to the lifecycle
-hooks the controller calls when observability is on. It records two
-kinds of material:
+A cache controller builds one :class:`TraceSession` when
+``config.obs.trace`` is on and holds it as ``controller.trace``. The
+session subscribes to the controller's channels (as a
+:class:`~repro.dram.monitor.ChannelObserver`), and the controller calls
+its lifecycle hooks directly. It records two kinds of material:
 
 * **request spans** — one span per demand from controller arrival to
   retirement, with child spans for the queue wait, the tag resolution
@@ -19,8 +20,9 @@ https://ui.perfetto.dev load directly. Timestamps are microseconds
 (floats), converted from the kernel's integer picoseconds. The track
 layout and span taxonomy are specified in ``docs/tracing.md``.
 
-Memory is bounded: at most ``limit`` records are retained; further
-ones increment :attr:`TraceSession.dropped` (mirroring
+Memory is bounded: at most :data:`TRACE_LIMIT` request records and
+as many resource events are retained; further ones increment
+:attr:`TraceSession.dropped` (mirroring
 :class:`~repro.dram.monitor.CommandLog`).
 """
 
@@ -46,6 +48,9 @@ TID_HM = 2
 
 #: Request child-span names, in canonical order.
 CHILD_SPANS = ("queue", "tag", "mm_fetch", "dq")
+
+#: Request records, and separately resource events, kept per trace.
+TRACE_LIMIT = 200_000
 
 
 def _us(picoseconds: int) -> float:
@@ -87,10 +92,9 @@ class _ChannelTap(ChannelObserver):
 class TraceSession:
     """Collects lifecycle spans and bus slices; exports Chrome JSON."""
 
-    def __init__(self, controller, limit: int = 200_000) -> None:
+    def __init__(self, controller) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.limit = limit
         self.dropped = 0
         #: committed bus-slice / instant / counter events (chrome dicts)
         self._events: List[dict] = []
@@ -103,11 +107,11 @@ class TraceSession:
             channel.observers.append(_ChannelTap(self, index, channel))
 
     # ------------------------------------------------------------------
-    # Lifecycle hooks (called via ObsSession from the controller)
+    # Lifecycle hooks (called by the controller)
     # ------------------------------------------------------------------
     def on_enqueue(self, demand) -> None:
         """A demand entered the controller (span start)."""
-        if len(self._live) + len(self._done) >= self.limit:
+        if len(self._live) + len(self._done) >= TRACE_LIMIT:
             self.dropped += 1
             return
         self._live[demand.seq] = _RequestTrace(
@@ -216,7 +220,7 @@ class TraceSession:
     # Event assembly
     # ------------------------------------------------------------------
     def _emit(self, event: dict) -> None:
-        if len(self._events) >= self.limit:
+        if len(self._events) >= TRACE_LIMIT:
             self.dropped += 1
             return
         self._events.append(event)

@@ -167,7 +167,7 @@ class Simulator:
         #: being dispatched is popped off it while its slot is walked
         self._times: List[int] = []
         #: optional profiler with ``record(callback, wall_ns)``; set by
-        #: the observability layer (``SystemConfig.obs.profile``)
+        #: ``run_experiment`` when ``SystemConfig.obs.profile`` is on
         self.profiler = None
 
     def pending(self) -> int:

@@ -53,23 +53,11 @@ class LatencyStat:
         self.name = name
         self.count = 0
         self.total_ps = 0
-        self.min_ps: int = 0
-        self.max_ps: int = 0
 
     def record(self, latency_ps: int) -> None:
-        """Add one sample; a negative latency raises ``ValueError``.
-
-        Called once per measured demand, so the extremes are kept with
-        plain comparisons rather than ``min``/``max`` calls.
-        """
+        """Add one sample; a negative latency raises ``ValueError``."""
         if latency_ps < 0:
             raise ValueError(f"{self.name}: negative latency {latency_ps}")
-        if self.count == 0:
-            self.min_ps = self.max_ps = latency_ps
-        elif latency_ps < self.min_ps:
-            self.min_ps = latency_ps
-        elif latency_ps > self.max_ps:
-            self.max_ps = latency_ps
         self.count += 1
         self.total_ps += latency_ps
 
@@ -80,22 +68,10 @@ class LatencyStat:
             return 0.0
         return self.total_ps / self.count / 1000.0
 
-    @property
-    def min_ns(self) -> float:
-        """Smallest sample in ns (0.0 with no samples)."""
-        return self.min_ps / 1000.0
-
-    @property
-    def max_ns(self) -> float:
-        """Largest sample in ns (0.0 with no samples)."""
-        return self.max_ps / 1000.0
-
     def reset(self) -> None:
         """Forget every sample."""
         self.count = 0
         self.total_ps = 0
-        self.min_ps = 0
-        self.max_ps = 0
 
     def __repr__(self) -> str:
         return (

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config.system import MIB, OBS_ONLY, SystemConfig
+from repro.config.system import MIB, SystemConfig
 from repro.errors import (CampaignError, ConfigError, SimulationError,
                           WorkloadError)
 from repro.experiments.campaign import (
@@ -33,11 +33,9 @@ from repro.experiments.campaign import (
     quarantine_entry,
     run_campaign,
     tasks_for,
-    trace_artifact_path,
 )
 from repro.experiments.figures import ExperimentContext
 from repro.experiments.runner import RunResult, run_experiment
-from repro.obs import ObsConfig
 from repro.workloads.suite import representative_suite, workload
 from tests.conftest import MARKERS, first_attempt
 
@@ -90,8 +88,6 @@ def bumped(value):
         return value + "~"
     if isinstance(value, tuple):
         return value + (1.0,)
-    if value is None:
-        return "elsewhere"
     raise TypeError(f"no perturbation for {value!r}")
 
 
@@ -205,16 +201,10 @@ class TestCacheKey:
     def test_every_leaf_field_changes_the_key(self, path):
         # Every leaf of the task — design, workload, every SystemConfig
         # field through its nested dataclasses, quantum, seed — changes
-        # the key, except the declared observability-only fields.
+        # the key, with no exception.
         # (``fast_task()`` is fresh, so no memoised key is copied.)
         changed = perturbed(fast_task(), path).key != fast_task().key
-        assert changed == (path[-1] not in OBS_ONLY), ".".join(path)
-
-    def test_obs_only_names_real_fields_with_reasons(self):
-        names = {path[-1] for path in TASK_LEAVES}
-        for name, reason in OBS_ONLY.items():
-            assert name in names, f"OBS_ONLY names no field {name!r}"
-            assert reason.strip(), f"OBS_ONLY[{name!r}] has no reason"
+        assert changed, ".".join(path)
 
     def test_every_keyed_dataclass_is_frozen(self):
         found = {type(obj).__name__: type(obj).__dataclass_params__.frozen
@@ -353,19 +343,6 @@ class TestResultCache:
         assert payload["task"]["design"] == task.design
         assert payload["task"]["workload"] == task.workload.name
         assert payload["task"]["seed"] == SEED
-        assert len(cache) == 1
-
-    def test_len_counts_results_not_trace_artifacts(self, tmp_path):
-        """A traced campaign writes its Chrome trace beside the result
-        entry (as ``tdram-repro campaign --trace`` does); only the
-        result counts."""
-        tasks = tasks_for(["tdram"], ["bfs.22"],
-                          config=FAST.with_(obs=ObsConfig(trace=True)),
-                          demands_per_core=40, seeds=[SEED],
-                          trace_dir=str(tmp_path))
-        cache = ResultCache(tmp_path)
-        assert run_campaign(tasks, jobs=1, cache=cache).ok
-        assert trace_artifact_path(tmp_path, tasks[0].key).exists()
         assert len(cache) == 1
 
 

@@ -87,6 +87,31 @@ class TestCli:
             main(argv)
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["ways", "foo", "bar"],
+        ["fig9", "extra"],
+        ["list", "extra"],
+        ["campaign", "extra"],
+    ], ids=["ways", "fig9", "list", "campaign"])
+    def test_stray_arguments_are_rejected(self, capsys, argv):
+        """Only ``run`` and ``report`` read positional arguments; any
+        other target fails before it runs, naming each argument."""
+        stray = ", ".join(repr(arg) for arg in argv[1:])
+        with pytest.raises(ConfigError,
+                           match=f"{argv[0]} does not read {stray}; drop"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+    def test_trace_target_rejects_no_cache(self, capsys, tmp_path):
+        """no_cache has no controller to trace: the target fails before
+        simulating and writes no trace file."""
+        out = tmp_path / "trace.json"
+        with pytest.raises(ConfigError, match="'no_cache'"):
+            main(["trace", "--design", "no_cache", "--workload", "ft.D",
+                  "--demands", "50", "--out", str(out)])
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     def test_zero_jobs_fails_the_command(self):
         """The ``tdram-repro`` process itself exits non-zero and says
         what to change."""

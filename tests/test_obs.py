@@ -4,8 +4,8 @@ Covers the Chrome trace-event export (schema validity, span
 nesting/containment and lane-exclusivity invariants), the epoch
 series reconciling exactly with the run's final aggregates, the
 zero-perturbation guarantee (observability on does not change any
-simulated quantity), the kernel profiler, and the CLI/campaign
-plumbing that writes trace artifacts.
+simulated quantity), the kernel profiler on every design, the
+no_cache rule, and the CLI plumbing that writes the trace.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import json
 
 import pytest
 
+import repro.experiments.runner as runner_mod
+import repro.obs.trace as trace_mod
+from repro.cache import DESIGNS
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
-from repro.experiments.campaign import (
-    run_campaign,
-    tasks_for,
-    trace_artifact_path,
-)
+from repro.experiments.campaign import tasks_for
 from repro.experiments.cli import main as cli_main
 from repro.experiments.runner import run_experiment
 from repro.obs import ObsConfig
@@ -61,29 +60,46 @@ def traced(tmp_path_factory):
 # ---------------------------------------------------------------------------
 def test_obs_config_defaults_off():
     config = ObsConfig()
-    assert not config.any_enabled
+    assert not (config.trace or config.epoch_us or config.profile)
     assert SystemConfig.small().obs == config
 
 
 def test_obs_config_validation():
     with pytest.raises(ConfigError):
         ObsConfig(epoch_us=-1.0)
-    with pytest.raises(ConfigError):
-        ObsConfig(trace_limit=0)
 
 
-def test_disabled_obs_attaches_nothing():
-    from repro.cache import DESIGNS
-    from repro.memory.main_memory import MainMemory
-    from repro.sim.kernel import Simulator
+def test_disabled_obs_attaches_nothing(monkeypatch):
+    """With obs off, no design's run assigns ``sim.profiler``, and no
+    cache controller holds a tracer or a channel observer."""
+    profilers = []
 
-    sim = Simulator()
-    config = SystemConfig.small()
-    mm = MainMemory(sim, config.mm_timing, config.mm_geometry())
-    sink = DESIGNS["tdram"](sim, config, mm)
-    assert sink.obs is None
-    assert sim.profiler is None
-    assert all(not ch.observers for ch in sink.channels)
+    class Recording(runner_mod.Simulator):
+        def __setattr__(self, name, value):
+            if name == "profiler":
+                profilers.append(value)
+            super().__setattr__(name, value)
+
+    original = DESIGNS.copy()
+    sinks = []
+
+    def keep(cls):
+        def build(*args):
+            sinks.append(cls(*args))
+            return sinks[-1]
+        return build
+
+    monkeypatch.setattr(runner_mod, "Simulator", Recording)
+    for name, cls in original.items():
+        monkeypatch.setitem(DESIGNS, name, keep(cls))
+    for design in sorted(original):
+        _run(design=design, demands=20)
+    assert len(sinks) == len(original)
+    # The kernel's own __init__ sets profiler = None; nothing else may.
+    assert profilers == [None] * len(original)
+    for sink in sinks:
+        assert getattr(sink, "trace", None) is None
+        assert all(not ch.observers for ch in getattr(sink, "channels", []))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +194,30 @@ def test_parent_spans_carry_outcome_args(traced):
     assert len(outcomes) > 1, "expected a mix of hit/miss outcomes"
 
 
-def test_trace_limit_bounds_memory():
-    obs = ObsConfig(trace=True, trace_limit=16)
-    result = _run(obs=obs)
-    assert result.demands > 16  # limit really was exceeded
+def _trace_counts(path):
+    """(kept request records, kept resource events, dropped) of a
+    written trace."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    other = payload["otherData"]
+    resources = sum(1 for e in payload["traceEvents"]
+                    if e["ph"] != "M" and e["pid"] != PID_REQUESTS)
+    kept = other["requests"] + other["unfinished"]
+    return kept, resources, other["dropped"]
+
+
+def test_trace_limit_bounds_memory(tmp_path, monkeypatch):
+    """With a small limit the trace keeps at most that many request
+    records and resource events, and counts every one it drops."""
+    obs = ObsConfig(trace=True)
+    _run(obs=obs, trace_out=str(tmp_path / "full.json"), demands=60)
+    requests, resources, dropped = _trace_counts(tmp_path / "full.json")
+    assert dropped == 0
+    limit = 16
+    assert requests > limit and resources > limit
+    monkeypatch.setattr(trace_mod, "TRACE_LIMIT", limit)
+    _run(obs=obs, trace_out=str(tmp_path / "cut.json"), demands=60)
+    assert _trace_counts(tmp_path / "cut.json") == (
+        limit, limit, (requests - limit) + (resources - limit))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +306,30 @@ def test_profiling_adds_zero_kernel_events():
     assert profiled.profile["events"] >= profiled.sim_events
 
 
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_profile_counts_every_kernel_event(design):
+    """The profiler attaches to the run, not to a cache controller, so
+    it sees every dispatch of every design, no_cache included."""
+    result = _run(design=design, workload="lu.C",
+                  obs=ObsConfig(profile=True), demands=40)
+    assert result.profile["events"] == result.sim_events > 0
+
+
+@pytest.mark.parametrize("obs", [ObsConfig(trace=True),
+                                 ObsConfig(epoch_us=1.0)],
+                         ids=["trace", "epochs"])
+def test_no_cache_rejects_trace_and_epochs(obs, monkeypatch):
+    """no_cache has no controller state to trace or sample: asking for
+    either fails before a simulator is built, naming both fields."""
+    def no_simulator():
+        raise AssertionError("simulated before rejecting the config")
+
+    monkeypatch.setattr(runner_mod, "Simulator", no_simulator)
+    with pytest.raises(ConfigError, match=r"'no_cache'.*ObsConfig\.trace"
+                                          r".*ObsConfig\.epoch_us"):
+        _run(design="no_cache", obs=obs)
+
+
 # ---------------------------------------------------------------------------
 # Kernel profiler unit behaviour
 # ---------------------------------------------------------------------------
@@ -309,7 +369,7 @@ def test_profiler_attaches_to_kernel():
 
 
 # ---------------------------------------------------------------------------
-# CLI + campaign plumbing
+# CLI plumbing and the cache key
 # ---------------------------------------------------------------------------
 def test_cli_trace_target(tmp_path, capsys):
     out = tmp_path / "trace.json"
@@ -324,25 +384,9 @@ def test_cli_trace_target(tmp_path, capsys):
     assert payload["traceEvents"]
 
 
-def test_campaign_writes_trace_artifacts(tmp_path):
-    config = SystemConfig.small().with_(obs=ObsConfig(trace=True))
-    tasks = tasks_for(["tdram"], ["synthetic"], config=config,
-                      demands_per_core=60, seeds=[3],
-                      trace_dir=str(tmp_path))
-    outcome = run_campaign(tasks, jobs=1, cache=None)
-    assert outcome.ok
-    artifact = trace_artifact_path(tmp_path, tasks[0].key)
-    assert artifact.exists()
-    payload = json.loads(artifact.read_text(encoding="utf-8"))
-    assert payload["otherData"]["design"] == "tdram"
-
-
 def test_obs_config_participates_in_cache_key():
     base = tasks_for(["tdram"], ["synthetic"],
                      config=SystemConfig.small())[0]
     traced = dataclasses.replace(
         base, config=SystemConfig.small().with_(obs=ObsConfig(trace=True)))
     assert base.key != traced.key
-    # ...but the trace destination alone is not an outcome ingredient.
-    moved = dataclasses.replace(base, trace_dir="/elsewhere")
-    assert base.key == moved.key

@@ -164,12 +164,14 @@ _WITHOUT_NUMPY = textwrap.dedent("""
 
     NOT_SIMULATOR = (
         "concurrent.futures.process", "multiprocessing",
-        "repro.obs.trace", "repro.obs.session", "repro.dram.monitor",
+        "repro.dram.monitor",
         "repro.experiments.figures", "repro.experiments.sweeps",
         "repro.core.area", "repro.core.ways", "repro.core.tag_mats",
         "repro.stats.dump", "repro.stats.estimator",
     )
     loaded = [name for name in NOT_SIMULATOR if name in sys.modules]
+    loaded += [name for name in sys.modules
+               if name.startswith("repro.obs.") and name != "repro.obs.config"]
     assert not loaded, f"a plain run loaded {loaded}"
 """)
 
@@ -183,8 +185,8 @@ def test_simulations_need_no_numpy():
     A plain run imports only the simulator: after importing the
     campaign engine and running every design serially, the process has
     loaded neither the process pool (``concurrent.futures.process``,
-    ``multiprocessing``), nor the tracer, the observability session or
-    the command monitor, nor the figure and sweep code, nor the
+    ``multiprocessing``), nor any ``repro.obs`` module but its config,
+    nor the command monitor, nor the figure and sweep code, nor the
     area, way-select and tag-mat models, nor the stats dump and the
     estimator. Because every design runs, a module that was merely
     moved from the import into a run would show up here too."""

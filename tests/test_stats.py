@@ -39,13 +39,11 @@ class TestCounterSet:
 
 
 class TestLatencyStat:
-    def test_mean_min_max(self):
+    def test_mean_and_count(self):
         stat = LatencyStat("x")
         for value in (1000, 2000, 3000):
             stat.record(value)
         assert stat.mean_ns == 2.0
-        assert stat.min_ns == 1.0
-        assert stat.max_ns == 3.0
         assert stat.count == 3
 
     def test_empty_stat_reports_zero(self):
@@ -66,7 +64,7 @@ class TestLatencyStat:
         stat = LatencyStat("p")
         for value in values:
             stat.record(value)
-        assert stat.min_ns <= stat.mean_ns <= stat.max_ns
+        assert min(values) / 1000.0 <= stat.mean_ns <= max(values) / 1000.0
 
 
 class TestOccupancyStat:
